@@ -1,13 +1,6 @@
 """Capacity probes for classifiers via labeling distributions over holdout sets."""
 
-from .classifiers import (
-    ClassifierSpec,
-    fit,
-    parse_spec,
-    predict,
-    predict_proba,
-    with_defaults,
-)
+from .classifiers import ClassifierSpec, fit, parse_spec, with_defaults
 from .dataset import (
     HoldoutSplit,
     LabeledDataset,
@@ -36,7 +29,6 @@ from .errors import (
 from .heatmap import HeatmapConfig, render_pgm
 from .ldm import (
     LDMatrix,
-    SimplexVector,
     build_ldm,
     index_to_labeling,
     labeling_to_index,
@@ -60,7 +52,6 @@ __all__ = [
     "InvalidDatasetError",
     "LDMatrix",
     "LabeledDataset",
-    "SimplexVector",
     "build_ldm",
     "builtin_iris",
     "chance_baseline",
@@ -78,8 +69,6 @@ __all__ = [
     "load_csv",
     "parse_spec",
     "permute_labels",
-    "predict",
-    "predict_proba",
     "random_labels",
     "record_trial",
     "render_pgm",

@@ -4,52 +4,63 @@ A :class:`ClassifierSpec` pairs a family name with integer hyperparameters
 and has a text form for CLI use, e.g. ``knn:k=3`` or
 ``random_forest:n=10,max_features=1,max_depth=5``.
 
-Hyperparameters left unset fall back to per-family defaults; the two analysis
-pipelines then overlay their own conventions via :func:`with_defaults` —
-matrix-building runs cap tree depth at 5 while recorder runs grow trees
-unpruned.
+Everything the package knows about a family is one :class:`Family` record in
+:data:`FAMILIES`.  Hyperparameters left unset fall back to the record's
+everyday defaults; the two analysis pipelines then overlay their own
+conventions via :func:`with_defaults` — matrix-building runs cap tree depth
+at 5 while recorder runs grow trees unpruned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
 from ..dataset import LabeledDataset
-from .adaboost import AdaBoostModel, fit_adaboost
+from .adaboost import AdaBoostModel
 from .base import TrainedModel
-from .forest import RandomForestModel, fit_random_forest
-from .gaussian import GaussianNbModel, QdaModel, fit_gaussian_nb, fit_qda
-from .knn import KnnModel, fit_knn
-from .tree import DecisionTreeModel, fit_decision_tree
+from .forest import RandomForestModel
+from .gaussian import GaussianNbModel, QdaModel
+from .knn import KnnModel
+from .tree import DecisionTreeModel
 
-FAMILIES = ("knn", "gaussian_nb", "decision_tree", "random_forest", "qda", "adaboost")
 
-_ALLOWED_PARAMS: dict[str, frozenset[str]] = {
-    "knn": frozenset({"k"}),
-    "gaussian_nb": frozenset(),
-    "decision_tree": frozenset({"max_depth"}),
-    "random_forest": frozenset({"n", "max_features", "max_depth"}),
-    "qda": frozenset(),
-    "adaboost": frozenset({"rounds"}),
-}
+@dataclass(frozen=True)
+class Family:
+    """How to train one classifier family and which hyperparameters it takes.
 
-# Everyday defaults: trees and forest members grow unpruned unless capped.
-FAMILY_DEFAULTS: dict[str, dict[str, int]] = {
-    "knn": {"k": 5},
-    "gaussian_nb": {},
-    "decision_tree": {},
-    "random_forest": {"n": 10, "max_features": 1},
-    "qda": {},
-    "adaboost": {"rounds": 50},
-}
+    ``build(features, labels, num_classes, params, rng)`` trains a model from
+    fully resolved ``params``.  ``params`` maps every accepted hyperparameter
+    to its everyday default, ``None`` meaning unset; ``ldm`` holds the values
+    matrix-building runs overlay on those defaults.
+    """
 
-# Matrix-building runs additionally cap tree depth at 5.
-_LDM_EXTRAS: dict[str, dict[str, int]] = {
-    "decision_tree": {"max_depth": 5},
-    "random_forest": {"max_depth": 5},
+    build: Callable[..., TrainedModel]
+    params: Mapping[str, int | None] = field(default_factory=dict)
+    ldm: Mapping[str, int] = field(default_factory=dict)
+
+
+FAMILIES: dict[str, Family] = {
+    "knn": Family(lambda X, y, c, p, rng: KnnModel(X, y, c, p["k"]), {"k": 5}),
+    "gaussian_nb": Family(lambda X, y, c, p, rng: GaussianNbModel(X, y, c)),
+    "decision_tree": Family(
+        lambda X, y, c, p, rng: DecisionTreeModel(X, y, c, p["max_depth"]),
+        {"max_depth": None},
+        ldm={"max_depth": 5},
+    ),
+    "random_forest": Family(
+        lambda X, y, c, p, rng: RandomForestModel(
+            X, y, c, p["n"], p["max_features"], p["max_depth"], rng
+        ),
+        {"n": 10, "max_features": 1, "max_depth": None},
+        ldm={"max_depth": 5},
+    ),
+    "qda": Family(lambda X, y, c, p, rng: QdaModel(X, y, c)),
+    "adaboost": Family(
+        lambda X, y, c, p, rng: AdaBoostModel(X, y, c, p["rounds"]), {"rounds": 50}
+    ),
 }
 
 
@@ -61,11 +72,11 @@ class ClassifierSpec:
     params: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.family not in _ALLOWED_PARAMS:
+        if self.family not in FAMILIES:
             raise ValueError(
-                f"unknown classifier family {self.family!r}; choose from {FAMILIES}"
+                f"unknown classifier family {self.family!r}; choose from {tuple(FAMILIES)}"
             )
-        allowed = _ALLOWED_PARAMS[self.family]
+        allowed = FAMILIES[self.family].params
         clean: dict[str, int] = {}
         for key, value in dict(self.params).items():
             if key not in allowed:
@@ -114,9 +125,10 @@ def with_defaults(spec: ClassifierSpec, pipeline: str = "none") -> ClassifierSpe
     """
     if pipeline not in ("ldm", "recorder", "none"):
         raise ValueError(f"unknown pipeline {pipeline!r}")
-    merged = dict(FAMILY_DEFAULTS[spec.family])
+    family = FAMILIES[spec.family]
+    merged = {k: v for k, v in family.params.items() if v is not None}
     if pipeline == "ldm":
-        merged.update(_LDM_EXTRAS.get(spec.family, {}))
+        merged.update(family.ldm)
     merged.update(spec.params)
     return ClassifierSpec(spec.family, merged)
 
@@ -131,44 +143,15 @@ def fit(
     Only stochastic families (random_forest) consume ``rng``; deterministic
     families ignore it, so refits with any seed are identical for them.
     """
-    spec = with_defaults(spec, "none")
-    X, y, c = train.features, train.labels, train.num_classes
-    p = spec.params
-    if spec.family == "knn":
-        return fit_knn(X, y, c, k=p["k"])
-    if spec.family == "gaussian_nb":
-        return fit_gaussian_nb(X, y, c)
-    if spec.family == "decision_tree":
-        return fit_decision_tree(X, y, c, max_depth=p.get("max_depth"))
-    if spec.family == "random_forest":
-        return fit_random_forest(
-            X, y, c,
-            n_estimators=p["n"],
-            max_features=p["max_features"],
-            max_depth=p.get("max_depth"),
-            rng=rng,
-        )
-    if spec.family == "qda":
-        return fit_qda(X, y, c)
-    if spec.family == "adaboost":
-        return fit_adaboost(X, y, c, rounds=p["rounds"])
-    raise AssertionError(f"unhandled family {spec.family!r}")
-
-
-def predict_proba(model: TrainedModel, x) -> np.ndarray:
-    """Class-probability vector for one feature vector."""
-    return model.predict_proba(x)
-
-
-def predict(model: TrainedModel, x) -> int:
-    """Most probable class for one feature vector; ties go to the lowest index."""
-    return model.predict(x)
+    family = FAMILIES[spec.family]
+    params = {**family.params, **spec.params}
+    return family.build(train.features, train.labels, train.num_classes, params, rng)
 
 
 __all__ = [
     "FAMILIES",
-    "FAMILY_DEFAULTS",
     "ClassifierSpec",
+    "Family",
     "TrainedModel",
     "AdaBoostModel",
     "DecisionTreeModel",
@@ -178,7 +161,5 @@ __all__ = [
     "RandomForestModel",
     "fit",
     "parse_spec",
-    "predict",
-    "predict_proba",
     "with_defaults",
 ]

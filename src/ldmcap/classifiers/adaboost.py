@@ -61,6 +61,8 @@ class AdaBoostModel(TrainedModel):
     def __init__(
         self, features: np.ndarray, labels: np.ndarray, num_classes: int, rounds: int
     ):
+        if rounds < 1:
+            raise ValueError(f"rounds must be at least 1, got {rounds}")
         n, d = features.shape
         super().__init__(num_classes, d)
         self._present = np.bincount(labels, minlength=num_classes) > 0
@@ -98,9 +100,3 @@ class AdaBoostModel(TrainedModel):
         scores -= scores.max(axis=1, keepdims=True)
         probs = np.exp(scores)
         return probs / probs.sum(axis=1, keepdims=True)
-
-
-def fit_adaboost(features, labels, num_classes, rounds: int = 50) -> AdaBoostModel:
-    if rounds < 1:
-        raise ValueError(f"rounds must be at least 1, got {rounds}")
-    return AdaBoostModel(features, labels, num_classes, rounds)

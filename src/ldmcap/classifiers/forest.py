@@ -13,7 +13,8 @@ class RandomForestModel(TrainedModel):
 
     Each tree is grown on a bootstrap resample of the training rows; all of
     the randomness (bootstraps and per-split feature choices) is drawn
-    sequentially from the one generator passed in, so a seed fixes the forest.
+    sequentially from the one generator passed in (``default_rng(0)`` when
+    none is), so a seed fixes the forest.
     """
 
     def __init__(
@@ -24,8 +25,12 @@ class RandomForestModel(TrainedModel):
         n_estimators: int,
         max_features: int | None,
         max_depth: int | None,
-        rng: np.random.Generator,
+        rng: np.random.Generator | None = None,
     ):
+        if n_estimators < 1:
+            raise ValueError(f"n_estimators must be at least 1, got {n_estimators}")
+        if rng is None:
+            rng = np.random.default_rng(0)
         super().__init__(num_classes, features.shape[1])
         n = features.shape[0]
         self._trees = []
@@ -44,21 +49,3 @@ class RandomForestModel(TrainedModel):
         for tree in self._trees:
             acc += tree.predict_proba_batch(X)
         return acc / len(self._trees)
-
-
-def fit_random_forest(
-    features,
-    labels,
-    num_classes,
-    n_estimators: int = 10,
-    max_features: int | None = 1,
-    max_depth: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> RandomForestModel:
-    if n_estimators < 1:
-        raise ValueError(f"n_estimators must be at least 1, got {n_estimators}")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    return RandomForestModel(
-        features, labels, num_classes, n_estimators, max_features, max_depth, rng
-    )

@@ -50,10 +50,6 @@ class GaussianNbModel(TrainedModel):
         return log_softmax_rows(loglik)
 
 
-def fit_gaussian_nb(features, labels, num_classes) -> GaussianNbModel:
-    return GaussianNbModel(features, labels, num_classes)
-
-
 class QdaModel(TrainedModel):
     """Full per-class Gaussians (quadratic decision boundaries).
 
@@ -107,7 +103,3 @@ class QdaModel(TrainedModel):
                 self._log_det[c] + self.n_features * _LOG_TWO_PI + maha
             )
         return log_softmax_rows(loglik)
-
-
-def fit_qda(features, labels, num_classes) -> QdaModel:
-    return QdaModel(features, labels, num_classes)

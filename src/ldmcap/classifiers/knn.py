@@ -16,6 +16,8 @@ class KnnModel(TrainedModel):
     """
 
     def __init__(self, features: np.ndarray, labels: np.ndarray, num_classes: int, k: int):
+        if k < 1:
+            raise ValueError(f"k must be at least 1, got {k}")
         super().__init__(num_classes, features.shape[1])
         self._features = features
         self._labels = labels
@@ -30,9 +32,3 @@ class KnnModel(TrainedModel):
         neighbor_labels = self._labels[order]
         one_hot = neighbor_labels[:, :, None] == np.arange(self.num_classes)[None, None, :]
         return one_hot.sum(axis=1) / self._k
-
-
-def fit_knn(features, labels, num_classes, k: int = 5) -> KnnModel:
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
-    return KnnModel(features, labels, num_classes, k)

@@ -76,6 +76,8 @@ class DecisionTreeModel(TrainedModel):
         max_features: int | None = None,
         rng: np.random.Generator | None = None,
     ):
+        if max_depth is not None and max_depth < 1:
+            raise ValueError(f"max_depth must be at least 1, got {max_depth}")
         super().__init__(num_classes, features.shape[1])
         self._root = _build(
             features, labels, num_classes, max_depth, max_features, rng
@@ -122,16 +124,3 @@ def _build(X, y, num_classes, max_depth, max_features, rng):
         return node
 
     return grow(np.arange(X.shape[0]), 0)
-
-
-def fit_decision_tree(
-    features,
-    labels,
-    num_classes,
-    max_depth: int | None = None,
-    max_features: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> DecisionTreeModel:
-    if max_depth is not None and max_depth < 1:
-        raise ValueError(f"max_depth must be at least 1, got {max_depth}")
-    return DecisionTreeModel(features, labels, num_classes, max_depth, max_features, rng)

@@ -9,13 +9,14 @@ Three commands over a shared flag vocabulary:
 * ``compare`` — both of the above for two or more specs, joined into one
                 table sorted by recorder capacity.
 
-Exit codes: 0 on success, 1 for usage or data errors, 2 when the labeling
-space C**N' is too large to enumerate.
+Exit codes: 0 on success, 1 for usage or data errors or a Dirichlet fit that
+went non-finite, 2 when the labeling space C**N' is too large to enumerate.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from dataclasses import dataclass
@@ -26,9 +27,9 @@ import numpy as np
 from .classifiers import ClassifierSpec, parse_spec
 from .dataset import LabeledDataset, builtin_iris, load_csv
 from .dirichlet import fit_dirichlet, fit_report_json
-from .errors import CapacityLimitError, CsvParseError, InvalidDatasetError
+from .errors import CapacityLimitError, FitNumericalError
 from .heatmap import HeatmapConfig, render_pgm
-from .ldm import build_ldm, write_ldm_csv
+from .ldm import LDMatrix, build_ldm, write_ldm_csv
 from .recorder import CapacityEstimate, chance_baseline, estimate_capacity
 from .seeding import derive_seed
 
@@ -44,16 +45,25 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass
 class RunConfig:
+    """The parsed command line; the parser's dests are these field names."""
+
     command: str
-    dataset: str = "iris"
-    specs: tuple[str, ...] = ()
-    k_columns: int = 100
-    holdout: int = 5
-    trials: int = 1000
-    repeats: int = 20
-    seed: int = 0
-    out: str = "out"
-    scale: str = "linear"
+    dataset: str
+    specs: list[str]
+    k_columns: int
+    holdout: int
+    trials: int
+    repeats: int
+    seed: int
+    out: str
+    scale: str
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)  # argparse reports a ValueError as an invalid value
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _build_parser() -> _Parser:
@@ -64,24 +74,25 @@ def _build_parser() -> _Parser:
         ("record", "estimate capacity by counting recovered random labels"),
         ("compare", "run both analyses for two or more specs"),
     ):
-        p = sub.add_parser(name, help=blurb)
-        p.add_argument(
-            "--dataset", default="iris",
-            help="'iris' (bundled) or 'csv:PATH:LABELCOL' (default: iris)",
+        p = sub.add_parser(
+            name, help=blurb, formatter_class=argparse.ArgumentDefaultsHelpFormatter
         )
+        p.add_argument("--dataset", default="iris", help="'iris' (bundled) or 'csv:PATH:LABELCOL'")
         p.add_argument(
-            "--spec", action="append", default=[], metavar="SPEC",
+            "--spec", dest="specs", action="append", default=[], metavar="SPEC",
             help="classifier spec, e.g. knn:k=3 (repeatable)",
         )
-        p.add_argument("--k", type=int, default=100, help="LDM columns (default 100)")
-        p.add_argument("--holdout", type=int, default=5, help="holdout size (default 5)")
-        p.add_argument("--trials", type=int, default=1000, help="recorder trials (default 1000)")
-        p.add_argument("--repeats", type=int, default=20, help="entropy repeats (default 20)")
-        p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-        p.add_argument("--out", default="out", help="output directory (default ./out)")
         p.add_argument(
-            "--scale", choices=("linear", "log"), default="linear",
-            help="heatmap intensity scale (default linear)",
+            "--k", dest="k_columns", metavar="K", type=_positive_int, default=100,
+            help="LDM columns",
+        )
+        p.add_argument("--holdout", type=_positive_int, default=5, help="holdout size")
+        p.add_argument("--trials", type=_positive_int, default=1000, help="recorder trials")
+        p.add_argument("--repeats", type=_positive_int, default=20, help="entropy repeats")
+        p.add_argument("--seed", type=int, default=0, help="master seed")
+        p.add_argument("--out", default="out", help="output directory")
+        p.add_argument(
+            "--scale", choices=("linear", "log"), default="linear", help="heatmap intensity scale"
         )
     return parser
 
@@ -106,7 +117,16 @@ def _parse_specs(cfg: RunConfig, minimum: int = 1) -> list[ClassifierSpec]:
         raise _UsageError(
             f"{cfg.command} needs at least {minimum} --spec argument(s)"
         )
-    return [parse_spec(text) for text in cfg.specs]
+    specs = [parse_spec(text) for text in cfg.specs]
+    owners: dict[str, str] = {}
+    for text, spec in zip(cfg.specs, specs):
+        stem = _artifact_stem(spec)
+        if stem in owners:
+            raise _UsageError(
+                f"--spec {owners[stem]!r} and --spec {text!r} would both write {stem}.*"
+            )
+        owners[stem] = text
+    return specs
 
 
 def _artifact_stem(spec: ClassifierSpec) -> str:
@@ -115,19 +135,22 @@ def _artifact_stem(spec: ClassifierSpec) -> str:
 
 def _spec_entropy_runs(
     spec: ClassifierSpec, ds: LabeledDataset, cfg: RunConfig
-) -> tuple[list, list[float]]:
-    """Fit reports and entropies over ``cfg.repeats`` independent matrices."""
-    reports = []
+) -> tuple[tuple[LDMatrix, dict], list[float]]:
+    """The first repeat's matrix and fit payload, and every repeat's entropy.
+
+    Later matrices are dropped once fitted, so at most two are alive at once.
+    """
+    first = None
     entropies = []
     for r in range(cfg.repeats):
         ldm = build_ldm(
             spec, ds, cfg.k_columns, cfg.holdout, derive_seed(cfg.seed, "repeat", r)
         )
-        report = fit_dirichlet(ldm.matrix)
-        payload = fit_report_json(report)
-        reports.append((ldm, payload))
+        payload = fit_report_json(fit_dirichlet(ldm.matrix))
+        first = first or (ldm, payload)
         entropies.append(payload["entropy"])
-    return reports, entropies
+        del ldm
+    return first, entropies
 
 
 def cmd_ldm(cfg: RunConfig) -> int:
@@ -137,8 +160,7 @@ def cmd_ldm(cfg: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     print(f"{'spec':<40} {'entropy(mean)':>16} {'converged':>10}")
     for spec in specs:
-        runs, entropies = _spec_entropy_runs(spec, ds, cfg)
-        first_ldm, first_report = runs[0]
+        (first_ldm, first_report), entropies = _spec_entropy_runs(spec, ds, cfg)
         stem = _artifact_stem(spec)
         write_ldm_csv(first_ldm, out / f"{stem}.csv")
         render_pgm(first_ldm, out / f"{stem}.pgm", HeatmapConfig(scale=cfg.scale))
@@ -210,16 +232,15 @@ def cmd_compare(cfg: RunConfig) -> int:
         rows.append((spec.to_string(), float(np.mean(entropies)), est))
     rows.sort(key=lambda row: row[2].mean_recovered, reverse=True)
 
-    lines = ["spec,ldm_entropy_mean,recorder_mean,ci_low,ci_high"]
     print(f"{'spec':<40} {'entropy(mean)':>16} {'recorded':>10} {'95% CI':>22}")
-    for name, entropy, est in rows:
-        lines.append(
-            f"{name},{entropy:.17g},{est.mean_recovered:.17g},"
-            f"{est.ci_low:.17g},{est.ci_high:.17g}"
-        )
-        interval = f"[{est.ci_low:.2f}, {est.ci_high:.2f}]"
-        print(f"{name:<40} {entropy:>16.4f} {est.mean_recovered:>10.2f} {interval:>22}")
-    (out / "compare.csv").write_text("\n".join(lines) + "\n")
+    with open(out / "compare.csv", "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["spec", "ldm_entropy_mean", "recorder_mean", "ci_low", "ci_high"])
+        for name, entropy, est in rows:
+            values = (entropy, est.mean_recovered, est.ci_low, est.ci_high)
+            writer.writerow([name, *(f"{v:.17g}" for v in values)])
+            interval = f"[{est.ci_low:.2f}, {est.ci_high:.2f}]"
+            print(f"{name:<40} {entropy:>16.4f} {est.mean_recovered:>10.2f} {interval:>22}")
     return 0
 
 
@@ -229,19 +250,7 @@ _COMMANDS = {"ldm": cmd_ldm, "record": cmd_record, "compare": cmd_compare}
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
-        cfg = RunConfig(
-            command=ns.command,
-            dataset=ns.dataset,
-            specs=tuple(ns.spec),
-            k_columns=ns.k,
-            holdout=ns.holdout,
-            trials=ns.trials,
-            repeats=ns.repeats,
-            seed=ns.seed,
-            out=ns.out,
-            scale=ns.scale,
-        )
+        cfg = RunConfig(**vars(parser.parse_args(argv)))
         return _COMMANDS[cfg.command](cfg)
     except _UsageError as exc:
         print(f"ldmcap: error: {exc}", file=sys.stderr)
@@ -249,7 +258,7 @@ def main(argv=None) -> int:
     except CapacityLimitError as exc:
         print(f"ldmcap: {exc}", file=sys.stderr)
         return 2
-    except (CsvParseError, InvalidDatasetError, ValueError, OSError) as exc:
+    except (FitNumericalError, ValueError, OSError) as exc:  # includes CSV and dataset errors
         print(f"ldmcap: error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,7 +13,6 @@ Labelings are indexed lexicographically, big-endian in base C: labeling
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from pathlib import Path
 
@@ -74,84 +73,64 @@ def index_to_labeling(index: int, num_classes: int, holdout_size: int) -> tuple[
     return tuple(reversed(digits))
 
 
-@dataclass(frozen=True)
-class SimplexVector:
-    """A distribution over all C**N' labelings of an N'-point holdout."""
+def _simplex(probs, num_classes: int, holdout_size: int) -> np.ndarray:
+    """Check that every column of ``probs`` is a distribution over the C**N' labelings.
 
-    probs: np.ndarray
-    num_classes: int
-    holdout_size: int
-
-    def __post_init__(self):
-        probs = np.array(self.probs, dtype=np.float64, copy=True)
-        expected = self.num_classes**self.holdout_size
-        if probs.ndim != 1 or probs.shape[0] != expected:
-            raise ValueError(
-                f"probs must have length {self.num_classes}**{self.holdout_size} = "
-                f"{expected}, got shape {probs.shape}"
-            )
-        if np.any(probs < 0.0) or not np.all(np.isfinite(probs)):
-            raise ValueError("probs must be non-negative and finite")
-        if abs(float(probs.sum()) - 1.0) > 1e-9:
-            raise ValueError(f"probs must sum to 1 within 1e-9, got {probs.sum()!r}")
-        probs.setflags(write=False)
-        object.__setattr__(self, "probs", probs)
+    A 1-D vector counts as one column.  Returns a read-only float64 view.
+    """
+    probs = np.asarray(probs, dtype=np.float64).view()
+    expected = num_classes**holdout_size
+    if probs.ndim not in (1, 2) or probs.shape[0] != expected or 0 in probs.shape:
+        raise ValueError(
+            f"probs must have {num_classes}**{holdout_size} = {expected} rows "
+            f"and at least one column, got shape {probs.shape}"
+        )
+    if np.any(probs < 0.0) or not np.all(np.isfinite(probs)):
+        raise ValueError("probs must be non-negative and finite")
+    worst = float(np.max(np.abs(probs.sum(axis=0) - 1.0)))
+    if worst > 1e-9:
+        raise ValueError(f"each column must sum to 1 within 1e-9, one is off by {worst!r}")
+    probs.setflags(write=False)
+    return probs
 
 
-@dataclass(frozen=True)
 class LDMatrix:
-    """K simplex columns over a shared labeling space, with their seeds."""
+    """A read-only C**N' x K matrix of simplex columns, with one seed per column.
 
-    columns: tuple[SimplexVector, ...]
-    column_seeds: tuple[int, ...]
+    The matrix is validated and then kept as a read-only view, not copied.
+    """
 
-    def __post_init__(self):
-        columns = tuple(self.columns)
-        seeds = tuple(int(s) for s in self.column_seeds)
-        if not columns:
-            raise ValueError("an LDM needs at least one column")
-        if len(seeds) != len(columns):
-            raise ValueError(
-                f"got {len(seeds)} seeds for {len(columns)} columns"
-            )
-        first = columns[0]
-        for col in columns[1:]:
-            if (
-                col.num_classes != first.num_classes
-                or col.holdout_size != first.holdout_size
-            ):
-                raise ValueError("all columns must share (num_classes, holdout_size)")
-        object.__setattr__(self, "columns", columns)
-        object.__setattr__(self, "column_seeds", seeds)
-
-    @property
-    def num_classes(self) -> int:
-        return self.columns[0].num_classes
-
-    @property
-    def holdout_size(self) -> int:
-        return self.columns[0].holdout_size
+    def __init__(self, matrix, num_classes: int, holdout_size: int, column_seeds):
+        matrix = _simplex(matrix, num_classes, holdout_size)
+        seeds = tuple(int(s) for s in column_seeds)
+        if matrix.ndim != 2 or len(seeds) != matrix.shape[1]:
+            raise ValueError(f"got {len(seeds)} seeds for a matrix of shape {matrix.shape}")
+        self._matrix = matrix
+        self.num_classes = int(num_classes)
+        self.holdout_size = int(holdout_size)
+        self.column_seeds = seeds
 
     @property
     def k_columns(self) -> int:
-        return len(self.columns)
+        return self._matrix.shape[1]
 
     @property
     def matrix(self) -> np.ndarray:
-        """The C**N' x K matrix of columns."""
-        return np.column_stack([col.probs for col in self.columns])
+        """The C**N' x K matrix; column i was trained with ``column_seeds[i]``."""
+        return self._matrix
 
 
 def simplex_vector(
     model: TrainedModel, holdout_features, epsilon: float = DEFAULT_EPSILON
-) -> SimplexVector:
+) -> np.ndarray:
     """The model-induced distribution over all labelings of the holdout rows.
 
     Built as the Kronecker product of the per-point probability rows (first
     point most significant), which realizes the per-entry product
     ``prod_j predict_proba(z_j)[l_j]`` for every labeling at once.  Epsilon
     smoothing then shifts every entry by ``epsilon`` and renormalizes; pass
-    ``epsilon=0.0`` for the raw product distribution.
+    ``epsilon=0.0`` for the raw product distribution.  Returns a read-only
+    float64 vector of length C**N'.
     """
     holdout = np.asarray(holdout_features, dtype=np.float64)
     if holdout.ndim != 2 or holdout.shape[0] < 1:
@@ -163,9 +142,7 @@ def simplex_vector(
     raw = reduce(np.kron, rows)
     smoothed = raw + epsilon
     smoothed /= smoothed.sum()
-    return SimplexVector(
-        probs=smoothed, num_classes=model.num_classes, holdout_size=holdout.shape[0]
-    )
+    return _simplex(smoothed, model.num_classes, holdout.shape[0])
 
 
 def ldm_column(
@@ -174,7 +151,7 @@ def ldm_column(
     holdout_features,
     seed: int,
     epsilon: float = DEFAULT_EPSILON,
-) -> SimplexVector:
+) -> np.ndarray:
     """One LDM column: permute the train labels, fit, and read the simplex.
 
     Self-contained given its seed, so columns can be computed in any order —
@@ -201,15 +178,14 @@ def build_ldm(
     """
     if k_columns < 1:
         raise ValueError(f"k_columns must be at least 1, got {k_columns}")
-    _check_space(ds.num_classes, holdout_size)
+    size = _check_space(ds.num_classes, holdout_size)
     split = split_train_holdout(ds, holdout_size, make_rng(master_seed, "holdout"))
     resolved = with_defaults(spec, "ldm")
     seeds = tuple(derive_seed(master_seed, "column", i) for i in range(k_columns))
-    columns = tuple(
-        ldm_column(resolved, split.train, split.holdout_features, seed)
-        for seed in seeds
-    )
-    return LDMatrix(columns=columns, column_seeds=seeds)
+    matrix = np.empty((size, k_columns))
+    for i, seed in enumerate(seeds):
+        matrix[:, i] = ldm_column(resolved, split.train, split.holdout_features, seed)
+    return LDMatrix(matrix, ds.num_classes, holdout_size, seeds)
 
 
 def write_ldm_csv(ldm: LDMatrix, path: str | Path) -> None:

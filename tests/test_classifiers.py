@@ -3,13 +3,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ldmcap import ClassifierSpec, fit, parse_spec, predict_proba, with_defaults
-from ldmcap.classifiers import FAMILIES, FAMILY_DEFAULTS
-from ldmcap.classifiers.adaboost import fit_adaboost
-from ldmcap.classifiers.forest import fit_random_forest
-from ldmcap.classifiers.gaussian import fit_gaussian_nb, fit_qda
-from ldmcap.classifiers.knn import fit_knn
-from ldmcap.classifiers.tree import fit_decision_tree
+from ldmcap import ClassifierSpec, fit, parse_spec, with_defaults
+from ldmcap.classifiers import (
+    FAMILIES,
+    AdaBoostModel,
+    DecisionTreeModel,
+    GaussianNbModel,
+    KnnModel,
+    QdaModel,
+    RandomForestModel,
+)
 from ldmcap.dataset import LabeledDataset
 
 
@@ -74,7 +77,7 @@ def test_absent_class_gets_no_mass(family):
 
 
 def test_predict_breaks_argmax_ties_toward_lower_class():
-    model = fit_knn(*_xyc(_ds([[0.0], [1.0]], [1, 0])), k=2)
+    model = KnnModel(*_xyc(_ds([[0.0], [1.0]], [1, 0])), k=2)
     # both neighbours tie at 0.5/0.5 -> argmax must return class 0
     assert model.predict(np.array([0.5])) == 0
 
@@ -85,13 +88,13 @@ def test_predict_breaks_argmax_ties_toward_lower_class():
 
 
 def test_knn_votes_are_neighbour_fractions():
-    model = fit_knn(*_xyc(_ds([[0.0], [1.0], [2.0], [10.0]], [0, 0, 1, 1])), k=3)
+    model = KnnModel(*_xyc(_ds([[0.0], [1.0], [2.0], [10.0]], [0, 0, 1, 1])), k=3)
     probs = model.predict_proba(np.array([0.9]))
     assert np.allclose(probs, [2 / 3, 1 / 3])
 
 
 def test_knn_k1_memorizes_training_points(iris):
-    model = fit_knn(*_xyc(iris), k=1)
+    model = KnnModel(*_xyc(iris), k=1)
     preds = model.predict_batch(iris.features)
     assert np.array_equal(preds, iris.labels)
 
@@ -99,18 +102,18 @@ def test_knn_k1_memorizes_training_points(iris):
 def test_knn_distance_ties_go_to_lower_train_index():
     # two training rows at identical locations with different labels: the
     # k=1 neighbour must be the earlier row
-    model = fit_knn(*_xyc(_ds([[1.0, 2.0], [1.0, 2.0], [9.0, 9.0]], [1, 0, 0])), k=1)
+    model = KnnModel(*_xyc(_ds([[1.0, 2.0], [1.0, 2.0], [9.0, 9.0]], [1, 0, 0])), k=1)
     assert np.allclose(model.predict_proba(np.array([1.0, 2.0])), [0.0, 1.0])
 
 
 def test_knn_k_clamped_to_training_size():
-    model = fit_knn(*_xyc(_ds([[0.0], [1.0]], [0, 1])), k=100)
+    model = KnnModel(*_xyc(_ds([[0.0], [1.0]], [0, 1])), k=100)
     assert np.allclose(model.predict_proba(np.array([0.4])), [0.5, 0.5])
 
 
 def test_knn_rejects_nonpositive_k(iris):
     with pytest.raises(ValueError):
-        fit_knn(*_xyc(iris), k=0)
+        KnnModel(*_xyc(iris), k=0)
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +123,7 @@ def test_knn_rejects_nonpositive_k(iris):
 
 def test_gaussian_nb_matches_hand_rolled_two_gaussians():
     ds = _ds([[0.0], [2.0], [10.0], [12.0]], [0, 0, 1, 1])
-    model = fit_gaussian_nb(*_xyc(ds))
+    model = GaussianNbModel(*_xyc(ds))
     probs = model.predict_proba(np.array([1.0]))
 
     def log_pdf(x, mu, var):
@@ -137,7 +140,7 @@ def test_gaussian_nb_matches_hand_rolled_two_gaussians():
 
 def test_gaussian_nb_survives_zero_variance_feature():
     ds = _ds([[1.0, 0.0], [1.0, 0.1], [1.0, 5.0], [1.0, 5.1]], [0, 0, 1, 1])
-    model = fit_gaussian_nb(*_xyc(ds))
+    model = GaussianNbModel(*_xyc(ds))
     probs = model.predict_proba_batch(ds.features)
     assert np.all(np.isfinite(probs))
     assert np.array_equal(model.predict_batch(ds.features), ds.labels)
@@ -145,7 +148,7 @@ def test_gaussian_nb_survives_zero_variance_feature():
 
 def test_gaussian_nb_extreme_outlier_does_not_underflow_to_nan():
     ds = _ds([[0.0], [1.0], [100.0], [101.0]], [0, 0, 1, 1])
-    model = fit_gaussian_nb(*_xyc(ds))
+    model = GaussianNbModel(*_xyc(ds))
     probs = model.predict_proba(np.array([1e6]))
     assert np.all(np.isfinite(probs))
     assert abs(probs.sum() - 1.0) < 1e-9
@@ -157,7 +160,7 @@ def test_gaussian_nb_extreme_outlier_does_not_underflow_to_nan():
 
 
 def test_tree_single_split_learns_threshold():
-    model = fit_decision_tree(*_xyc(_ds([[1.0], [2.0], [8.0], [9.0]], [0, 0, 1, 1])))
+    model = DecisionTreeModel(*_xyc(_ds([[1.0], [2.0], [8.0], [9.0]], [0, 0, 1, 1])))
     assert model.predict(np.array([0.0])) == 0
     assert model.predict(np.array([4.9])) == 0  # below midpoint 5.0
     assert model.predict(np.array([5.1])) == 1
@@ -165,7 +168,7 @@ def test_tree_single_split_learns_threshold():
 
 
 def test_tree_unpruned_memorizes_iris(iris):
-    model = fit_decision_tree(*_xyc(iris), max_depth=None)
+    model = DecisionTreeModel(*_xyc(iris), max_depth=None)
     preds = model.predict_batch(iris.features)
     # iris has exactly one duplicated feature row, and both copies share a
     # label, so an unpruned tree reproduces the training labels exactly
@@ -175,14 +178,14 @@ def test_tree_unpruned_memorizes_iris(iris):
 def test_tree_depth_cap_enforced():
     rng = np.random.default_rng(0)
     ds = _ds(rng.random((64, 3)), rng.integers(0, 2, 64))
-    stump = fit_decision_tree(*_xyc(ds), max_depth=1)
+    stump = DecisionTreeModel(*_xyc(ds), max_depth=1)
     # a depth-1 tree yields at most two distinct probability rows
     rows = {tuple(r) for r in stump.predict_proba_batch(ds.features).round(12)}
     assert len(rows) <= 2
 
 
 def test_tree_identical_features_conflicting_labels_yield_split_mass():
-    model = fit_decision_tree(*_xyc(_ds([[1.0], [1.0]], [0, 1])))
+    model = DecisionTreeModel(*_xyc(_ds([[1.0], [1.0]], [0, 1])))
     assert np.allclose(model.predict_proba(np.array([1.0])), [0.5, 0.5])
 
 
@@ -190,20 +193,20 @@ def test_tree_prefers_lower_feature_on_equal_gain():
     # both features separate the classes perfectly; the split must use
     # feature 0 so a probe differing only in feature 0 flips the prediction
     ds = _ds([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]], [0, 0, 1, 1])
-    model = fit_decision_tree(*_xyc(ds))
+    model = DecisionTreeModel(*_xyc(ds))
     assert model.predict(np.array([0.0, 1.0])) == 0
     assert model.predict(np.array([1.0, 0.0])) == 1
 
 
 def test_tree_leaf_probabilities_are_class_fractions():
-    model = fit_decision_tree(*_xyc(_ds([[0.0], [0.0], [0.0], [5.0]], [0, 0, 1, 1])))
+    model = DecisionTreeModel(*_xyc(_ds([[0.0], [0.0], [0.0], [5.0]], [0, 0, 1, 1])))
     assert np.allclose(model.predict_proba(np.array([0.0])), [2 / 3, 1 / 3])
     assert np.allclose(model.predict_proba(np.array([5.0])), [0.0, 1.0])
 
 
 def test_tree_rejects_nonpositive_depth(iris):
     with pytest.raises(ValueError):
-        fit_decision_tree(*_xyc(iris), max_depth=0)
+        DecisionTreeModel(*_xyc(iris), max_depth=0)
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +217,8 @@ def test_tree_rejects_nonpositive_depth(iris):
 def test_forest_probabilities_average_member_trees():
     rng = np.random.default_rng(4)
     ds = _ds(rng.random((40, 3)), rng.integers(0, 2, 40))
-    model = fit_random_forest(*_xyc(ds), n_estimators=5, max_features=3,
-                              rng=np.random.default_rng(11))
+    model = RandomForestModel(*_xyc(ds), n_estimators=5, max_features=3,
+                              max_depth=None, rng=np.random.default_rng(11))
     probs = model.predict_proba_batch(ds.features)
     member = np.mean(
         [t.predict_proba_batch(ds.features) for t in model._trees], axis=0
@@ -226,8 +229,8 @@ def test_forest_probabilities_average_member_trees():
 def test_forest_is_deterministic_given_rng_seed():
     rng = np.random.default_rng(4)
     ds = _ds(rng.random((30, 2)), rng.integers(0, 3, 30), num_classes=3)
-    a = fit_random_forest(*_xyc(ds), rng=np.random.default_rng(5))
-    b = fit_random_forest(*_xyc(ds), rng=np.random.default_rng(5))
+    a = fit(ClassifierSpec("random_forest"), ds, np.random.default_rng(5))
+    b = fit(ClassifierSpec("random_forest"), ds, np.random.default_rng(5))
     assert np.array_equal(
         a.predict_proba_batch(ds.features), b.predict_proba_batch(ds.features)
     )
@@ -236,9 +239,9 @@ def test_forest_is_deterministic_given_rng_seed():
 def test_forest_bootstrap_changes_the_tree():
     rng = np.random.default_rng(8)
     ds = _ds(rng.random((50, 2)), rng.integers(0, 2, 50))
-    forest = fit_random_forest(*_xyc(ds), n_estimators=1, max_features=2,
-                               rng=np.random.default_rng(3))
-    plain = fit_decision_tree(*_xyc(ds))
+    forest = RandomForestModel(*_xyc(ds), n_estimators=1, max_features=2,
+                               max_depth=None, rng=np.random.default_rng(3))
+    plain = DecisionTreeModel(*_xyc(ds))
     pf = forest.predict_proba_batch(ds.features)
     pt = plain.predict_proba_batch(ds.features)
     # bootstrap resampling virtually guarantees a different tree
@@ -247,7 +250,7 @@ def test_forest_bootstrap_changes_the_tree():
 
 def test_forest_rejects_nonpositive_estimators(iris):
     with pytest.raises(ValueError):
-        fit_random_forest(*_xyc(iris), n_estimators=0)
+        RandomForestModel(*_xyc(iris), n_estimators=0, max_features=1, max_depth=None)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +264,7 @@ def test_qda_recovers_unequal_covariances(rng):
     wide = rng.normal(0.0, 3.0, (n, 2))
     features = np.vstack([tight, wide])
     labels = np.array([0] * n + [1] * n)
-    model = fit_qda(features, labels, 2)
+    model = QdaModel(features, labels, 2)
     # near the shared mean the tight class dominates on density
     assert model.predict(np.array([0.05, -0.05])) == 0
     # far out only the wide class is plausible
@@ -270,7 +273,7 @@ def test_qda_recovers_unequal_covariances(rng):
 
 def test_qda_matches_closed_form_univariate_gaussian():
     ds = _ds([[0.0], [2.0], [10.0], [14.0]], [0, 0, 1, 1])
-    model = fit_qda(*_xyc(ds))
+    model = QdaModel(*_xyc(ds))
     x = 4.0
     mus = [1.0, 12.0]
     var = [1.0, 4.0]  # MLE variances
@@ -292,7 +295,7 @@ def test_qda_singular_class_covariance_is_regularized():
         [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [5.0, 0.0], [6.0, 1.0], [7.0, 3.0]],
         [0, 0, 0, 1, 1, 1],
     )
-    model = fit_qda(*_xyc(ds))
+    model = QdaModel(*_xyc(ds))
     probs = model.predict_proba_batch(ds.features)
     assert np.all(np.isfinite(probs))
     assert np.array_equal(model.predict_batch(ds.features), ds.labels)
@@ -300,7 +303,7 @@ def test_qda_singular_class_covariance_is_regularized():
 
 def test_qda_single_member_class_does_not_crash():
     ds = _ds([[0.0, 0.0], [5.0, 5.0], [5.1, 4.9], [4.9, 5.1]], [0, 1, 1, 1])
-    model = fit_qda(*_xyc(ds))
+    model = QdaModel(*_xyc(ds))
     probs = model.predict_proba_batch(ds.features)
     assert np.all(np.isfinite(probs))
 
@@ -311,13 +314,13 @@ def test_qda_single_member_class_does_not_crash():
 
 
 def test_adaboost_separable_data_is_learned():
-    model = fit_adaboost(*_xyc(BLOBS), rounds=10)
+    model = AdaBoostModel(*_xyc(BLOBS), rounds=10)
     assert np.array_equal(model.predict_batch(BLOBS.features), BLOBS.labels)
 
 
 def test_adaboost_three_class_thresholds():
     ds = _ds([[0.0], [1.0], [10.0], [11.0], [20.0], [21.0]], [0, 0, 1, 1, 2, 2])
-    model = fit_adaboost(*_xyc(ds), rounds=50)
+    model = AdaBoostModel(*_xyc(ds), rounds=50)
     assert np.array_equal(model.predict_batch(ds.features), ds.labels)
 
 
@@ -325,7 +328,7 @@ def test_adaboost_identical_features_fall_back_to_even_vote():
     # no stump can beat chance on constant features; probabilities must stay
     # finite, sum to one, and stay symmetric between the classes present
     ds = _ds([[1.0], [1.0], [1.0], [1.0]], [0, 1, 0, 1])
-    model = fit_adaboost(*_xyc(ds), rounds=5)
+    model = AdaBoostModel(*_xyc(ds), rounds=5)
     probs = model.predict_proba(np.array([1.0]))
     assert np.all(np.isfinite(probs))
     assert abs(probs.sum() - 1.0) < 1e-9
@@ -334,7 +337,7 @@ def test_adaboost_identical_features_fall_back_to_even_vote():
 
 def test_adaboost_rejects_nonpositive_rounds(iris):
     with pytest.raises(ValueError):
-        fit_adaboost(*_xyc(iris), rounds=0)
+        AdaBoostModel(*_xyc(iris), rounds=0)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +371,7 @@ def test_parse_spec_rejects_unknown_family_and_params():
 
 def test_with_defaults_fills_family_defaults():
     spec = with_defaults(ClassifierSpec("knn"), "recorder")
-    assert spec.params["k"] == FAMILY_DEFAULTS["knn"]["k"]
+    assert spec.params["k"] == FAMILIES["knn"].params["k"]
 
 
 def test_with_defaults_depth_caps_trees_for_ldm_only():
@@ -394,6 +397,6 @@ def test_fit_dispatch_covers_every_family(iris):
         assert model.num_classes == 3
 
 
-def test_module_level_predict_helpers(iris):
+def test_fit_without_rng_predicts_training_point(iris):
     model = fit(ClassifierSpec("knn", {"k": 1}), iris)
-    assert predict_proba(model, iris.features[0])[0] == 1.0
+    assert model.predict_proba(iris.features[0])[0] == 1.0

@@ -1,11 +1,20 @@
 from __future__ import annotations
 
+import csv
 import json
+import os
+import subprocess
+import sys
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ldmcap
+from ldmcap import cli
 from ldmcap.cli import main
+from ldmcap.errors import FitNumericalError
 
 
 def _files(path):
@@ -102,6 +111,22 @@ def test_ldm_multiple_specs_write_separate_stems(tmp_path):
     assert "gaussian_nb.json" in names
 
 
+def test_ldm_frees_every_repeat_but_the_first(tmp_path, monkeypatch):
+    built = []
+    real_build_ldm = cli.build_ldm
+
+    def spy(*args, **kwargs):
+        # repeats after the first are gone before the next one is built
+        assert all(ref() is None for ref in built[1:])
+        ldm = real_build_ldm(*args, **kwargs)
+        built.append(weakref.ref(ldm))
+        return ldm
+
+    monkeypatch.setattr(cli, "build_ldm", spy)
+    assert _run_ldm(tmp_path / "out", extra=("--repeats", "4")) == 0
+    assert len(built) == 4
+
+
 # ---------------------------------------------------------------------------
 # record command
 # ---------------------------------------------------------------------------
@@ -180,6 +205,25 @@ def test_compare_also_writes_per_spec_artifacts(tmp_path):
     assert "compare.csv" in _files(out)
 
 
+def test_compare_csv_parses_with_commas_in_spec_names(tmp_path):
+    out = tmp_path / "out"
+    specs = ["random_forest:n=2,max_features=1", "knn:k=1"]
+    rc = main(
+        [
+            "compare", "--spec", specs[0], "--spec", specs[1],
+            "--k", "3", "--holdout", "2", "--repeats", "1",
+            "--trials", "3", "--out", str(out),
+        ]
+    )
+    assert rc == 0
+    with open(out / "compare.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert sorted(row["spec"] for row in rows) == sorted(specs)
+    for row in rows:
+        assert None not in row  # no surplus fields
+        assert float(row["ci_low"]) <= float(row["recorder_mean"]) <= float(row["ci_high"])
+
+
 def test_compare_requires_two_specs(tmp_path, capsys):
     rc = main(["compare", "--spec", "knn:k=1", "--out", str(tmp_path / "o")])
     assert rc == 1
@@ -213,6 +257,40 @@ def test_oversized_labeling_space_exits_2(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "3**20" in err or "holdout" in err
+
+
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (["ldm", "--spec", "knn", "--repeats", "0"], "--repeats"),
+        (["ldm", "--spec", "knn", "--k", "0"], "--k"),
+        (["ldm", "--spec", "knn", "--holdout", "-1"], "--holdout"),
+        (["record", "--spec", "knn", "--trials", "0"], "--trials"),
+        (["ldm", "--spec", "knn:k=1", "--spec", "knn:k=01"], "'knn:k=1' and --spec 'knn:k=01'"),
+    ],
+    ids=["repeats-0", "k-0", "holdout-negative", "trials-0", "colliding-stems"],
+)
+def test_bad_input_exits_1_without_traceback(tmp_path, args, named):
+    env = {**os.environ, "PYTHONPATH": str(Path(ldmcap.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "ldmcap.cli", *args, "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 1
+    assert done.stderr.startswith("ldmcap: error:")
+    assert named in done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stdout == ""
+    assert not (tmp_path / "o").exists()
+
+
+def test_fit_numerical_error_exits_1(tmp_path, monkeypatch, capsys):
+    def diverge(samples, *args, **kwargs):
+        raise FitNumericalError("alpha became non-finite", 7)
+
+    monkeypatch.setattr(cli, "fit_dirichlet", diverge)
+    assert _run_ldm(tmp_path / "out") == 1
+    assert capsys.readouterr().err.startswith("ldmcap: error: alpha became non-finite")
 
 
 def test_missing_csv_file_exits_1(tmp_path, capsys):

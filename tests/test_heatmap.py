@@ -5,16 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from ldmcap import HeatmapConfig, LDMatrix, SimplexVector, render_pgm
+from ldmcap import HeatmapConfig, LDMatrix, render_pgm
 
 
 def _ldm_from_matrix(matrix):
     matrix = np.asarray(matrix, dtype=np.float64)
-    columns = tuple(
-        SimplexVector(matrix[:, i], num_classes=2, holdout_size=2)
-        for i in range(matrix.shape[1])
-    )
-    return LDMatrix(columns=columns, column_seeds=tuple(range(matrix.shape[1])))
+    return LDMatrix(matrix, num_classes=2, holdout_size=2,
+                    column_seeds=range(matrix.shape[1]))
 
 
 def _read_pgm(path):

@@ -7,7 +7,6 @@ from ldmcap import (
     CapacityLimitError,
     ClassifierSpec,
     LDMatrix,
-    SimplexVector,
     build_ldm,
     index_to_labeling,
     labeling_to_index,
@@ -84,7 +83,7 @@ def test_simplex_vector_matches_hand_computed_products():
     model = _StubModel([[0.6, 0.4], [0.3, 0.7]])
     vec = simplex_vector(model, _holdout(2), epsilon=0.0)
     # big-endian: entry for labeling (l0, l1) sits at index 2*l0 + l1
-    assert np.allclose(vec.probs, [0.18, 0.42, 0.12, 0.28], atol=1e-15)
+    assert np.allclose(vec, [0.18, 0.42, 0.12, 0.28], atol=1e-15)
 
 
 def test_simplex_vector_matches_brute_force_enumeration(rng):
@@ -99,19 +98,19 @@ def test_simplex_vector_matches_brute_force_enumeration(rng):
             for l2 in range(3):
                 idx = labeling_to_index((l0, l1, l2), 3)
                 expected[idx] = rows[0, l0] * rows[1, l1] * rows[2, l2]
-    assert np.max(np.abs(vec.probs - expected)) < 1e-15
+    assert np.max(np.abs(vec - expected)) < 1e-15
 
 
 def test_simplex_smoothing_removes_zeros_but_keeps_the_peak():
     model = _StubModel([[1.0, 0.0], [0.0, 1.0]])
     raw = simplex_vector(model, _holdout(2), epsilon=0.0)
-    assert raw.probs.tolist() == [0.0, 1.0, 0.0, 0.0]
+    assert raw.tolist() == [0.0, 1.0, 0.0, 0.0]
 
     smoothed = simplex_vector(model, _holdout(2))  # default epsilon
-    assert np.all(smoothed.probs > 0.0)
-    assert abs(smoothed.probs.sum() - 1.0) < 1e-12
-    assert smoothed.probs.argmax() == 1
-    assert smoothed.probs[0] < 1e-9
+    assert np.all(smoothed > 0.0)
+    assert abs(smoothed.sum() - 1.0) < 1e-12
+    assert smoothed.argmax() == 1
+    assert smoothed[0] < 1e-9
 
 
 def test_simplex_vector_rejects_negative_epsilon():
@@ -121,18 +120,22 @@ def test_simplex_vector_rejects_negative_epsilon():
 
 
 def test_simplex_vector_validation():
+    # every LDM column must be a distribution over the 2**2 labelings
     with pytest.raises(ValueError):
-        SimplexVector(np.full(3, 1 / 3), num_classes=2, holdout_size=2)  # wrong length
+        LDMatrix(np.full((3, 1), 1 / 3), num_classes=2, holdout_size=2, column_seeds=(0,))
     with pytest.raises(ValueError):
-        SimplexVector(np.array([0.5, 0.6, -0.1, 0.0]), num_classes=2, holdout_size=2)
+        LDMatrix(np.array([[0.5], [0.6], [-0.1], [0.0]]), 2, 2, column_seeds=(0,))
     with pytest.raises(ValueError):
-        SimplexVector(np.array([0.5, 0.6, 0.1, 0.0]), num_classes=2, holdout_size=2)
+        LDMatrix(np.array([[0.5], [0.6], [0.1], [0.0]]), 2, 2, column_seeds=(0,))
 
 
 def test_simplex_probs_are_immutable():
-    vec = SimplexVector(np.full(4, 0.25), num_classes=2, holdout_size=2)
+    vec = simplex_vector(_StubModel([[0.5, 0.5], [0.5, 0.5]]), _holdout(2))
     with pytest.raises(ValueError):
-        vec.probs[0] = 1.0
+        vec[0] = 1.0
+    ldm = LDMatrix(np.full((4, 1), 0.25), num_classes=2, holdout_size=2, column_seeds=(0,))
+    with pytest.raises(ValueError):
+        ldm.matrix[0, 0] = 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +198,8 @@ def test_build_ldm_column_seeds_are_distinct(iris):
 
 def test_build_ldm_columns_vary_across_permutations(iris):
     ldm = build_ldm(ClassifierSpec("knn", {"k": 1}), iris, k_columns=5, holdout_size=3)
-    base = ldm.columns[0].probs
-    assert any(not np.array_equal(base, col.probs) for col in ldm.columns[1:])
+    base = ldm.matrix[:, 0]
+    assert any(not np.array_equal(base, col) for col in ldm.matrix.T[1:])
 
 
 def test_columns_are_order_invariant(iris):
@@ -207,20 +210,19 @@ def test_columns_are_order_invariant(iris):
 
     split = split_train_holdout(iris, 3, make_rng(42, "holdout"))
     resolved = with_defaults(spec, "ldm")
-    for seed, column in zip(reversed(ldm.column_seeds), reversed(ldm.columns)):
+    for seed, column in zip(reversed(ldm.column_seeds), ldm.matrix.T[::-1]):
         redone = ldm_column(resolved, split.train, split.holdout_features, seed)
-        assert np.array_equal(redone.probs, column.probs)
+        assert np.array_equal(redone, column)
 
 
 def test_ldm_validation_rejects_mismatched_columns():
-    a = SimplexVector(np.full(4, 0.25), num_classes=2, holdout_size=2)
-    b = SimplexVector(np.full(9, 1 / 9), num_classes=3, holdout_size=2)
+    # 9 rows span 3**2 labelings, not the 2**2 the matrix claims
     with pytest.raises(ValueError):
-        LDMatrix(columns=(a, b), column_seeds=(0, 1))
+        LDMatrix(np.full((9, 2), 1 / 9), num_classes=2, holdout_size=2, column_seeds=(0, 1))
     with pytest.raises(ValueError):
-        LDMatrix(columns=(a,), column_seeds=(0, 1))
+        LDMatrix(np.full((4, 1), 0.25), num_classes=2, holdout_size=2, column_seeds=(0, 1))
     with pytest.raises(ValueError):
-        LDMatrix(columns=(), column_seeds=())
+        LDMatrix(np.empty((4, 0)), num_classes=2, holdout_size=2, column_seeds=())
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +248,7 @@ def test_csv_row_order_is_labeling_index(tmp_path):
     # block of 2**1 rows the largest, pinning the row convention
     model = _StubModel([[0.9, 0.1], [0.5, 0.5]])
     vec = simplex_vector(model, _holdout(2), epsilon=0.0)
-    ldm = LDMatrix(columns=(vec,), column_seeds=(0,))
+    ldm = LDMatrix(vec[:, None], num_classes=2, holdout_size=2, column_seeds=(0,))
     path = tmp_path / "one.csv"
     write_ldm_csv(ldm, path)
     values = np.loadtxt(path, delimiter=",", skiprows=1)
