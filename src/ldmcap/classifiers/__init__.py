@@ -77,17 +77,18 @@ class ClassifierSpec:
                 f"unknown classifier family {self.family!r}; choose from {tuple(FAMILIES)}"
             )
         allowed = FAMILIES[self.family].params
-        clean: dict[str, int] = {}
-        for key, value in dict(self.params).items():
+        given = dict(self.params)
+        for key, value in given.items():
             if key not in allowed:
                 raise ValueError(
                     f"{self.family} does not accept parameter {key!r}"
                     + (f"; allowed: {sorted(allowed)}" if allowed else "")
                 )
-            value = int(value)
+            value = given[key] = int(value)
             if value < 1:
                 raise ValueError(f"{self.family}:{key} must be >= 1, got {value}")
-            clean[key] = value
+        # Stored in the table's order, so the text form ignores the user's order.
+        clean = {key: given[key] for key in allowed if key in given}
         object.__setattr__(self, "params", clean)
 
     def to_string(self) -> str:

@@ -9,6 +9,9 @@ Three commands over a shared flag vocabulary:
 * ``compare`` — both of the above for two or more specs, joined into one
                 table sorted by recorder capacity.
 
+A spec whose Dirichlet fit did not converge in some repeat gets one warning
+line on stderr; its numbers are still printed and written.
+
 Exit codes: 0 on success, 1 for usage or data errors or a Dirichlet fit that
 went non-finite, 2 when the labeling space C**N' is too large to enumerate.
 """
@@ -139,9 +142,11 @@ def _spec_entropy_runs(
     """The first repeat's matrix and fit payload, and every repeat's entropy.
 
     Later matrices are dropped once fitted, so at most two are alive at once.
+    A spec whose fit did not converge in some repeat is named on stderr.
     """
     first = None
     entropies = []
+    unconverged = 0
     for r in range(cfg.repeats):
         ldm = build_ldm(
             spec, ds, cfg.k_columns, cfg.holdout, derive_seed(cfg.seed, "repeat", r)
@@ -149,7 +154,15 @@ def _spec_entropy_runs(
         payload = fit_report_json(fit_dirichlet(ldm.matrix))
         first = first or (ldm, payload)
         entropies.append(payload["entropy"])
+        unconverged += not payload["converged"]
         del ldm
+    if unconverged:
+        print(
+            f"ldmcap: warning: {spec.to_string()}: Dirichlet fit did not converge in "
+            f"{unconverged} of {cfg.repeats} repeats; its entropy is not a "
+            "maximum-likelihood estimate",
+            file=sys.stderr,
+        )
     return first, entropies
 
 

@@ -6,15 +6,24 @@ The fit is the classic fixed-point iteration
 
 inverted through ``inverse_digamma``.  The special functions it needs —
 ``digamma``, ``inverse_digamma``, ``lgamma`` — are implemented here from
-primitive operations so their accuracy contracts are owned by this module:
+primitive operations so their accuracy contracts are owned by this module.
+Each takes a scalar (and returns a Python float) or an array of any shape
+(and returns an array of that shape), and works on the whole array at once.
 
-* ``digamma``: de Moivre asymptotic series after recurrence-shifting the
-  argument up to at least 6; absolute error stays below 1e-12 for x >= 1e-2.
+``digamma``, its derivative ``trigamma`` and ``lgamma`` share one recurrence
+step, ``f(x) = f(x + 1) + term(x)``: ``_shift_up`` raises every argument
+below a threshold by ones and sums the terms it passed, and an asymptotic
+series (``_horner``) is then evaluated at the shifted argument.
+
+* ``digamma``: de Moivre asymptotic series after shifting the argument up to
+  at least 6 (term ``-1/x``); absolute error stays below 1e-12 for x >= 1e-2.
 * ``inverse_digamma``: Newton iterations from the standard piecewise initial
-  guess (exp(y) + 1/2 for y >= -2.22, else -1/(y + Euler gamma)).
-* ``lgamma``: Stirling–de Moivre log-series after shifting to x >= 10,
-  evaluated in extended precision so that the result is accurate to 1e-12
-  in absolute terms even where log Gamma reaches several thousand.
+  guess (exp(y) + 1/2 for y >= -2.22, else -1/(y + Euler gamma)), with
+  trigamma (term ``1/x^2``) as the derivative.
+* ``lgamma``: Stirling–de Moivre log-series after shifting to x >= 10 (term
+  ``-log x``), evaluated in extended precision so that the result is
+  accurate to 1e-12 in absolute terms even where log Gamma reaches several
+  thousand.
 
 Everything uses natural logarithms.  Differential entropy can be negative;
 for concentrated Dirichlets it is very negative.
@@ -36,91 +45,75 @@ _HALF_LN_TWO_PI = np.longdouble("0.91893853320467274178032973640561763986")
 _ASYMPTOTIC_MIN = 6.0
 _LGAMMA_SHIFT_MIN = 10.0
 
+# Coefficients c0, c1, .. of the asymptotic series in powers of 1/x^2.
+_DIGAMMA_SERIES = (-1 / 12, 1 / 120, -1 / 252, 1 / 240, -1 / 132, 691 / 32760, -1 / 12)
+_TRIGAMMA_SERIES = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
+_STIRLING_SERIES = tuple(
+    np.longdouble(n) / d
+    for n, d in ((1, 12), (-1, 360), (1, 1260), (-1, 1680), (1, 1188),
+                 (-691, 360360), (1, 156), (-3617, 122400))
+)
 
-def _as_positive_array(x, name: str) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(x, dtype=np.float64)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
+
+def _as_positive_array(x, name: str) -> np.ndarray:
+    arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
         raise ValueError(f"{name} requires finite arguments > 0")
-    return arr, scalar
+    return arr
+
+
+def _like_input(out: np.ndarray, x):
+    """A Python float for a scalar ``x``, otherwise ``out`` in ``x``'s shape."""
+    return float(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(x))
+
+
+def _shift_up(x: np.ndarray, minimum: float, step):
+    """Step every entry below ``minimum`` up by ones, summing ``step`` on the way.
+
+    Returns the shifted copy of ``x`` and, per entry, the sum of ``step(v)``
+    over the values ``v`` it passed through (zero where nothing moved).
+    """
+    x = x.copy()
+    acc = np.zeros_like(x)
+    while True:
+        below = x < minimum
+        if not below.any():
+            return x, acc
+        acc[below] += step(x[below])
+        x[below] += 1
+
+
+def _horner(z, coeffs):
+    """c0 + z * (c1 + z * (c2 + ..)), innermost term first."""
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = c + z * acc
+    return acc
 
 
 def _digamma_raw(x: np.ndarray) -> np.ndarray:
     """digamma on a positive float64 array (no validation)."""
-    x = np.array(x, dtype=np.float64, copy=True)
-    acc = np.zeros_like(x)
-    # psi(x) = psi(x + 1) - 1/x; six shifts take any x in (0, 6) to [6, 7).
-    for _ in range(6):
-        mask = x < _ASYMPTOTIC_MIN
-        if not mask.any():
-            break
-        acc[mask] -= 1.0 / x[mask]
-        x[mask] += 1.0
+    # psi(x) = psi(x + 1) - 1/x; at most six shifts take any x > 0 to >= 6.
+    x, acc = _shift_up(x, _ASYMPTOTIC_MIN, lambda v: -1.0 / v)
     inv2 = 1.0 / (x * x)
     # Bernoulli-number tail of the asymptotic series, truncated at x^-14;
     # the first omitted term is below 1.6e-13 once x >= 6.
-    tail = inv2 * (
-        -1.0 / 12.0
-        + inv2 * (
-            1.0 / 120.0
-            + inv2 * (
-                -1.0 / 252.0
-                + inv2 * (
-                    1.0 / 240.0
-                    + inv2 * (
-                        -1.0 / 132.0
-                        + inv2 * (691.0 / 32760.0 + inv2 * (-1.0 / 12.0))
-                    )
-                )
-            )
-        )
-    )
+    tail = inv2 * _horner(inv2, _DIGAMMA_SERIES)
     return acc + np.log(x) - 0.5 / x + tail
 
 
 def _trigamma_raw(x: np.ndarray) -> np.ndarray:
     """trigamma on a positive float64 array (no validation)."""
-    x = np.array(x, dtype=np.float64, copy=True)
-    acc = np.zeros_like(x)
-    for _ in range(6):
-        mask = x < _ASYMPTOTIC_MIN
-        if not mask.any():
-            break
-        acc[mask] += 1.0 / x[mask] ** 2
-        x[mask] += 1.0
+    x, acc = _shift_up(x, _ASYMPTOTIC_MIN, lambda v: 1.0 / v**2)
     inv = 1.0 / x
     inv2 = inv * inv
-    tail = inv * (
-        1.0
-        + inv * (
-            0.5
-            + inv2 * (
-                1.0 / 6.0
-                + inv2 * (
-                    -1.0 / 30.0
-                    + inv2 * (
-                        1.0 / 42.0
-                        + inv2 * (
-                            -1.0 / 30.0
-                            + inv2 * (
-                                5.0 / 66.0
-                                + inv2 * (-691.0 / 2730.0 + inv2 * (7.0 / 6.0))
-                            )
-                        )
-                    )
-                )
-            )
-        )
-    )
+    tail = inv * (1.0 + inv * (0.5 + inv2 * _horner(inv2, _TRIGAMMA_SERIES)))
     return acc + tail
 
 
 def digamma(x):
     """psi(x) = d/dx log Gamma(x) for x > 0.  Accepts scalars or arrays."""
-    arr, scalar = _as_positive_array(x, "digamma")
-    out = _digamma_raw(arr)
-    return float(out[0]) if scalar else out
+    return _like_input(_digamma_raw(_as_positive_array(x, "digamma")), x)
 
 
 def _inverse_digamma_raw(y: np.ndarray) -> np.ndarray:
@@ -149,41 +142,7 @@ def inverse_digamma(y):
     arr = np.atleast_1d(np.asarray(y, dtype=np.float64))
     if not np.all(np.isfinite(arr)):
         raise ValueError("inverse_digamma requires finite arguments")
-    out = _inverse_digamma_raw(arr)
-    return float(out[0]) if np.asarray(y).ndim == 0 else out
-
-
-def _lgamma_longdouble(x: np.longdouble) -> np.longdouble:
-    shift = np.longdouble(0.0)
-    while x < _LGAMMA_SHIFT_MIN:
-        shift += np.log(x)
-        x += 1
-    inv = 1 / x
-    inv2 = inv * inv
-    # Stirling-series correction sum B_2n / (2n (2n-1) x^(2n-1)).
-    tail = inv * (
-        np.longdouble(1) / 12
-        + inv2 * (
-            np.longdouble(-1) / 360
-            + inv2 * (
-                np.longdouble(1) / 1260
-                + inv2 * (
-                    np.longdouble(-1) / 1680
-                    + inv2 * (
-                        np.longdouble(1) / 1188
-                        + inv2 * (
-                            np.longdouble(-691) / 360360
-                            + inv2 * (
-                                np.longdouble(1) / 156
-                                + inv2 * (np.longdouble(-3617) / 122400)
-                            )
-                        )
-                    )
-                )
-            )
-        )
-    )
-    return (x - 0.5) * np.log(x) - x + _HALF_LN_TWO_PI + tail - shift
+    return _like_input(_inverse_digamma_raw(arr), y)
 
 
 def lgamma(x):
@@ -192,9 +151,14 @@ def lgamma(x):
     Internals run in extended precision: log Gamma(1000) is ~5906, so hitting
     1e-12 absolute accuracy needs more headroom than float64 arithmetic has.
     """
-    arr, scalar = _as_positive_array(x, "lgamma")
-    out = np.array([float(_lgamma_longdouble(np.longdouble(v))) for v in arr])
-    return float(out[0]) if scalar else out.reshape(np.shape(x))
+    # log Gamma(x) = log Gamma(x + 1) - log x, shifted until x >= 10.
+    x_ld = _as_positive_array(x, "lgamma").astype(np.longdouble)
+    x_ld, shift = _shift_up(x_ld, _LGAMMA_SHIFT_MIN, np.log)
+    inv = 1 / x_ld
+    # Stirling-series correction sum B_2n / (2n (2n-1) x^(2n-1)).
+    tail = inv * _horner(inv * inv, _STIRLING_SERIES)
+    out = (x_ld - 0.5) * np.log(x_ld) - x_ld + _HALF_LN_TWO_PI + tail - shift
+    return _like_input(out.astype(np.float64), x)
 
 
 @dataclass(frozen=True)
@@ -288,7 +252,7 @@ def dirichlet_entropy(alpha) -> float:
     H = log B(alpha) + (a0 - m) psi(a0) - sum_j (alpha_j - 1) psi(alpha_j)
     with a0 = sum_j alpha_j and log B(alpha) = sum_j lgamma(alpha_j) - lgamma(a0).
     """
-    arr, _ = _as_positive_array(alpha, "dirichlet_entropy")
+    arr = _as_positive_array(alpha, "dirichlet_entropy")
     if arr.size < 2:
         raise ValueError("dirichlet_entropy requires at least 2 components")
     a0 = float(arr.sum())
@@ -307,7 +271,7 @@ def sample_dirichlet(alpha, size: int, rng: np.random.Generator) -> np.ndarray:
     Uses the Gamma construction: independent Gamma(alpha_j, 1) draws
     normalized by their sum.
     """
-    arr, _ = _as_positive_array(alpha, "sample_dirichlet")
+    arr = _as_positive_array(alpha, "sample_dirichlet")
     if size < 1:
         raise ValueError(f"size must be positive, got {size}")
     g = rng.gamma(shape=arr[:, None], scale=1.0, size=(arr.size, size))

@@ -194,9 +194,5 @@ def write_ldm_csv(ldm: LDMatrix, path: str | Path) -> None:
     Values carry 17 significant digits, enough to reproduce every float64
     exactly.
     """
-    matrix = ldm.matrix
     header = ",".join(f"col_{i}" for i in range(ldm.k_columns))
-    lines = [header]
-    for row in matrix:
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    np.savetxt(path, ldm.matrix, fmt="%.17g", delimiter=",", header=header, comments="")

@@ -356,6 +356,9 @@ def test_parse_spec_round_trips():
 def test_parse_spec_multiple_params():
     spec = parse_spec("random_forest:n=25,max_features=2")
     assert spec.params == {"n": 25, "max_features": 2}
+    # stored in the family table's order, whatever order the text used
+    reordered = parse_spec("random_forest:max_depth=3,n=2")
+    assert reordered.to_string() == "random_forest:n=2,max_depth=3"
 
 
 def test_parse_spec_rejects_unknown_family_and_params():

@@ -224,6 +224,27 @@ def test_compare_csv_parses_with_commas_in_spec_names(tmp_path):
         assert float(row["ci_low"]) <= float(row["recorder_mean"]) <= float(row["ci_high"])
 
 
+@pytest.mark.parametrize("command", ["ldm", "compare"])
+def test_unconverged_fit_is_named_on_stderr(tmp_path, capsys, command):
+    # k is clamped to the 148 training points, so every LDM column is the same
+    # vector and the fit runs to max_iter; gaussian_nb converges.
+    rc = main(
+        [
+            command, "--spec", "knn:k=500", "--spec", "gaussian_nb",
+            "--k", "5", "--holdout", "2", "--repeats", "1",
+            "--trials", "3", "--out", str(tmp_path / "o"),
+        ]
+    )
+    assert rc == 0
+    out, err = capsys.readouterr()
+    assert err == (
+        "ldmcap: warning: knn:k=500: Dirichlet fit did not converge in 1 of 1 "
+        "repeats; its entropy is not a maximum-likelihood estimate\n"
+    )
+    assert "gaussian_nb" not in err
+    assert "knn:k=500" in out and "gaussian_nb" in out
+
+
 def test_compare_requires_two_specs(tmp_path, capsys):
     rc = main(["compare", "--spec", "knn:k=1", "--out", str(tmp_path / "o")])
     assert rc == 1
@@ -267,8 +288,16 @@ def test_oversized_labeling_space_exits_2(tmp_path, capsys):
         (["ldm", "--spec", "knn", "--holdout", "-1"], "--holdout"),
         (["record", "--spec", "knn", "--trials", "0"], "--trials"),
         (["ldm", "--spec", "knn:k=1", "--spec", "knn:k=01"], "'knn:k=1' and --spec 'knn:k=01'"),
+        (
+            ["ldm", "--spec", "random_forest:n=2,max_depth=3",
+             "--spec", "random_forest:max_depth=3,n=2"],
+            "'random_forest:n=2,max_depth=3' and --spec 'random_forest:max_depth=3,n=2'",
+        ),
     ],
-    ids=["repeats-0", "k-0", "holdout-negative", "trials-0", "colliding-stems"],
+    ids=[
+        "repeats-0", "k-0", "holdout-negative", "trials-0", "colliding-stems",
+        "reordered-params",
+    ],
 )
 def test_bad_input_exits_1_without_traceback(tmp_path, args, named):
     env = {**os.environ, "PYTHONPATH": str(Path(ldmcap.__file__).parents[1])}

@@ -71,6 +71,21 @@ def test_inverse_digamma_scalar_and_array_forms():
     assert arr.shape == (2,)
 
 
+def test_special_functions_keep_the_shape_of_nd_input():
+    grid = np.geomspace(1e-6, 1e6, 48).reshape(6, 8)
+    lg = lgamma(grid)
+    assert lg.shape == grid.shape
+    assert digamma(grid).shape == grid.shape
+    assert inverse_digamma(digamma(grid)).shape == grid.shape
+    per_element = np.array([[lgamma(float(v)) for v in row] for row in grid])
+    assert np.array_equal(lg, per_element)
+    ref = np.array([[float(mpmath.loggamma(v)) for v in row] for row in grid])
+    assert np.all(np.abs(lg - ref) <= 1e-15 * np.maximum(1.0, np.abs(ref)))
+    for f in (lgamma, digamma, inverse_digamma):
+        assert type(f(2.5)) is float
+        assert type(f(np.float64(2.5))) is float
+
+
 # ---------------------------------------------------------------------------
 # entropy
 # ---------------------------------------------------------------------------
