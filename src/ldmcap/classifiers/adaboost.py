@@ -1,46 +1,44 @@
-"""Multiclass AdaBoost (SAMME) over depth-1 decision stumps."""
+"""Multiclass AdaBoost (SAMME) over depth-1 decision stumps.
+
+Stumps use the decision tree's cut scan and threshold rule.  X never changes
+between rounds, so a fit sorts each feature once and every round reuses the orders.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .base import TrainedModel, normalize_rows
+from .base import TrainedModel, log_softmax_rows
+from .tree import _split_scan, _threshold_after
 
 _ERR_FLOOR = 1e-10
 
 
-def _fit_stump(X, y, num_classes, weights):
-    """Weighted-error-minimizing stump: (feature, threshold, left class, right class).
+def _fit_stump(X, y, orders, onehot, weights):
+    """Least-weighted-error stump as (error, feature, threshold, c_left, c_right).
 
-    Ties resolve toward the lower feature index, then the lower threshold,
-    then (inside argmax) the lower class index.  When no feature has two
-    distinct values the stump degenerates to the weighted-majority constant.
+    ``orders`` sorts each column of X; ``onehot`` is y one-hot.  Ties resolve
+    toward the lower feature index, then the lower threshold, then (inside
+    argmax) the lower class index.  When no feature has two distinct values
+    the stump degenerates to the weighted-majority constant.
     """
-    n, d = X.shape
-    class_ids = np.arange(num_classes)
-    total = np.zeros(num_classes)
+    total = np.zeros(onehot.shape[1])
     np.add.at(total, y, weights)
+    class_weight = weights[:, None] * onehot
     best = None  # (error, feature, threshold, class_left, class_right)
-    for f in range(d):
-        order = np.argsort(X[:, f], kind="stable")
-        sv = X[order, f]
-        cut = np.flatnonzero(sv[1:] > sv[:-1])
+    for f in range(X.shape[1]):
+        sv, cut, left = _split_scan(X[:, f], orders[:, f], class_weight)
         if cut.size == 0:
             continue
-        cum = np.cumsum(weights[order, None] * (y[order, None] == class_ids), axis=0)
-        left = cum[cut]
         right = total - left
         correct = left.max(axis=1) + right.max(axis=1)
         j = int(np.argmax(correct))  # first maximum -> lowest threshold
         err = 1.0 - float(correct[j])
         if best is None or err < best[0]:
-            lo, hi = float(sv[cut[j]]), float(sv[cut[j] + 1])
-            mid = 0.5 * (lo + hi)
-            threshold = mid if mid < hi else lo
             best = (
                 err,
                 f,
-                threshold,
+                _threshold_after(sv, cut[j]),
                 int(np.argmax(left[j])),
                 int(np.argmax(right[j])),
             )
@@ -67,11 +65,13 @@ class AdaBoostModel(TrainedModel):
         super().__init__(num_classes, d)
         self._present = np.bincount(labels, minlength=num_classes) > 0
         self._stumps: list[tuple[int, float, int, int, float]] = []
+        orders = np.argsort(features, axis=0, kind="stable")
+        onehot = np.eye(num_classes)[labels]
         weights = np.full(n, 1.0 / n)
         chance = 1.0 - 1.0 / num_classes
         for _ in range(rounds):
             err, f, threshold, c_left, c_right = _fit_stump(
-                features, labels, num_classes, weights
+                features, labels, orders, onehot, weights
             )
             if err >= chance - _ERR_FLOOR:
                 break  # no better than guessing; SAMME weight would be <= 0
@@ -90,13 +90,11 @@ class AdaBoostModel(TrainedModel):
     def predict_proba_batch(self, X) -> np.ndarray:
         X = self._check_rows(X)
         n = X.shape[0]
-        if not self._stumps:
-            return normalize_rows(np.zeros((n, self.num_classes)), self._present)
         scores = np.zeros((n, self.num_classes))
+        if not self._stumps:
+            scores[:, ~self._present] = -np.inf  # even vote over training classes
         for f, threshold, c_left, c_right, alpha in self._stumps:
             left = np.ones(n, dtype=bool) if f < 0 else X[:, f] <= threshold
             scores[left, c_left] += alpha
             scores[~left, c_right] += alpha
-        scores -= scores.max(axis=1, keepdims=True)
-        probs = np.exp(scores)
-        return probs / probs.sum(axis=1, keepdims=True)
+        return log_softmax_rows(scores)

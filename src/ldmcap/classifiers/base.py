@@ -46,19 +46,6 @@ class TrainedModel:
         return int(np.argmax(self.predict_proba(x)))
 
 
-def normalize_rows(scores: np.ndarray, present: np.ndarray) -> np.ndarray:
-    """Normalize probability rows; degenerate rows become uniform over present classes.
-
-    ``present`` is a boolean mask of classes seen in training.
-    """
-    scores = np.where(np.isfinite(scores), scores, 0.0)
-    scores = np.clip(scores, 0.0, None)
-    sums = scores.sum(axis=1, keepdims=True)
-    fallback = present.astype(np.float64) / max(int(present.sum()), 1)
-    out = np.where(sums > 0.0, scores / np.where(sums > 0.0, sums, 1.0), fallback)
-    return out
-
-
 def log_softmax_rows(loglik: np.ndarray) -> np.ndarray:
     """Rows of exp(loglik) normalized to 1, computed stably; -inf maps to 0."""
     peak = np.max(loglik, axis=1, keepdims=True)

@@ -5,6 +5,8 @@ values of each feature.  Ties between equally good splits resolve toward the
 lower feature index, then the lower threshold, so trees are fully
 deterministic.  Leaves store training class frequencies and arise on purity,
 on hitting the depth cap, or when no candidate split improves the impurity.
+AdaBoost's stumps share the cut scan (``_split_scan``) and the threshold
+rule (``_threshold_after``); they scan other class weights with another criterion.
 """
 
 from __future__ import annotations
@@ -30,28 +32,37 @@ def _gini(counts: np.ndarray, total: int) -> float:
     return 1.0 - float((frac * frac).sum())
 
 
-def _best_split(X, y, idx, feature_ids, num_classes):
+def _split_scan(values, order, class_weight):
+    """(sv, cut, left) of one feature: sorted values, the positions i after which
+    ``sv[i + 1] > sv[i]``, and per cut the per-class weight of the rows up to i.
+    ``class_weight[i, c]`` is row i's weight if its class is c, otherwise 0.
+    """
+    sv = values[order]
+    cut = np.flatnonzero(sv[1:] > sv[:-1])
+    return sv, cut, np.cumsum(class_weight[order], axis=0)[cut]
+
+
+def _threshold_after(sv, i):
+    """Midpoint of sv[i] and sv[i + 1], or sv[i] if it rounds onto sv[i + 1]."""
+    lo, hi = float(sv[i]), float(sv[i + 1])
+    mid = 0.5 * (lo + hi)
+    return mid if mid < hi else lo
+
+
+def _best_split(X, idx, feature_ids, onehot, counts):
     """Best (cost, feature, threshold) over the candidate features, or None.
 
-    The returned threshold t partitions by ``value <= t`` exactly as the
-    training rows were partitioned, even when the midpoint of two adjacent
-    floats rounds up onto the right-hand value.
+    ``onehot`` and ``counts`` are the one-hot classes and class counts of rows
+    ``idx``; the threshold t splits them by ``value <= t`` as the scan did.
     """
     best = None
     n = idx.size
-    class_ids = np.arange(num_classes)
     for f in feature_ids:
         values = X[idx, f]
-        order = np.argsort(values, kind="stable")
-        sv = values[order]
-        sy = y[idx][order]
-        cut = np.flatnonzero(sv[1:] > sv[:-1])  # split after position i
+        sv, cut, left = _split_scan(values, np.argsort(values, kind="stable"), onehot)
         if cut.size == 0:
             continue
-        cum = np.cumsum(sy[:, None] == class_ids[None, :], axis=0)
-        left = cum[cut].astype(np.float64)
-        total = cum[-1].astype(np.float64)
-        right = total - left
+        right = counts - left
         n_left = (cut + 1).astype(np.float64)
         n_right = n - n_left
         gini_left = 1.0 - (left**2).sum(axis=1) / n_left**2
@@ -59,10 +70,7 @@ def _best_split(X, y, idx, feature_ids, num_classes):
         cost = (n_left * gini_left + n_right * gini_right) / n
         j = int(np.argmin(cost))  # first minimum -> lowest threshold
         if best is None or cost[j] < best[0]:
-            lo, hi = float(sv[cut[j]]), float(sv[cut[j] + 1])
-            mid = 0.5 * (lo + hi)
-            threshold = mid if mid < hi else lo
-            best = (float(cost[j]), int(f), threshold)
+            best = (float(cost[j]), int(f), _threshold_after(sv, cut[j]))
     return best
 
 
@@ -99,6 +107,7 @@ def _build(X, y, num_classes, max_depth, max_features, rng):
     if max_features is not None and max_features < d and rng is None:
         raise ValueError("feature subsampling requires an rng")
     n_sub = d if max_features is None else min(max_features, d)
+    onehot = np.eye(num_classes)[y]
 
     def grow(idx: np.ndarray, depth: int) -> _Node:
         node = _Node()
@@ -113,7 +122,7 @@ def _build(X, y, num_classes, max_depth, max_features, rng):
             feats = np.sort(rng.choice(d, size=n_sub, replace=False))
         else:
             feats = np.arange(d)
-        best = _best_split(X, y, idx, feats, num_classes)
+        best = _best_split(X, idx, feats, onehot[idx], counts)
         if best is None or best[0] >= _gini(counts, n) - 1e-12:
             node.probs = counts / n
             return node

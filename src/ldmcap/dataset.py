@@ -11,6 +11,7 @@ Two distinct label-randomization schemes live here and must not be confused:
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -105,9 +106,9 @@ def load_csv(path: str | Path, label_column: int = -1) -> LabeledDataset:
     mapped to dense indices 0..C-1 in order of first appearance, which keeps
     runs over the same file deterministic.
 
-    Raises :class:`CsvParseError` for malformed rows (naming the file row
-    number) and :class:`InvalidDatasetError` when fewer than two distinct
-    labels are present.
+    Raises :class:`CsvParseError` for malformed rows and for feature cells
+    that are not finite numbers (naming the file row number) and
+    :class:`InvalidDatasetError` when fewer than two distinct labels are present.
     """
     path = Path(path)
     with path.open(newline="") as fh:
@@ -144,11 +145,15 @@ def load_csv(path: str | Path, label_column: int = -1) -> LabeledDataset:
             if i == label_idx:
                 continue
             try:
-                feats.append(float(cell))
+                value = float(cell)
             except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
                 raise CsvParseError(
-                    f"{path}: row {lineno}: feature column {i} value {cell!r} is not numeric"
-                ) from None
+                    f"{path}: row {lineno}: feature column {i} value {cell!r} "
+                    "is not a finite number"
+                )
+            feats.append(value)
         raw = row[label_idx].strip()
         if raw not in label_order:
             label_order[raw] = len(label_order)

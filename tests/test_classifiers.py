@@ -167,6 +167,18 @@ def test_tree_single_split_learns_threshold():
     assert model.predict(np.array([20.0])) == 1
 
 
+@pytest.mark.parametrize(
+    "build", [DecisionTreeModel, lambda *xyc: AdaBoostModel(*xyc, rounds=5)],
+    ids=["decision_tree", "adaboost"],
+)
+def test_split_between_adjacent_floats_keeps_both_rows_apart(build):
+    # the midpoint of these two values rounds onto 1.0, so the threshold
+    # must fall back to the left value for the split to separate the rows
+    ds = _ds([[np.nextafter(1.0, 0.0)], [1.0]], [0, 1])
+    assert 0.5 * (ds.features[0, 0] + ds.features[1, 0]) == 1.0
+    assert np.array_equal(build(*_xyc(ds)).predict_batch(ds.features), [0, 1])
+
+
 def test_tree_unpruned_memorizes_iris(iris):
     model = DecisionTreeModel(*_xyc(iris), max_depth=None)
     preds = model.predict_batch(iris.features)

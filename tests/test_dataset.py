@@ -70,9 +70,10 @@ def test_load_csv_wrong_column_count_names_the_row(tmp_path):
         load_csv(path)
 
 
-def test_load_csv_non_numeric_feature_names_row_and_column(tmp_path):
-    path = _write(tmp_path, "1.0,2.0,a\n3.0,oops,b\n")
-    with pytest.raises(CsvParseError, match="row 2"):
+@pytest.mark.parametrize("cell", ["oops", "nan", "inf", "-inf"])
+def test_load_csv_non_numeric_feature_names_row_and_column(tmp_path, cell):
+    path = _write(tmp_path, f"1.0,2.0,a\n3.0,{cell},b\n")
+    with pytest.raises(CsvParseError, match="row 2: feature column 1"):
         load_csv(path)
 
 
