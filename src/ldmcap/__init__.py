@@ -25,6 +25,7 @@ from .errors import (
     CsvParseError,
     FitNumericalError,
     InvalidDatasetError,
+    MemoryLimitError,
 )
 from .heatmap import HeatmapConfig, render_pgm
 from .ldm import (
@@ -52,6 +53,7 @@ __all__ = [
     "InvalidDatasetError",
     "LDMatrix",
     "LabeledDataset",
+    "MemoryLimitError",
     "build_ldm",
     "builtin_iris",
     "chance_baseline",

@@ -51,6 +51,8 @@ def _fit_stump(X, y, orders, onehot, weights):
 class AdaBoostModel(TrainedModel):
     """SAMME-boosted stumps; probabilities are a softmax of the class vote scores.
 
+    Classes absent from training get probability 0.
+
     Boosting stops early on a perfect stump or on one no better than chance;
     should the very first stump already be that bad, the model falls back to
     a uniform distribution over the classes present in training.
@@ -91,8 +93,9 @@ class AdaBoostModel(TrainedModel):
         X = self._check_rows(X)
         n = X.shape[0]
         scores = np.zeros((n, self.num_classes))
-        if not self._stumps:
-            scores[:, ~self._present] = -np.inf  # even vote over training classes
+        # Classes absent from training get no mass; with no stump kept, the
+        # classes present share an even vote.
+        scores[:, ~self._present] = -np.inf
         for f, threshold, c_left, c_right, alpha in self._stumps:
             left = np.ones(n, dtype=bool) if f < 0 else X[:, f] <= threshold
             scores[left, c_left] += alpha

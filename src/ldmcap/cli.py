@@ -13,7 +13,8 @@ A spec whose Dirichlet fit did not converge in some repeat gets one warning
 line on stderr; its numbers are still printed and written.
 
 Exit codes: 0 on success, 1 for usage or data errors or a Dirichlet fit that
-went non-finite, 2 when the labeling space C**N' is too large to enumerate.
+went non-finite, 2 when the labeling space C**N' is too large to enumerate or
+its matrix would not fit in physical memory.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from .classifiers import ClassifierSpec, parse_spec
 from .dataset import LabeledDataset, builtin_iris, load_csv
 from .dirichlet import fit_dirichlet, fit_report_json
-from .errors import CapacityLimitError, FitNumericalError
+from .errors import CapacityLimitError, FitNumericalError, MemoryLimitError
 from .heatmap import HeatmapConfig, render_pgm
 from .ldm import LDMatrix, build_ldm, write_ldm_csv
 from .recorder import CapacityEstimate, chance_baseline, estimate_capacity
@@ -268,7 +269,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"ldmcap: error: {exc}", file=sys.stderr)
         return 1
-    except CapacityLimitError as exc:
+    except (CapacityLimitError, MemoryLimitError) as exc:
         print(f"ldmcap: {exc}", file=sys.stderr)
         return 2
     except (FitNumericalError, ValueError, OSError) as exc:  # includes CSV and dataset errors

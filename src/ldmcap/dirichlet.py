@@ -1,10 +1,21 @@
 """Dirichlet maximum likelihood and differential entropy.
 
-The fit is the classic fixed-point iteration
+The fit takes Newton steps on the mean log-likelihood.  Its Hessian is
+diagonal plus rank one, so each step inverts it in closed form at O(m) cost
+(T. Minka, *Estimating a Dirichlet distribution*, 2000).  A fit stops on the
+first step whose largest alpha change is at most the tolerance; Newton
+converges quadratically, so that step lands at the optimum.
+
+Identical columns have no optimum (the likelihood grows without bound), nor
+do columns whose ``sum_j exp(mean log p_j)`` rounds to 1 or more.  Both are
+detected up front and take the classic fixed-point step
 
     psi(alpha_j_new) = psi(sum_k alpha_k) + mean_i log p_j^(i)
 
-inverted through ``inverse_digamma``.  The special functions it needs —
+inverted through ``inverse_digamma``, until ``max_iter``.  The same step
+stands in for any Newton step that overflows.
+
+The special functions it needs —
 ``digamma``, ``inverse_digamma``, ``lgamma`` — are implemented here from
 primitive operations so their accuracy contracts are owned by this module.
 Each takes a scalar (and returns a Python float) or an array of any shape
@@ -176,17 +187,40 @@ class FitReport:
         object.__setattr__(self, "alpha", arr)
 
 
+def _newton_step(alpha, log_p_bar):
+    """Newton's step on the mean log-likelihood, or None where it is not finite.
+
+    The gradient is ``g = psi(a0) - psi(alpha) + mean log p`` and the Hessian
+    ``diag(q) + z 11^T`` with ``q = -psi'(alpha)`` and ``z = psi'(a0)``.  It
+    inverts in closed form (Minka 2000), so a step costs O(m):
+    ``H^-1 g = (g - b) / q`` with ``b = sum(g / q) / (1/z + sum(1/q))``.  When
+    one alpha dwarfs the rest, ``1/z + sum(1/q)`` cancels towards zero and the
+    step overflows.
+    """
+    total = np.array([alpha.sum()])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        g = _digamma_raw(total)[0] - _digamma_raw(alpha) + log_p_bar
+        q = -_trigamma_raw(alpha)
+        z = _trigamma_raw(total)[0]
+        b = np.sum(g / q) / (1.0 / z + np.sum(1.0 / q))
+        step = (g - b) / q
+    return step if np.all(np.isfinite(step)) else None
+
+
 def fit_dirichlet(samples, tolerance: float = 1e-7, max_iter: int = 1000) -> FitReport:
     """Fit Dirichlet concentration parameters to simplex samples by MLE.
 
     ``samples`` is an m x K matrix whose K columns are simplex vectors (every
     entry strictly positive — smooth zeros away first — and each column
     summing to 1 within 1e-6).  Initialization moment-matches the sample means
-    against the first component's variance; iteration then follows the
-    digamma fixed point until the largest alpha change is at most
-    ``tolerance`` or ``max_iter`` is hit (reported, not raised).  Degenerate
-    inputs such as identical columns make the likelihood unbounded; the
-    alphas then grow until ``max_iter`` and the report says so.
+    against the first component's variance.  Each iteration then takes a
+    Newton step (``_newton_step``), halved as often as needed to keep every
+    alpha positive, and the fit stops once a step changes no alpha by more
+    than ``tolerance``, or at ``max_iter`` (reported, not raised).
+    Identical columns make the likelihood unbounded: they (and columns so
+    close to identical that rounding hides the difference) are detected
+    before the first step and follow the digamma fixed point instead, so
+    their alphas grow until ``max_iter`` and the report says so.
     """
     p = np.asarray(samples, dtype=np.float64)
     if p.ndim != 2:
@@ -208,7 +242,14 @@ def fit_dirichlet(samples, tolerance: float = 1e-7, max_iter: int = 1000) -> Fit
             f"column {worst} sums to {sums[worst]!r}; columns must sum to 1 within 1e-6"
         )
 
-    log_p_bar = np.log(p).mean(axis=1)
+    log_p = np.log(p)
+    log_p_bar = log_p.mean(axis=1)
+    # The likelihood has a maximum only where sum_j exp(mean log p_j) < 1.
+    # Jensen's inequality guarantees that unless the columns are identical
+    # (every row of log p constant); rounding can also push the sum to 1,
+    # when a row is 1 to the last bit.  Otherwise there is no optimum.
+    no_optimum = not np.ptp(log_p, axis=1).any() or np.exp(log_p_bar).sum() >= 1.0
+    del log_p
     means = p.mean(axis=1)
     second = float((p[0] ** 2).mean())
     variance = second - float(means[0]) ** 2
@@ -217,10 +258,9 @@ def fit_dirichlet(samples, tolerance: float = 1e-7, max_iter: int = 1000) -> Fit
     else:
         a0 = 0.0
     # The moment estimate degenerates on spiky data (near-Bernoulli first
-    # component).  A microscopic start is hazardous: one fixed-point step can
-    # then move less than the convergence tolerance while still being nowhere
-    # near the optimum.  Clamping only changes the starting point; the
-    # iteration increases the likelihood monotonically from any of them.
+    # component).  A microscopic start is hazardous: one step can then move
+    # less than the convergence tolerance while still being nowhere near the
+    # optimum.  Clamping only changes the starting point.
     if not np.isfinite(a0):
         a0 = 1.0
     a0 = min(max(a0, 1.0), 1e6)
@@ -230,8 +270,15 @@ def fit_dirichlet(samples, tolerance: float = 1e-7, max_iter: int = 1000) -> Fit
     delta = np.inf
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        psi_total = _digamma_raw(np.array([alpha.sum()]))[0]
-        alpha_new = _inverse_digamma_raw(psi_total + log_p_bar)
+        step = None if no_optimum else _newton_step(alpha, log_p_bar)
+        if step is None:
+            psi_total = _digamma_raw(np.array([alpha.sum()]))[0]
+            alpha_new = _inverse_digamma_raw(psi_total + log_p_bar)
+        else:
+            alpha_new = alpha - step
+            while np.any(alpha_new <= 0.0):
+                step *= 0.5
+                alpha_new = alpha - step
         if not np.all(np.isfinite(alpha_new)):
             raise FitNumericalError(
                 "Dirichlet fit produced non-finite concentrations", iterations

@@ -13,6 +13,7 @@ Labelings are indexed lexicographically, big-endian in base C: labeling
 
 from __future__ import annotations
 
+import os
 from functools import reduce
 from pathlib import Path
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from .classifiers import ClassifierSpec, TrainedModel, fit, with_defaults
 from .dataset import LabeledDataset, permute_labels, split_train_holdout
-from .errors import CapacityLimitError
+from .errors import CapacityLimitError, MemoryLimitError
 from .seeding import derive_seed, make_rng
 
 #: Hard cap on the number of enumerable labelings C**N'.
@@ -40,6 +41,11 @@ def _check_space(num_classes: int, holdout_size: int) -> int:
     if size > ENUMERATION_LIMIT:
         raise CapacityLimitError(num_classes, holdout_size, ENUMERATION_LIMIT)
     return size
+
+
+def _physical_memory() -> int:
+    """Bytes of physical memory on this host."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 def labeling_to_index(labeling, num_classes: int) -> int:
@@ -174,11 +180,17 @@ def build_ldm(
     The holdout is drawn once from the master seed and shared by every
     column; column ``i`` then trains on labels permuted by its own derived
     seed.  Tree-based specs get the depth-5 pipeline default unless the spec
-    sets a depth explicitly.
+    sets a depth explicitly.  Raises ``MemoryLimitError`` before allocating
+    when the float64 matrix and the Dirichlet fit's log copy of it would
+    together exceed physical memory.
     """
     if k_columns < 1:
         raise ValueError(f"k_columns must be at least 1, got {k_columns}")
     size = _check_space(ds.num_classes, holdout_size)
+    needed = 2 * size * k_columns * 8
+    available = _physical_memory()
+    if needed > available:
+        raise MemoryLimitError(size, k_columns, needed, available)
     split = split_train_holdout(ds, holdout_size, make_rng(master_seed, "holdout"))
     resolved = with_defaults(spec, "ldm")
     seeds = tuple(derive_seed(master_seed, "column", i) for i in range(k_columns))

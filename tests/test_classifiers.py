@@ -347,6 +347,16 @@ def test_adaboost_identical_features_fall_back_to_even_vote():
     assert probs[0] == probs[1]
 
 
+def test_adaboost_absent_class_gets_no_mass_when_stumps_are_kept():
+    # labels 0/1 of 3 classes, no perfect stump: all three rounds keep a stump
+    model = AdaBoostModel(np.arange(6.0)[:, None], np.array([0, 0, 1, 0, 1, 1]), 3, rounds=3)
+    assert len(model._stumps) == 3
+    probs = model.predict_proba_batch(np.arange(6.0)[:, None])
+    assert np.all(probs[:, 2] == 0.0)
+    assert np.allclose(probs.sum(axis=1), 1.0)
+    assert np.array_equal(model.predict_batch(np.arange(6.0)[:, None]), [0, 0, 1, 0, 1, 1])
+
+
 def test_adaboost_rejects_nonpositive_rounds(iris):
     with pytest.raises(ValueError):
         AdaBoostModel(*_xyc(iris), rounds=0)

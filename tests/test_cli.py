@@ -280,6 +280,33 @@ def test_oversized_labeling_space_exits_2(tmp_path, capsys):
     assert "3**20" in err or "holdout" in err
 
 
+@pytest.mark.parametrize("command", ["ldm", "compare"])
+def test_matrix_larger_than_memory_exits_2_before_building(
+    tmp_path, monkeypatch, capsys, command
+):
+    # 3**3 rows x 6 columns: matrix plus log copy need 2 * 27 * 6 * 8 bytes
+    monkeypatch.setattr(ldmcap.ldm, "_physical_memory", lambda: 2 * 27 * 6 * 8 - 1)
+
+    def never(*args, **kwargs):
+        raise AssertionError("an LDM column was built")
+
+    monkeypatch.setattr(ldmcap.ldm, "ldm_column", never)
+    rc = main(
+        [
+            command, "--spec", "knn:k=1", "--spec", "gaussian_nb", "--k", "6",
+            "--holdout", "3", "--repeats", "1", "--trials", "2",
+            "--out", str(tmp_path / "o"),
+        ]
+    )
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("ldmcap: a 27 x 6 labeling-distribution matrix")
+    for named in ("2,592 bytes", "2,591 bytes", "--holdout", "--k"):
+        assert named in captured.err
+    assert "Traceback" not in captured.err
+    assert not list((tmp_path / "o").iterdir())
+
+
 @pytest.mark.parametrize(
     "args, named",
     [

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -202,6 +203,70 @@ def test_fit_identical_columns_diverges_without_crashing():
     assert report.alpha.sum() > 100.0
 
 
+@pytest.mark.parametrize("column", [[0.1, 0.2, 0.7], [0.15, 0.35, 0.5]])
+def test_fit_identical_non_uniform_columns_take_the_fixed_point_route(column):
+    # identical columns that are not uniform still have no finite MLE; the
+    # fit must recognise them by their zero spread, not by their values (for
+    # the second column sum_j exp(mean log p_j) rounds to just below 1)
+    samples = np.tile(np.array(column)[:, None], 40)
+    short = fit_dirichlet(samples, max_iter=50)
+    long = fit_dirichlet(samples, max_iter=100)
+    for report, max_iter in ((short, 50), (long, 100)):
+        assert not report.converged
+        assert report.iterations == max_iter
+        assert np.all(np.isfinite(report.alpha))
+    assert long.alpha.sum() > short.alpha.sum()
+    # the route is today's fixed point, bit for bit
+    alpha = samples.mean(axis=1)  # zero variance: the start clamps a0 to 1
+    log_p_bar = np.log(samples).mean(axis=1)
+    for _ in range(50):
+        alpha = inverse_digamma(digamma(alpha.sum()) + log_p_bar)
+    assert np.array_equal(short.alpha, alpha)
+
+
+def test_fit_takes_a_fixed_point_step_where_the_newton_step_overflows():
+    # the first component is 1e-30 of the second or less, so the Newton
+    # step's denominator 1/z + sum(1/q) cancels to zero; the fit carries on
+    samples = np.array([[1e-40, 1e-30], [1.0 - 2.0**-53, 1.0 - 2.0**-53]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = fit_dirichlet(samples)
+    assert np.all(np.isfinite(report.alpha))
+    assert np.all(report.alpha > 0.0)
+
+
+def test_fit_without_an_optimum_in_floating_point_does_not_converge():
+    # the second row rounds to exactly 1, so sum_j exp(mean log p_j) >= 1 and
+    # no finite alpha maximises the likelihood, though the columns differ
+    p1 = np.geomspace(1e-300, 1e-30, 2)
+    report = fit_dirichlet(np.vstack([p1, 1.0 - p1]), max_iter=60)
+    assert not report.converged
+    assert report.iterations == 60
+    assert np.all(np.isfinite(report.alpha))
+
+
+def _gradient_max_norm(samples, alpha):
+    log_p_bar = np.log(samples).mean(axis=1)
+    return float(np.max(np.abs(digamma(alpha.sum()) - digamma(alpha) + log_p_bar)))
+
+
+@pytest.mark.parametrize(
+    "seed, alpha, size",
+    [
+        (42, [2.0, 5.0], 10_000),
+        (7, [0.3, 0.4, 0.8], 20_000),
+        (5, [1.0, 2.0, 3.0], 500),
+        (9, [3.0, 1.0, 2.0], 2_000),
+    ],
+    ids=["known", "sparse", "deterministic", "max-component-step"],
+)
+def test_fit_stops_at_a_zero_gradient(seed, alpha, size):
+    samples = sample_dirichlet(np.array(alpha), size, np.random.default_rng(seed))
+    report = fit_dirichlet(samples)
+    assert report.converged
+    assert _gradient_max_norm(samples, report.alpha) <= 1e-9
+
+
 def test_fit_rejects_zeros_with_smoothing_hint():
     samples = np.array([[0.5, 0.2], [0.5, 0.3], [0.0, 0.5]])
     with pytest.raises(ValueError, match="smoothing"):
@@ -240,17 +305,29 @@ def test_fit_report_json_fields():
     assert abs(payload["entropy"] - dirichlet_entropy(report.alpha)) < 1e-12
 
 
-def test_fit_handles_near_deterministic_columns():
-    # spiky simplex rows used to trip a premature convergence check when the
-    # moment initializer started absurdly small; the fit must land at a
-    # strongly negative entropy, not a nonsense one
+def _spiky_columns():
+    """30 near-one-hot columns over 81 rows: 1 at a random row, 1e-10 elsewhere."""
     rng = np.random.default_rng(123)
     m, k = 81, 30
     samples = np.full((m, k), 1e-10)
     hot = rng.integers(0, m, size=k)
     samples[hot, np.arange(k)] = 1.0
     samples /= samples.sum(axis=0, keepdims=True)
-    report = fit_dirichlet(samples)
+    return samples
+
+
+def test_fit_handles_near_deterministic_columns():
+    # spiky simplex rows used to trip a premature convergence check when the
+    # moment initializer started absurdly small; the fit must land at a
+    # strongly negative entropy, not a nonsense one
+    report = fit_dirichlet(_spiky_columns())
     entropy = dirichlet_entropy(report.alpha)
     assert np.all(report.alpha > 1e-6)
     assert -1e7 < entropy < 0
+
+
+def test_fit_at_default_tolerance_reaches_the_tight_optimum_on_spiky_columns():
+    samples = _spiky_columns()
+    default = dirichlet_entropy(fit_dirichlet(samples).alpha)
+    tight = dirichlet_entropy(fit_dirichlet(samples, tolerance=1e-12).alpha)
+    assert abs(default - tight) <= 1e-8

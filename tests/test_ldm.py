@@ -7,6 +7,7 @@ from ldmcap import (
     CapacityLimitError,
     ClassifierSpec,
     LDMatrix,
+    MemoryLimitError,
     build_ldm,
     index_to_labeling,
     labeling_to_index,
@@ -15,6 +16,7 @@ from ldmcap import (
     with_defaults,
     write_ldm_csv,
 )
+from ldmcap import ldm as ldm_module
 from ldmcap.classifiers.base import TrainedModel
 from ldmcap.dataset import split_train_holdout
 from ldmcap.seeding import make_rng
@@ -158,6 +160,21 @@ def test_capacity_guard_allows_the_default_iris_setup(iris):
     spec = ClassifierSpec("gaussian_nb")
     ldm = build_ldm(spec, iris, k_columns=2, holdout_size=5)
     assert ldm.matrix.shape == (243, 2)
+
+
+def test_memory_guard_compares_matrix_and_log_copy_with_physical_memory(iris, monkeypatch):
+    # 3**3 rows x 6 columns of float64, twice: 2592 bytes
+    spec = ClassifierSpec("knn", {"k": 1})
+    monkeypatch.setattr(ldm_module, "_physical_memory", lambda: 2591)
+    with pytest.raises(MemoryLimitError) as err:
+        build_ldm(spec, iris, k_columns=6, holdout_size=3)
+    assert (err.value.needed, err.value.available) == (2592, 2591)
+    monkeypatch.setattr(ldm_module, "_physical_memory", lambda: 2592)
+    assert build_ldm(spec, iris, k_columns=6, holdout_size=3).matrix.shape == (27, 6)
+
+
+def test_physical_memory_is_positive():
+    assert ldm_module._physical_memory() > 0
 
 
 # ---------------------------------------------------------------------------
