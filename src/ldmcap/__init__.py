@@ -27,7 +27,7 @@ from .errors import (
     InvalidDatasetError,
     MemoryLimitError,
 )
-from .heatmap import HeatmapConfig, render_pgm
+from .heatmap import render_pgm
 from .ldm import (
     LDMatrix,
     build_ldm,
@@ -48,7 +48,6 @@ __all__ = [
     "CsvParseError",
     "FitNumericalError",
     "FitReport",
-    "HeatmapConfig",
     "HoldoutSplit",
     "InvalidDatasetError",
     "LDMatrix",

@@ -118,13 +118,13 @@ def parse_spec(text: str) -> ClassifierSpec:
     return ClassifierSpec(family.strip(), params)
 
 
-def with_defaults(spec: ClassifierSpec, pipeline: str = "none") -> ClassifierSpec:
+def with_defaults(spec: ClassifierSpec, pipeline: str) -> ClassifierSpec:
     """Fill unset hyperparameters with family defaults plus pipeline overlays.
 
-    ``pipeline`` is ``"ldm"`` (depth-5 tree caps), ``"recorder"`` (unpruned
-    trees), or ``"none"`` (family defaults only).
+    ``pipeline`` is ``"ldm"`` (depth-5 tree caps) or ``"recorder"`` (family
+    defaults only, so trees grow unpruned).
     """
-    if pipeline not in ("ldm", "recorder", "none"):
+    if pipeline not in ("ldm", "recorder"):
         raise ValueError(f"unknown pipeline {pipeline!r}")
     family = FAMILIES[spec.family]
     merged = {k: v for k, v in family.params.items() if v is not None}

@@ -1,20 +1,23 @@
 """Command-line interface.
 
-Three commands over a shared flag vocabulary:
+Three commands, each taking only the flags it reads (``ldmcap CMD --help``):
 
 * ``ldm``     — build labeling-distribution matrices, fit a Dirichlet, report
                 entropies; writes per-spec JSON, CSV, and PGM artifacts.
 * ``record``  — run label-recorder trials; writes per-spec JSON and a
                 per-trial CSV.
 * ``compare`` — both of the above for two or more specs, joined into one
-                table sorted by recorder capacity.
+                table sorted by recorder capacity; writes only compare.csv.
 
-A spec whose Dirichlet fit did not converge in some repeat gets one warning
-line on stderr; its numbers are still printed and written.
+Each repeat's matrix is freed before the next one is built; ``ldm`` first
+writes the first repeat's as CSV and PGM.  A spec whose Dirichlet fit did not
+converge in some repeat gets one warning line on stderr; its numbers are
+still printed and written.
 
-Exit codes: 0 on success, 1 for usage or data errors or a Dirichlet fit that
-went non-finite, 2 when the labeling space C**N' is too large to enumerate or
-its matrix would not fit in physical memory.
+Exit codes: 0 on success, 1 for usage or data errors (a flag of another
+command included) or a Dirichlet fit that went non-finite, 2 when the
+labeling space C**N' is too large to enumerate or its matrix would not fit
+in physical memory.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -32,8 +34,8 @@ from .classifiers import ClassifierSpec, parse_spec
 from .dataset import LabeledDataset, builtin_iris, load_csv
 from .dirichlet import fit_dirichlet, fit_report_json
 from .errors import CapacityLimitError, FitNumericalError, MemoryLimitError
-from .heatmap import HeatmapConfig, render_pgm
-from .ldm import LDMatrix, build_ldm, write_ldm_csv
+from .heatmap import render_pgm
+from .ldm import build_ldm, write_ldm_csv
 from .recorder import CapacityEstimate, chance_baseline, estimate_capacity
 from .seeding import derive_seed
 
@@ -47,56 +49,53 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-@dataclass
-class RunConfig:
-    """The parsed command line; the parser's dests are these field names."""
+def _int_at_least(minimum: int):
+    def integer(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as an invalid value
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
 
-    command: str
-    dataset: str
-    specs: list[str]
-    k_columns: int
-    holdout: int
-    trials: int
-    repeats: int
-    seed: int
-    out: str
-    scale: str
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)  # argparse reports a ValueError as an invalid value
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+    return integer
 
 
 def _build_parser() -> _Parser:
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument(
+        "--dataset", default="iris", help="'iris' (bundled) or 'csv:PATH:LABELCOL'"
+    )
+    shared.add_argument(
+        "--spec", dest="specs", action="append", default=[], metavar="SPEC",
+        help="classifier spec, e.g. knn:k=3 (repeatable)",
+    )
+    shared.add_argument("--seed", type=int, default=0, help="master seed")
+    shared.add_argument("--out", default="out", help="output directory")
+
+    ldm = argparse.ArgumentParser(add_help=False)
+    # the Dirichlet fit needs at least two columns
+    ldm.add_argument("--k", type=_int_at_least(2), default=100, help="LDM columns")
+    ldm.add_argument("--holdout", type=_int_at_least(1), default=5, help="holdout size")
+    ldm.add_argument("--repeats", type=_int_at_least(1), default=20, help="entropy repeats")
+
+    recorder = argparse.ArgumentParser(add_help=False)
+    recorder.add_argument("--trials", type=_int_at_least(1), default=1000, help="recorder trials")
+
+    heatmap = argparse.ArgumentParser(add_help=False)
+    heatmap.add_argument(
+        "--scale", choices=("linear", "log"), default="linear", help="heatmap intensity scale"
+    )
+
     parser = _Parser(prog="ldmcap", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, blurb in (
-        ("ldm", "build labeling-distribution matrices and score their Dirichlet entropy"),
-        ("record", "estimate capacity by counting recovered random labels"),
-        ("compare", "run both analyses for two or more specs"),
+    for name, blurb, parents in (
+        ("ldm", "build labeling-distribution matrices and score their Dirichlet entropy",
+         [shared, ldm, heatmap]),
+        ("record", "estimate capacity by counting recovered random labels", [shared, recorder]),
+        ("compare", "run both analyses for two or more specs", [shared, ldm, recorder]),
     ):
-        p = sub.add_parser(
-            name, help=blurb, formatter_class=argparse.ArgumentDefaultsHelpFormatter
-        )
-        p.add_argument("--dataset", default="iris", help="'iris' (bundled) or 'csv:PATH:LABELCOL'")
-        p.add_argument(
-            "--spec", dest="specs", action="append", default=[], metavar="SPEC",
-            help="classifier spec, e.g. knn:k=3 (repeatable)",
-        )
-        p.add_argument(
-            "--k", dest="k_columns", metavar="K", type=_positive_int, default=100,
-            help="LDM columns",
-        )
-        p.add_argument("--holdout", type=_positive_int, default=5, help="holdout size")
-        p.add_argument("--trials", type=_positive_int, default=1000, help="recorder trials")
-        p.add_argument("--repeats", type=_positive_int, default=20, help="entropy repeats")
-        p.add_argument("--seed", type=int, default=0, help="master seed")
-        p.add_argument("--out", default="out", help="output directory")
-        p.add_argument(
-            "--scale", choices=("linear", "log"), default="linear", help="heatmap intensity scale"
+        sub.add_parser(
+            name, help=blurb, parents=parents,
+            formatter_class=argparse.ArgumentDefaultsHelpFormatter,
         )
     return parser
 
@@ -116,14 +115,14 @@ def _load_dataset(text: str) -> LabeledDataset:
     raise _UsageError(f"unknown dataset {text!r}; use 'iris' or 'csv:PATH:LABELCOL'")
 
 
-def _parse_specs(cfg: RunConfig, minimum: int = 1) -> list[ClassifierSpec]:
-    if len(cfg.specs) < minimum:
+def _parse_specs(args: argparse.Namespace, minimum: int = 1) -> list[ClassifierSpec]:
+    if len(args.specs) < minimum:
         raise _UsageError(
-            f"{cfg.command} needs at least {minimum} --spec argument(s)"
+            f"{args.command} needs at least {minimum} --spec argument(s)"
         )
-    specs = [parse_spec(text) for text in cfg.specs]
+    specs = [parse_spec(text) for text in args.specs]
     owners: dict[str, str] = {}
-    for text, spec in zip(cfg.specs, specs):
+    for text, spec in zip(args.specs, specs):
         stem = _artifact_stem(spec)
         if stem in owners:
             raise _UsageError(
@@ -137,58 +136,60 @@ def _artifact_stem(spec: ClassifierSpec) -> str:
     return spec.to_string().replace(":", "_").replace(",", "_").replace("=", "")
 
 
-def _spec_entropy_runs(
-    spec: ClassifierSpec, ds: LabeledDataset, cfg: RunConfig
-) -> tuple[tuple[LDMatrix, dict], list[float]]:
-    """The first repeat's matrix and fit payload, and every repeat's entropy.
+def _entropy_runs(
+    spec: ClassifierSpec, ds: LabeledDataset, args: argparse.Namespace, out: Path | None = None
+) -> tuple[dict, list[float]]:
+    """The first repeat's fit payload, and every repeat's entropy.
 
-    Later matrices are dropped once fitted, so at most two are alive at once.
-    A spec whose fit did not converge in some repeat is named on stderr.
+    Each repeat's matrix is dropped once fitted, so none is alive while the
+    next one is built.  Given ``out``, the first repeat's matrix is written
+    there as CSV and PGM before it is dropped.  A spec whose fit did not
+    converge in some repeat is named on stderr.
     """
     first = None
     entropies = []
     unconverged = 0
-    for r in range(cfg.repeats):
-        ldm = build_ldm(
-            spec, ds, cfg.k_columns, cfg.holdout, derive_seed(cfg.seed, "repeat", r)
-        )
+    for r in range(args.repeats):
+        ldm = build_ldm(spec, ds, args.k, args.holdout, derive_seed(args.seed, "repeat", r))
         payload = fit_report_json(fit_dirichlet(ldm.matrix))
-        first = first or (ldm, payload)
+        if first is None:
+            first = payload
+            if out is not None:
+                stem = _artifact_stem(spec)
+                write_ldm_csv(ldm, out / f"{stem}.csv")
+                render_pgm(ldm, out / f"{stem}.pgm", args.scale)
         entropies.append(payload["entropy"])
         unconverged += not payload["converged"]
         del ldm
     if unconverged:
         print(
             f"ldmcap: warning: {spec.to_string()}: Dirichlet fit did not converge in "
-            f"{unconverged} of {cfg.repeats} repeats; its entropy is not a "
+            f"{unconverged} of {args.repeats} repeats; its entropy is not a "
             "maximum-likelihood estimate",
             file=sys.stderr,
         )
     return first, entropies
 
 
-def cmd_ldm(cfg: RunConfig) -> int:
-    ds = _load_dataset(cfg.dataset)
-    specs = _parse_specs(cfg)
-    out = Path(cfg.out)
+def cmd_ldm(args: argparse.Namespace) -> int:
+    ds = _load_dataset(args.dataset)
+    specs = _parse_specs(args)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     print(f"{'spec':<40} {'entropy(mean)':>16} {'converged':>10}")
     for spec in specs:
-        (first_ldm, first_report), entropies = _spec_entropy_runs(spec, ds, cfg)
-        stem = _artifact_stem(spec)
-        write_ldm_csv(first_ldm, out / f"{stem}.csv")
-        render_pgm(first_ldm, out / f"{stem}.pgm", HeatmapConfig(scale=cfg.scale))
+        first_report, entropies = _entropy_runs(spec, ds, args, out)
         payload = {
             "spec": spec.to_string(),
-            "seed": cfg.seed,
-            "k_columns": cfg.k_columns,
-            "holdout_size": cfg.holdout,
-            "repeats": cfg.repeats,
+            "seed": args.seed,
+            "k_columns": args.k,
+            "holdout_size": args.holdout,
+            "repeats": args.repeats,
             **first_report,
             "entropies": entropies,
             "entropy_mean": float(np.mean(entropies)),
         }
-        (out / f"{stem}.json").write_text(json.dumps(payload, indent=2) + "\n")
+        (out / f"{_artifact_stem(spec)}.json").write_text(json.dumps(payload, indent=2) + "\n")
         print(
             f"{spec.to_string():<40} {payload['entropy_mean']:>16.4f} "
             f"{str(first_report['converged']):>10}"
@@ -211,17 +212,17 @@ def _estimate_json(spec: ClassifierSpec, est: CapacityEstimate, seed: int) -> di
     }
 
 
-def cmd_record(cfg: RunConfig) -> int:
-    ds = _load_dataset(cfg.dataset)
-    specs = _parse_specs(cfg)
-    out = Path(cfg.out)
+def cmd_record(args: argparse.Namespace) -> int:
+    ds = _load_dataset(args.dataset)
+    specs = _parse_specs(args)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     print(f"{'spec':<40} {'mean':>9} {'95% CI':>22} {'std':>8}")
     for spec in specs:
-        est = estimate_capacity(spec, ds, cfg.trials, cfg.seed)
+        est = estimate_capacity(spec, ds, args.trials, args.seed)
         stem = _artifact_stem(spec)
         (out / f"{stem}.json").write_text(
-            json.dumps(_estimate_json(spec, est, cfg.seed), indent=2) + "\n"
+            json.dumps(_estimate_json(spec, est, args.seed), indent=2) + "\n"
         )
         trial_lines = ["trial,count"]
         trial_lines += [f"{t},{c}" for t, c in enumerate(est.counts)]
@@ -234,15 +235,15 @@ def cmd_record(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_compare(cfg: RunConfig) -> int:
-    ds = _load_dataset(cfg.dataset)
-    specs = _parse_specs(cfg, minimum=2)
-    out = Path(cfg.out)
+def cmd_compare(args: argparse.Namespace) -> int:
+    ds = _load_dataset(args.dataset)
+    specs = _parse_specs(args, minimum=2)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     for spec in specs:
-        _, entropies = _spec_entropy_runs(spec, ds, cfg)
-        est = estimate_capacity(spec, ds, cfg.trials, cfg.seed)
+        entropies = _entropy_runs(spec, ds, args)[1]
+        est = estimate_capacity(spec, ds, args.trials, args.seed)
         rows.append((spec.to_string(), float(np.mean(entropies)), est))
     rows.sort(key=lambda row: row[2].mean_recovered, reverse=True)
 
@@ -262,10 +263,9 @@ _COMMANDS = {"ldm": cmd_ldm, "record": cmd_record, "compare": cmd_compare}
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        cfg = RunConfig(**vars(parser.parse_args(argv)))
-        return _COMMANDS[cfg.command](cfg)
+        args = _build_parser().parse_args(argv)
+        return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"ldmcap: error: {exc}", file=sys.stderr)
         return 1

@@ -10,7 +10,6 @@ JSON sidecar recording the render parameters.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -18,53 +17,49 @@ import numpy as np
 from .ldm import DEFAULT_EPSILON, LDMatrix
 
 
-@dataclass(frozen=True)
-class HeatmapConfig:
-    scale: str = "linear"
-    gamma: float = 1.0
-    invert: bool = False
+def render_pgm(ldm: LDMatrix, path: str | Path, scale: str = "linear") -> None:
+    """Write the matrix as a binary PGM (maxval 255) plus a ``.json`` sidecar.
 
-    def __post_init__(self):
-        if self.scale not in ("linear", "log"):
-            raise ValueError(f"scale must be 'linear' or 'log', got {self.scale!r}")
-        if not self.gamma > 0.0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-
-
-def _intensities(matrix: np.ndarray, config: HeatmapConfig) -> np.ndarray:
+    ``scale`` is ``"linear"`` or ``"log"``.  One float working array the size
+    of the matrix is computed in place, so the render needs about 1.125 times
+    the matrix's memory (the array plus its 8-bit pixels).
+    """
+    if scale not in ("linear", "log"):
+        raise ValueError(f"scale must be 'linear' or 'log', got {scale!r}")
+    path = Path(path)
+    matrix = ldm.matrix
     global_max = float(matrix.max())
-    if config.scale == "linear":
-        v = matrix / global_max if global_max > 0.0 else np.zeros_like(matrix)
+    v = np.zeros(matrix.shape)
+    if scale == "linear":
+        if global_max > 0.0:
+            np.divide(matrix, global_max, out=v)
     else:
         log_lo = np.log(DEFAULT_EPSILON)
         log_hi = np.log(global_max) if global_max > 0.0 else log_lo
         if log_hi <= log_lo:  # every entry at or below the smoothing floor
-            v = np.ones_like(matrix)
+            v.fill(1.0)
         else:
-            clipped = np.maximum(matrix, DEFAULT_EPSILON)
-            v = (np.log(clipped) - log_lo) / (log_hi - log_lo)
-    return np.clip(v, 0.0, 1.0)
-
-
-def render_pgm(ldm: LDMatrix, path: str | Path, config: HeatmapConfig = HeatmapConfig()) -> None:
-    """Write the matrix as a binary PGM (maxval 255) plus a ``.json`` sidecar."""
-    path = Path(path)
-    matrix = ldm.matrix
-    v = _intensities(matrix, config)
-    pixels = np.rint(255.0 * v**config.gamma).astype(np.uint8)
-    if config.invert:
-        pixels = 255 - pixels
+            np.maximum(matrix, DEFAULT_EPSILON, out=v)
+            np.log(v, out=v)
+            v -= log_lo
+            v /= log_hi - log_lo
+    np.clip(v, 0.0, 1.0, out=v)
+    v *= 255.0
+    np.rint(v, out=v)
+    pixels = v.astype(np.uint8)
     height, width = pixels.shape
-    header = f"P5\n{width} {height}\n255\n".encode("ascii")
-    path.write_bytes(header + pixels.tobytes())
+    with open(path, "wb") as fh:
+        fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
+        fh.write(pixels)
 
     sidecar = {
         "num_classes": ldm.num_classes,
         "holdout_size": ldm.holdout_size,
         "k_columns": ldm.k_columns,
-        "scale": config.scale,
-        "gamma": config.gamma,
-        "invert": config.invert,
-        "global_max": float(matrix.max()),
+        "scale": scale,
+        # not settable; the keys keep the sidecar format of earlier releases
+        "gamma": 1.0,
+        "invert": False,
+        "global_max": global_max,
     }
     Path(str(path) + ".json").write_text(json.dumps(sidecar, indent=2) + "\n")

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -111,20 +112,33 @@ def test_ldm_multiple_specs_write_separate_stems(tmp_path):
     assert "gaussian_nb.json" in names
 
 
-def test_ldm_frees_every_repeat_but_the_first(tmp_path, monkeypatch):
+def _spy_on_builds(monkeypatch):
+    """Weak references to every matrix ``cli.build_ldm`` returns; building one
+    while an earlier one is still alive fails the test."""
     built = []
     real_build_ldm = cli.build_ldm
 
     def spy(*args, **kwargs):
-        # repeats after the first are gone before the next one is built
-        assert all(ref() is None for ref in built[1:])
+        assert all(ref() is None for ref in built)
         ldm = real_build_ldm(*args, **kwargs)
         built.append(weakref.ref(ldm))
         return ldm
 
     monkeypatch.setattr(cli, "build_ldm", spy)
-    assert _run_ldm(tmp_path / "out", extra=("--repeats", "4")) == 0
-    assert len(built) == 4
+    return built
+
+
+def test_ldm_frees_every_repeat_but_the_first(tmp_path, monkeypatch):
+    # the first repeat's matrix is freed too, once its CSV and PGM are written
+    built = _spy_on_builds(monkeypatch)
+    rc = main(
+        [
+            "ldm", "--spec", "knn:k=1", "--spec", "gaussian_nb", "--k", "6",
+            "--holdout", "3", "--repeats", "3", "--out", str(tmp_path / "out"),
+        ]
+    )
+    assert rc == 0
+    assert len(built) == 6
 
 
 # ---------------------------------------------------------------------------
@@ -192,17 +206,40 @@ def test_compare_sorts_rows_by_recorder_mean_descending(tmp_path, capsys):
     assert table.index("knn:k=1") < table.index("knn:k=10")
 
 
-def test_compare_also_writes_per_spec_artifacts(tmp_path):
+def test_compare_writes_only_compare_csv(tmp_path, monkeypatch):
+    built = _spy_on_builds(monkeypatch)
     out = tmp_path / "out"
     rc = main(
         [
             "compare", "--spec", "knn:k=1", "--spec", "gaussian_nb",
-            "--k", "4", "--holdout", "3", "--repeats", "1",
+            "--k", "4", "--holdout", "3", "--repeats", "2",
             "--trials", "5", "--out", str(out),
         ]
     )
     assert rc == 0
-    assert "compare.csv" in _files(out)
+    assert _files(out) == ["compare.csv"]
+    assert len(built) == 4
+
+
+def test_compare_peak_memory_is_one_matrix_and_its_log(tmp_path):
+    args = ["compare", "--spec", "gaussian_nb", "--spec", "qda", "--trials", "2"]
+    # a small run first, so first-use imports are not charged to the matrices
+    warm = ["--holdout", "2", "--k", "2", "--repeats", "1", "--out", str(tmp_path / "w")]
+    assert main([*args, *warm]) == 0
+    matrix_bytes = 3**8 * 100 * 8
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        rc = main(
+            [*args, "--holdout", "8", "--k", "100", "--repeats", "2",
+             "--out", str(tmp_path / "o")]
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    # the fit's log copy is the only other matrix-sized array alive
+    assert (peak - start) / matrix_bytes <= 2.3
 
 
 def test_compare_csv_parses_with_commas_in_spec_names(tmp_path):
@@ -224,6 +261,10 @@ def test_compare_csv_parses_with_commas_in_spec_names(tmp_path):
         assert float(row["ci_low"]) <= float(row["recorder_mean"]) <= float(row["ci_high"])
 
 
+# Only compare runs recorder trials; ldm rejects --trials.
+_TRIALS = {"ldm": [], "compare": ["--trials", "3"]}
+
+
 @pytest.mark.parametrize("command", ["ldm", "compare"])
 def test_unconverged_fit_is_named_on_stderr(tmp_path, capsys, command):
     # k is clamped to the 148 training points, so every LDM column is the same
@@ -232,7 +273,7 @@ def test_unconverged_fit_is_named_on_stderr(tmp_path, capsys, command):
         [
             command, "--spec", "knn:k=500", "--spec", "gaussian_nb",
             "--k", "5", "--holdout", "2", "--repeats", "1",
-            "--trials", "3", "--out", str(tmp_path / "o"),
+            *_TRIALS[command], "--out", str(tmp_path / "o"),
         ]
     )
     assert rc == 0
@@ -294,7 +335,7 @@ def test_matrix_larger_than_memory_exits_2_before_building(
     rc = main(
         [
             command, "--spec", "knn:k=1", "--spec", "gaussian_nb", "--k", "6",
-            "--holdout", "3", "--repeats", "1", "--trials", "2",
+            "--holdout", "3", "--repeats", "1", *_TRIALS[command],
             "--out", str(tmp_path / "o"),
         ]
     )
@@ -312,6 +353,11 @@ def test_matrix_larger_than_memory_exits_2_before_building(
     [
         (["ldm", "--spec", "knn", "--repeats", "0"], "--repeats"),
         (["ldm", "--spec", "knn", "--k", "0"], "--k"),
+        (["ldm", "--spec", "knn", "--k", "1"], "--k"),
+        (["compare", "--spec", "knn", "--spec", "qda", "--k", "1"], "--k"),
+        (["record", "--spec", "knn", "--k", "5"], "--k"),
+        (["ldm", "--spec", "knn", "--trials", "5"], "--trials"),
+        (["compare", "--spec", "knn", "--spec", "qda", "--scale", "log"], "--scale"),
         (["ldm", "--spec", "knn", "--holdout", "-1"], "--holdout"),
         (["record", "--spec", "knn", "--trials", "0"], "--trials"),
         (["ldm", "--spec", "knn:k=1", "--spec", "knn:k=01"], "'knn:k=1' and --spec 'knn:k=01'"),
@@ -322,7 +368,8 @@ def test_matrix_larger_than_memory_exits_2_before_building(
         ),
     ],
     ids=[
-        "repeats-0", "k-0", "holdout-negative", "trials-0", "colliding-stems",
+        "repeats-0", "k-0", "ldm-k-1", "compare-k-1", "record-k", "ldm-trials",
+        "compare-scale", "holdout-negative", "trials-0", "colliding-stems",
         "reordered-params",
     ],
 )

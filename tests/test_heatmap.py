@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ldmcap import HeatmapConfig, LDMatrix, render_pgm
+from ldmcap import LDMatrix, render_pgm
 
 
 def _ldm_from_matrix(matrix):
@@ -45,7 +46,7 @@ def test_linear_scale_is_proportional_to_probability(tmp_path):
     column = np.array([0.5, 0.25, 0.25, 0.0])
     ldm = _ldm_from_matrix(column[:, None])
     path = tmp_path / "ramp.pgm"
-    render_pgm(ldm, path, HeatmapConfig(scale="linear"))
+    render_pgm(ldm, path, scale="linear")
     pixels, _, _ = _read_pgm(path)
     assert pixels[:, 0].tolist() == [255, 128, 128, 0]  # rint(255 * p / 0.5)
 
@@ -66,8 +67,8 @@ def test_log_scale_spreads_small_values(tmp_path):
     ldm = _ldm_from_matrix(column[:, None])
     lin_path = tmp_path / "lin.pgm"
     log_path = tmp_path / "log.pgm"
-    render_pgm(ldm, lin_path, HeatmapConfig(scale="linear"))
-    render_pgm(ldm, log_path, HeatmapConfig(scale="log"))
+    render_pgm(ldm, lin_path, scale="linear")
+    render_pgm(ldm, log_path, scale="log")
     lin, _, _ = _read_pgm(lin_path)
     log, _, _ = _read_pgm(log_path)
     # linearly the 1e-4 entry is invisible; on the log axis it is clearly lit
@@ -81,49 +82,24 @@ def test_log_scale_pins_epsilon_to_black(tmp_path):
     column = np.array([1.0 - 3e-10, 1e-10, 1e-10, 1e-10])
     ldm = _ldm_from_matrix(column[:, None])
     path = tmp_path / "eps.pgm"
-    render_pgm(ldm, path, HeatmapConfig(scale="log"))
+    render_pgm(ldm, path, scale="log")
     pixels, _, _ = _read_pgm(path)
     assert pixels[0, 0] == 255
     assert pixels[1, 0] == 0
 
 
-def test_gamma_brightens_midtones(tmp_path):
-    column = np.array([0.5, 0.25, 0.125, 0.125])
-    ldm = _ldm_from_matrix(column[:, None])
-    plain = tmp_path / "g1.pgm"
-    bright = tmp_path / "g05.pgm"
-    render_pgm(ldm, plain, HeatmapConfig(gamma=1.0))
-    render_pgm(ldm, bright, HeatmapConfig(gamma=0.5))
-    p1, _, _ = _read_pgm(plain)
-    p05, _, _ = _read_pgm(bright)
-    assert p05[1, 0] > p1[1, 0]
-    assert p1[0, 0] == p05[0, 0] == 255  # endpoints fixed
-
-
-def test_invert_flips_pixels(tmp_path):
-    column = np.array([0.5, 0.25, 0.25, 0.0])
-    ldm = _ldm_from_matrix(column[:, None])
-    normal = tmp_path / "n.pgm"
-    flipped = tmp_path / "i.pgm"
-    render_pgm(ldm, normal, HeatmapConfig())
-    render_pgm(ldm, flipped, HeatmapConfig(invert=True))
-    a, _, _ = _read_pgm(normal)
-    b, _, _ = _read_pgm(flipped)
-    assert np.array_equal(b, 255 - a)
-
-
 def test_sidecar_records_render_parameters(tmp_path):
     ldm = _ldm_from_matrix(np.full((4, 2), 0.25))
     path = tmp_path / "map.pgm"
-    render_pgm(ldm, path, HeatmapConfig(scale="log", gamma=2.0, invert=True))
+    render_pgm(ldm, path, scale="log")
     sidecar = json.loads((tmp_path / "map.pgm.json").read_text())
     assert sidecar == {
         "num_classes": 2,
         "holdout_size": 2,
         "k_columns": 2,
         "scale": "log",
-        "gamma": 2.0,
-        "invert": True,
+        "gamma": 1.0,
+        "invert": False,
         "global_max": 0.25,
     }
 
@@ -135,16 +111,32 @@ def test_render_is_byte_deterministic(tmp_path):
     ldm = _ldm_from_matrix(matrix)
     a = tmp_path / "a.pgm"
     b = tmp_path / "b.pgm"
-    render_pgm(ldm, a, HeatmapConfig(scale="log"))
-    render_pgm(ldm, b, HeatmapConfig(scale="log"))
+    render_pgm(ldm, a, scale="log")
+    render_pgm(ldm, b, scale="log")
     assert a.read_bytes() == b.read_bytes()
     assert (tmp_path / "a.pgm.json").read_text() == (tmp_path / "b.pgm.json").read_text()
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        HeatmapConfig(scale="sqrt")
-    with pytest.raises(ValueError):
-        HeatmapConfig(gamma=0.0)
-    with pytest.raises(ValueError):
-        HeatmapConfig(gamma=-1.0)
+def test_config_validation(tmp_path):
+    ldm = _ldm_from_matrix(np.full((4, 2), 0.25))
+    with pytest.raises(ValueError, match="scale"):
+        render_pgm(ldm, tmp_path / "map.pgm", scale="sqrt")
+    assert not (tmp_path / "map.pgm").exists()
+
+
+@pytest.mark.parametrize("scale", ["linear", "log"])
+def test_render_works_in_place(tmp_path, scale):
+    # one float working array plus its 8-bit pixels: 1.125 times the matrix
+    rng = np.random.default_rng(5)
+    matrix = rng.random((3**7, 40))
+    matrix /= matrix.sum(axis=0, keepdims=True)
+    ldm = LDMatrix(matrix, num_classes=3, holdout_size=7, column_seeds=range(40))
+    render_pgm(ldm, tmp_path / "warm.pgm", scale=scale)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        render_pgm(ldm, tmp_path / "map.pgm", scale=scale)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - start) / matrix.nbytes <= 1.2
