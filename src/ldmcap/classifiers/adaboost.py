@@ -1,7 +1,10 @@
 """Multiclass AdaBoost (SAMME) over depth-1 decision stumps.
 
-Stumps use the decision tree's cut scan and threshold rule.  X never changes
-between rounds, so a fit sorts each feature once and every round reuses the orders.
+Stumps use the decision tree's threshold rule.  X never changes between
+rounds, so a fit sorts each feature once, and the sorted values, the labels
+in sorted order and the positions where a cut may fall are fixed for every
+round.  Each round then scans all features in one array pass over a
+(classes x features x sorted rows) table of class weights.
 """
 
 from __future__ import annotations
@@ -9,43 +12,57 @@ from __future__ import annotations
 import numpy as np
 
 from .base import TrainedModel, log_softmax_rows
-from .tree import _split_scan, _threshold_after
+from .tree import _threshold_after
 
 _ERR_FLOOR = 1e-10
 
 
-def _fit_stump(X, y, orders, onehot, weights):
-    """Least-weighted-error stump as (error, feature, threshold, c_left, c_right).
+class _StumpScan:
+    """Least-weighted-error stumps of one feature matrix and its labels.
 
-    ``orders`` sorts each column of X; ``onehot`` is y one-hot.  Ties resolve
-    toward the lower feature index, then the lower threshold, then (inside
-    argmax) the lower class index.  When no feature has two distinct values
-    the stump degenerates to the weighted-majority constant.
+    Ties resolve toward the lower feature index, then the lower threshold,
+    then the lower class index.  When no feature has two distinct values the
+    stump degenerates to the weighted-majority constant.
     """
-    total = np.zeros(onehot.shape[1])
-    np.add.at(total, y, weights)
-    class_weight = weights[:, None] * onehot
-    best = None  # (error, feature, threshold, class_left, class_right)
-    for f in range(X.shape[1]):
-        sv, cut, left = _split_scan(X[:, f], orders[:, f], class_weight)
-        if cut.size == 0:
-            continue
-        right = total - left
-        correct = left.max(axis=1) + right.max(axis=1)
-        j = int(np.argmax(correct))  # first maximum -> lowest threshold
-        err = 1.0 - float(correct[j])
-        if best is None or err < best[0]:
-            best = (
-                err,
-                f,
-                _threshold_after(sv, cut[j]),
-                int(np.argmax(left[j])),
-                int(np.argmax(right[j])),
-            )
-    if best is None:
-        c = int(np.argmax(total))
-        return 1.0 - float(total[c]), -1, 0.0, c, c
-    return best
+
+    def __init__(self, X, y, num_classes):
+        self._y = y
+        self._num_classes = num_classes
+        # (features, rows): each feature's row order, stable on equal values
+        self._orders = np.argsort(X, axis=0, kind="stable").T
+        self._sorted = np.take_along_axis(X.T, self._orders, axis=1)
+        self._no_cut = self._sorted[:, 1:] <= self._sorted[:, :-1]
+        self._splittable = not self._no_cut.all()
+        self._in_class = y[self._orders] == np.arange(num_classes)[:, None, None]
+
+    def best(self, weights):
+        """The stump minimizing weighted error, as (error, feature, threshold,
+        c_left, c_right); feature -1 is the constant stump."""
+        total = np.bincount(self._y, weights, minlength=self._num_classes)
+        if not self._splittable:
+            c = int(np.argmax(total))
+            return 1.0 - float(total[c]), -1, 0.0, c, c
+        # per class, feature and cut position: class weight left of the cut
+        below = np.cumsum(self._in_class * weights[self._orders], axis=2)[:, :, :-1]
+        above = total[:, None, None] - below
+        # chained maxima over the few classes beat a reduction over that axis
+        best_below, best_above = below[0], above[0]
+        for c in range(1, self._num_classes):
+            best_below = np.maximum(best_below, below[c])
+            best_above = np.maximum(best_above, above[c])
+        correct = best_below + best_above
+        correct[self._no_cut] = -np.inf
+        cut = correct.argmax(axis=1)  # first maximum -> lowest threshold
+        err = 1.0 - correct[np.arange(cut.size), cut]
+        f = int(err.argmin())  # first minimum -> lowest feature
+        j = int(cut[f])
+        return (
+            float(err[f]),
+            f,
+            _threshold_after(self._sorted[f], j),
+            int(np.argmax(below[:, f, j])),
+            int(np.argmax(above[:, f, j])),
+        )
 
 
 class AdaBoostModel(TrainedModel):
@@ -67,14 +84,11 @@ class AdaBoostModel(TrainedModel):
         super().__init__(num_classes, d)
         self._present = np.bincount(labels, minlength=num_classes) > 0
         self._stumps: list[tuple[int, float, int, int, float]] = []
-        orders = np.argsort(features, axis=0, kind="stable")
-        onehot = np.eye(num_classes)[labels]
+        scan = _StumpScan(features, labels, num_classes)
         weights = np.full(n, 1.0 / n)
         chance = 1.0 - 1.0 / num_classes
         for _ in range(rounds):
-            err, f, threshold, c_left, c_right = _fit_stump(
-                features, labels, orders, onehot, weights
-            )
+            err, f, threshold, c_left, c_right = scan.best(weights)
             if err >= chance - _ERR_FLOOR:
                 break  # no better than guessing; SAMME weight would be <= 0
             clipped = max(err, _ERR_FLOOR)

@@ -1,4 +1,9 @@
-"""Random forest: bagged decision trees with per-split feature subsampling."""
+"""Random forest: bagged decision trees with per-split feature subsampling.
+
+The members are ordinary flat-array :class:`DecisionTreeModel` trees.  With
+the default ``max_features=1`` each node scans the one feature it draws, so
+the tree's one-pass scan runs over a one-row table.
+"""
 
 from __future__ import annotations
 

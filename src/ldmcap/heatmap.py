@@ -3,6 +3,9 @@
 Row r of the image is labeling index r (index 0 at the top); column i is
 dataset column i.  Intensity maps probability relative to the global matrix
 maximum, either linearly or on a log axis spanning [log epsilon, log max].
+Every column ``build_ldm`` makes is smoothed by ``DEFAULT_EPSILON``, so the
+log axis's floor is that matrix's own: a labeling the classifier gives
+probability 0 ends up just under epsilon and renders black.
 No plotting stack involved — the writer emits binary P5 directly, plus a
 JSON sidecar recording the render parameters.
 """

@@ -156,16 +156,16 @@ def ldm_column(
     train: LabeledDataset,
     holdout_features,
     seed: int,
-    epsilon: float = DEFAULT_EPSILON,
 ) -> np.ndarray:
     """One LDM column: permute the train labels, fit, and read the simplex.
 
-    Self-contained given its seed, so columns can be computed in any order —
-    or concurrently — without changing the result.
+    The simplex is smoothed by ``DEFAULT_EPSILON``.  Self-contained given its
+    seed, so columns can be computed in any order — or concurrently — without
+    changing the result.
     """
     rng = np.random.default_rng(seed)
     model = fit(spec, permute_labels(train, rng), rng)
-    return simplex_vector(model, holdout_features, epsilon)
+    return simplex_vector(model, holdout_features)
 
 
 def build_ldm(

@@ -221,6 +221,11 @@ def test_tree_rejects_nonpositive_depth(iris):
         DecisionTreeModel(*_xyc(iris), max_depth=0)
 
 
+def test_tree_rejects_nonpositive_max_features(iris):
+    with pytest.raises(ValueError, match="max_features"):
+        DecisionTreeModel(*_xyc(iris), max_features=0, rng=np.random.default_rng(0))
+
+
 # ---------------------------------------------------------------------------
 # random forest
 # ---------------------------------------------------------------------------

@@ -242,6 +242,28 @@ def test_compare_peak_memory_is_one_matrix_and_its_log(tmp_path):
     assert (peak - start) / matrix_bytes <= 2.3
 
 
+@pytest.mark.parametrize("scale", ["linear", "log"])
+def test_ldm_peak_memory_is_one_matrix_and_its_log(tmp_path, scale):
+    # the render works in place (about 1.125 matrices) while the first
+    # repeat's matrix is alive, so the fit, not the render, sets the peak
+    args = ["ldm", "--spec", "gaussian_nb", "--spec", "qda", "--scale", scale]
+    warm = ["--holdout", "2", "--k", "2", "--repeats", "1", "--out", str(tmp_path / "w")]
+    assert main([*args, *warm]) == 0
+    matrix_bytes = 3**8 * 100 * 8
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        rc = main(
+            [*args, "--holdout", "8", "--k", "100", "--repeats", "2",
+             "--out", str(tmp_path / "o")]
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert (peak - start) / matrix_bytes <= 2.3
+
+
 def test_compare_csv_parses_with_commas_in_spec_names(tmp_path):
     out = tmp_path / "out"
     specs = ["random_forest:n=2,max_features=1", "knn:k=1"]

@@ -1,8 +1,9 @@
 """The names perfbench's traced run wraps must exist in the shapes it expects.
 
 ``perfbench/child.py`` wraps these names from outside the package; a run
-that finds one missing exits 3.  Reading its tables here (without installing
-any wrapper) makes such a loss fail the test suite instead.  Likewise every
+that finds one missing exits 3, and one that never calls a name its command
+must call exits 3 too (``perfbench/run.py::missing_coverage``).  Reading its
+tables here makes either loss fail the test suite instead.  Likewise every
 workload's command line in ``perfbench/workloads.py`` must still parse.
 """
 
@@ -46,6 +47,46 @@ def test_model_class_defines_predict_proba_batch(class_name):
     import ldmcap.classifiers
 
     assert "predict_proba_batch" in vars(getattr(ldmcap.classifiers, class_name))
+
+
+SIX_SPECS = [arg for family in child.MODEL_CLASSES for arg in ("--spec", family)]
+TINY = ["--holdout", "2", "--k", "2", "--repeats", "1"]
+
+
+@pytest.mark.parametrize(
+    "command, extra", [("compare", ["--trials", "2"]), ("ldm", [])], ids=["compare", "ldm"]
+)
+def test_every_hook_is_called(command, extra, tmp_path, monkeypatch):
+    from ldmcap import cli, classifiers
+    from ldmcap.ldm import LDMatrix
+
+    calls = {}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] = calls.get(key, 0) + 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module_name, attr, _, _ in child.HOOKS:
+        module = importlib.import_module(module_name)
+        monkeypatch.setattr(module, attr, counted(f"{module_name}.{attr}", getattr(module, attr)))
+    matrix = counted("LDMatrix.matrix", LDMatrix.matrix.fget)
+    monkeypatch.setattr(LDMatrix, "matrix", property(matrix))
+    for family, class_name in child.MODEL_CLASSES.items():
+        cls = getattr(classifiers, class_name)
+        monkeypatch.setattr(cls, "predict_proba_batch", counted(family, cls.predict_proba_batch))
+
+    argv = [command, *SIX_SPECS, *TINY, *extra, "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    expected = [
+        f"{module_name}.{attr}"
+        for module_name, attr, _, commands in child.HOOKS
+        if command in commands
+    ]
+    expected += ["LDMatrix.matrix", *child.MODEL_CLASSES]
+    assert [key for key in expected if not calls.get(key)] == []
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
