@@ -15,6 +15,15 @@ from .base import TrainedModel, log_softmax_rows
 _LOG_TWO_PI = float(np.log(2.0 * np.pi))
 
 
+def _class_log_prior(labels: np.ndarray, num_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Which classes occur in ``labels``, and their log frequencies (-inf if absent)."""
+    counts = np.bincount(labels, minlength=num_classes)
+    present = counts > 0
+    log_prior = np.full(num_classes, -np.inf)
+    log_prior[present] = np.log(counts[present] / labels.shape[0])
+    return present, log_prior
+
+
 class GaussianNbModel(TrainedModel):
     """Per-class, per-feature Gaussians with shared variance smoothing.
 
@@ -24,12 +33,9 @@ class GaussianNbModel(TrainedModel):
     """
 
     def __init__(self, features: np.ndarray, labels: np.ndarray, num_classes: int):
-        n, d = features.shape
+        d = features.shape[1]
         super().__init__(num_classes, d)
-        counts = np.bincount(labels, minlength=num_classes)
-        self._present = counts > 0
-        self._log_prior = np.full(num_classes, -np.inf)
-        self._log_prior[self._present] = np.log(counts[self._present] / n)
+        self._present, self._log_prior = _class_log_prior(labels, num_classes)
 
         smoothing = max(1e-9 * float(features.var(axis=0).max()), 1e-12)
         self._means = np.zeros((num_classes, d))
@@ -62,10 +68,7 @@ class QdaModel(TrainedModel):
     def __init__(self, features: np.ndarray, labels: np.ndarray, num_classes: int):
         n, d = features.shape
         super().__init__(num_classes, d)
-        counts = np.bincount(labels, minlength=num_classes)
-        self._present = counts > 0
-        self._log_prior = np.full(num_classes, -np.inf)
-        self._log_prior[self._present] = np.log(counts[self._present] / n)
+        self._present, self._log_prior = _class_log_prior(labels, num_classes)
 
         pooled = features - features.mean(axis=0)
         pooled_trace = float(np.einsum("ij,ij->", pooled, pooled)) / n

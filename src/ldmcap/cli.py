@@ -10,9 +10,11 @@ Three commands, each taking only the flags it reads (``ldmcap CMD --help``):
                 table sorted by recorder capacity; writes only compare.csv.
 
 Each repeat's matrix is freed before the next one is built; ``ldm`` first
-writes the first repeat's as CSV and PGM.  A spec whose Dirichlet fit did not
-converge in some repeat gets one warning line on stderr; its numbers are
-still printed and written.
+writes the first repeat's as CSV and PGM.  A spec whose Dirichlet fit has no
+optimum in some repeat (its columns are identical, or indistinguishable in
+floating point) or reached the step bound gets one warning line on stderr
+naming the cause.  With no optimum there is no entropy: the tables print
+``no optimum``, ``compare.csv`` writes ``nan`` and JSON writes ``null``.
 
 Exit codes: 0 on success, 1 for usage or data errors (a flag of another
 command included) or a Dirichlet fit that went non-finite, 2 when the
@@ -136,19 +138,29 @@ def _artifact_stem(spec: ClassifierSpec) -> str:
     return spec.to_string().replace(":", "_").replace(",", "_").replace("=", "")
 
 
+# What the stderr warning says about each fit status other than "optimum".
+_WARNINGS = {
+    "no_optimum": "has no optimum in {} of {} repeats (columns identical, or "
+                  "indistinguishable in floating point), so no entropy",
+    "max_iter": "reached the step bound in {} of {} repeats, so its entropy is not "
+                "a maximum-likelihood estimate",
+}
+
+
 def _entropy_runs(
     spec: ClassifierSpec, ds: LabeledDataset, args: argparse.Namespace, out: Path | None = None
-) -> tuple[dict, list[float]]:
+) -> tuple[dict, list[float | None]]:
     """The first repeat's fit payload, and every repeat's entropy.
 
-    Each repeat's matrix is dropped once fitted, so none is alive while the
-    next one is built.  Given ``out``, the first repeat's matrix is written
-    there as CSV and PGM before it is dropped.  A spec whose fit did not
-    converge in some repeat is named on stderr.
+    A repeat whose fit has no optimum has entropy ``None``.  Each repeat's
+    matrix is dropped once fitted, so none is alive while the next one is
+    built.  Given ``out``, the first repeat's matrix is written there as CSV
+    and PGM before it is dropped.  A spec with a fit that stopped short of an
+    optimum is named on stderr, with the cause.
     """
     first = None
     entropies = []
-    unconverged = 0
+    statuses = []
     for r in range(args.repeats):
         ldm = build_ldm(spec, ds, args.k, args.holdout, derive_seed(args.seed, "repeat", r))
         payload = fit_report_json(fit_dirichlet(ldm.matrix))
@@ -159,16 +171,28 @@ def _entropy_runs(
                 write_ldm_csv(ldm, out / f"{stem}.csv")
                 render_pgm(ldm, out / f"{stem}.pgm", args.scale)
         entropies.append(payload["entropy"])
-        unconverged += not payload["converged"]
+        statuses.append(payload["status"])
         del ldm
-    if unconverged:
+    causes = [
+        cause.format(statuses.count(status), args.repeats)
+        for status, cause in _WARNINGS.items()
+        if status in statuses
+    ]
+    if causes:
         print(
-            f"ldmcap: warning: {spec.to_string()}: Dirichlet fit did not converge in "
-            f"{unconverged} of {args.repeats} repeats; its entropy is not a "
-            "maximum-likelihood estimate",
+            f"ldmcap: warning: {spec.to_string()}: Dirichlet fit {'; '.join(causes)}",
             file=sys.stderr,
         )
     return first, entropies
+
+
+def _entropy_mean(entropies: list[float | None]) -> float | None:
+    """The mean entropy, or None when some repeat had no optimum."""
+    return None if None in entropies else float(np.mean(entropies))
+
+
+def _entropy_cell(entropy: float | None) -> str:
+    return f"{'no optimum':>16}" if entropy is None else f"{entropy:>16.4f}"
 
 
 def cmd_ldm(args: argparse.Namespace) -> int:
@@ -187,11 +211,11 @@ def cmd_ldm(args: argparse.Namespace) -> int:
             "repeats": args.repeats,
             **first_report,
             "entropies": entropies,
-            "entropy_mean": float(np.mean(entropies)),
+            "entropy_mean": _entropy_mean(entropies),
         }
         (out / f"{_artifact_stem(spec)}.json").write_text(json.dumps(payload, indent=2) + "\n")
         print(
-            f"{spec.to_string():<40} {payload['entropy_mean']:>16.4f} "
+            f"{spec.to_string():<40} {_entropy_cell(payload['entropy_mean'])} "
             f"{str(first_report['converged']):>10}"
         )
     return 0
@@ -242,9 +266,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     for spec in specs:
-        entropies = _entropy_runs(spec, ds, args)[1]
+        entropy = _entropy_mean(_entropy_runs(spec, ds, args)[1])
         est = estimate_capacity(spec, ds, args.trials, args.seed)
-        rows.append((spec.to_string(), float(np.mean(entropies)), est))
+        rows.append((spec.to_string(), entropy, est))
     rows.sort(key=lambda row: row[2].mean_recovered, reverse=True)
 
     print(f"{'spec':<40} {'entropy(mean)':>16} {'recorded':>10} {'95% CI':>22}")
@@ -252,10 +276,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["spec", "ldm_entropy_mean", "recorder_mean", "ci_low", "ci_high"])
         for name, entropy, est in rows:
-            values = (entropy, est.mean_recovered, est.ci_low, est.ci_high)
+            values = (np.nan if entropy is None else entropy, est.mean_recovered,
+                      est.ci_low, est.ci_high)
             writer.writerow([name, *(f"{v:.17g}" for v in values)])
             interval = f"[{est.ci_low:.2f}, {est.ci_high:.2f}]"
-            print(f"{name:<40} {entropy:>16.4f} {est.mean_recovered:>10.2f} {interval:>22}")
+            print(
+                f"{name:<40} {_entropy_cell(entropy)} {est.mean_recovered:>10.2f} "
+                f"{interval:>22}"
+            )
     return 0
 
 

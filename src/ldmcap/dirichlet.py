@@ -4,16 +4,18 @@ The fit takes Newton steps on the mean log-likelihood.  Its Hessian is
 diagonal plus rank one, so each step inverts it in closed form at O(m) cost
 (T. Minka, *Estimating a Dirichlet distribution*, 2000).  A fit stops on the
 first step whose largest alpha change is at most the tolerance; Newton
-converges quadratically, so that step lands at the optimum.
-
-Identical columns have no optimum (the likelihood grows without bound), nor
-do columns whose ``sum_j exp(mean log p_j)`` rounds to 1 or more.  Both are
-detected up front and take the classic fixed-point step
+converges quadratically, so that step lands at the optimum.  A Newton step
+that overflows is replaced by the classic fixed-point step
 
     psi(alpha_j_new) = psi(sum_k alpha_k) + mean_i log p_j^(i)
 
-inverted through ``inverse_digamma``, until ``max_iter``.  The same step
-stands in for any Newton step that overflows.
+inverted through ``inverse_digamma``.
+
+The likelihood has a maximum only where ``sum_j exp(mean log p_j) < 1``
+(Minka 2000).  Identical columns break that (the likelihood grows without
+bound towards a point mass), and so do columns whose sum rounds to 1 or
+more.  Both are detected before the first step, and the fit returns at once
+with status ``"no_optimum"``: such input has no maximum-likelihood entropy.
 
 The special functions it needs —
 ``digamma``, ``inverse_digamma``, ``lgamma`` — are implemented here from
@@ -172,19 +174,35 @@ def lgamma(x):
     return _like_input(out.astype(np.float64), x)
 
 
+# Step bound of a fit.  Newton reaches the optimum of an LDM in 6-13 steps,
+# and in 40 where fixed-point steps stand in; a fit that exhausts the bound
+# reports status "max_iter".
+_MAX_ITER = 1000
+
+
 @dataclass(frozen=True)
 class FitReport:
-    """Outcome of a Dirichlet maximum-likelihood fit."""
+    """Outcome of a Dirichlet maximum-likelihood fit.
+
+    ``status`` is ``"optimum"`` (the fit stopped at the maximum),
+    ``"max_iter"`` (it ran out of steps first) or ``"no_optimum"`` (the
+    likelihood has no maximum; ``alpha`` is the moment-matched start, no step
+    was taken and ``final_delta`` is NaN).
+    """
 
     alpha: np.ndarray
     iterations: int
-    converged: bool
+    status: str
     final_delta: float
 
     def __post_init__(self):
         arr = np.array(self.alpha, dtype=np.float64, copy=True)
         arr.setflags(write=False)
         object.__setattr__(self, "alpha", arr)
+
+    @property
+    def converged(self) -> bool:
+        return self.status == "optimum"
 
 
 def _newton_step(alpha, log_p_bar):
@@ -207,7 +225,7 @@ def _newton_step(alpha, log_p_bar):
     return step if np.all(np.isfinite(step)) else None
 
 
-def fit_dirichlet(samples, tolerance: float = 1e-7, max_iter: int = 1000) -> FitReport:
+def fit_dirichlet(samples, tolerance: float = 1e-7) -> FitReport:
     """Fit Dirichlet concentration parameters to simplex samples by MLE.
 
     ``samples`` is an m x K matrix whose K columns are simplex vectors (every
@@ -215,12 +233,12 @@ def fit_dirichlet(samples, tolerance: float = 1e-7, max_iter: int = 1000) -> Fit
     summing to 1 within 1e-6).  Initialization moment-matches the sample means
     against the first component's variance.  Each iteration then takes a
     Newton step (``_newton_step``), halved as often as needed to keep every
-    alpha positive, and the fit stops once a step changes no alpha by more
-    than ``tolerance``, or at ``max_iter`` (reported, not raised).
-    Identical columns make the likelihood unbounded: they (and columns so
-    close to identical that rounding hides the difference) are detected
-    before the first step and follow the digamma fixed point instead, so
-    their alphas grow until ``max_iter`` and the report says so.
+    alpha positive, or the fixed-point step where the Newton step is not
+    finite.  The fit stops once a step changes no alpha by more than
+    ``tolerance`` (status ``"optimum"``), or at the step bound (``"max_iter"``,
+    reported, not raised).  Input whose likelihood has no maximum — identical
+    columns, or columns so close to identical that rounding hides the
+    difference — returns before the first step with status ``"no_optimum"``.
     """
     p = np.asarray(samples, dtype=np.float64)
     if p.ndim != 2:
@@ -265,12 +283,12 @@ def fit_dirichlet(samples, tolerance: float = 1e-7, max_iter: int = 1000) -> Fit
         a0 = 1.0
     a0 = min(max(a0, 1.0), 1e6)
     alpha = means * a0
+    if no_optimum:
+        return FitReport(alpha=alpha, iterations=0, status="no_optimum", final_delta=np.nan)
 
-    converged = False
-    delta = np.inf
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        step = None if no_optimum else _newton_step(alpha, log_p_bar)
+    status = "max_iter"
+    for iterations in range(1, _MAX_ITER + 1):
+        step = _newton_step(alpha, log_p_bar)
         if step is None:
             psi_total = _digamma_raw(np.array([alpha.sum()]))[0]
             alpha_new = _inverse_digamma_raw(psi_total + log_p_bar)
@@ -286,11 +304,9 @@ def fit_dirichlet(samples, tolerance: float = 1e-7, max_iter: int = 1000) -> Fit
         delta = float(np.max(np.abs(alpha_new - alpha)))
         alpha = alpha_new
         if delta <= tolerance:
-            converged = True
+            status = "optimum"
             break
-    return FitReport(
-        alpha=alpha, iterations=iterations, converged=converged, final_delta=delta
-    )
+    return FitReport(alpha=alpha, iterations=iterations, status=status, final_delta=delta)
 
 
 def dirichlet_entropy(alpha) -> float:
@@ -326,11 +342,17 @@ def sample_dirichlet(alpha, size: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def fit_report_json(report: FitReport) -> dict:
-    """The JSON-ready form of a fit report, including the implied entropy."""
+    """The JSON-ready form of a fit report, including the implied entropy.
+
+    A fit with no optimum has neither an entropy nor a last step: both are
+    written as ``None`` (JSON ``null``).
+    """
+    found = report.status != "no_optimum"
     return {
         "alpha": [float(a) for a in report.alpha],
         "iterations": report.iterations,
+        "status": report.status,
         "converged": report.converged,
-        "final_delta": report.final_delta,
-        "entropy": dirichlet_entropy(report.alpha),
+        "final_delta": report.final_delta if found else None,
+        "entropy": dirichlet_entropy(report.alpha) if found else None,
     }

@@ -169,15 +169,17 @@ def test_06_recorder_orderings_on_iris(iris):
           f"chance 50 ({families}) ({elapsed:.0f}s)")
 
 
-class _UniformModel(TrainedModel):
-    """Predicts the uniform class distribution for every input."""
+class _FixedOutputModel(TrainedModel):
+    """Predicts a fixed class distribution per holdout point, in holdout order."""
 
-    def __init__(self, num_classes: int, n_features: int):
-        super().__init__(num_classes, n_features)
+    def __init__(self, probabilities: np.ndarray, n_features: int):
+        super().__init__(probabilities.shape[1], n_features)
+        self._probabilities = probabilities
 
     def predict_proba_batch(self, X) -> np.ndarray:
         X = self._check_rows(X)
-        return np.full((X.shape[0], self.num_classes), 1.0 / self.num_classes)
+        assert X.shape[0] == self._probabilities.shape[0]
+        return self._probabilities
 
 
 def test_07_uniform_columns_score_higher_entropy_than_one_hot(iris):
@@ -189,24 +191,40 @@ def test_07_uniform_columns_score_higher_entropy_than_one_hot(iris):
     )
     entropy_one_hot = dirichlet_entropy(fit_dirichlet(one_hot.matrix).alpha)
 
-    # same holdout, same derived column seeds, but a model that spreads its
-    # mass evenly instead of concentrating it
+    # same holdout, same derived column seeds, but models that spread their
+    # mass nearly evenly instead of concentrating it: each column's per-point
+    # class probabilities are drawn from Dirichlet(100, 100, 100)
     split = split_train_holdout(iris, holdout_size, make_rng(master_seed, "holdout"))
-    uniform = _UniformModel(iris.num_classes, iris.n_features)
-    columns = np.column_stack(
-        [
-            simplex_vector(uniform, split.holdout_features)
-            for _ in range(k_columns)
-        ]
-    )
-    report = fit_dirichlet(columns)
+
+    def columns(probabilities_of):
+        return np.column_stack([
+            simplex_vector(
+                _FixedOutputModel(probabilities_of(i), iris.n_features),
+                split.holdout_features,
+            )
+            for i in range(k_columns)
+        ])
+
+    def near_uniform(i):
+        rng = np.random.default_rng(derive_seed(master_seed, "column", i))
+        return rng.dirichlet(np.full(iris.num_classes, 100.0), size=holdout_size)
+
+    report = fit_dirichlet(columns(near_uniform))
     entropy_uniform = dirichlet_entropy(report.alpha)
 
+    assert report.status == "optimum"
     assert np.isfinite(entropy_uniform) and np.isfinite(entropy_one_hot)
     assert entropy_uniform > entropy_one_hot
-    print(f"\nPASS 7/9: uniform-output columns fit to entropy "
-          f"{entropy_uniform:.1f} nats, above one-hot columns at "
-          f"{entropy_one_hot:.1f} nats on the same holdout and seeds")
+
+    # exactly uniform columns are all the same vector: no maximum-likelihood
+    # Dirichlet exists, and the fit says so instead of scoring them
+    exact = np.full((holdout_size, iris.num_classes), 1.0 / iris.num_classes)
+    identical = fit_dirichlet(columns(lambda i: exact))
+    assert identical.status == "no_optimum" and identical.iterations == 0
+    print(f"\nPASS 7/9: near-uniform columns fit to entropy "
+          f"{entropy_uniform:.1f} nats in {report.iterations} steps, above one-hot "
+          f"columns at {entropy_one_hot:.1f} nats on the same holdout and seeds; "
+          f"identical uniform columns report no optimum")
 
 
 def test_08_reruns_are_byte_identical_and_order_free(tmp_path, iris):

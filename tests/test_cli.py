@@ -287,25 +287,85 @@ def test_compare_csv_parses_with_commas_in_spec_names(tmp_path):
 _TRIALS = {"ldm": [], "compare": ["--trials", "3"]}
 
 
+_NO_OPTIMUM = ["--spec", "knn:k=500", "--spec", "gaussian_nb", "--k", "5", "--holdout", "2"]
+
+
 @pytest.mark.parametrize("command", ["ldm", "compare"])
 def test_unconverged_fit_is_named_on_stderr(tmp_path, capsys, command):
     # k is clamped to the 148 training points, so every LDM column is the same
-    # vector and the fit runs to max_iter; gaussian_nb converges.
-    rc = main(
-        [
-            command, "--spec", "knn:k=500", "--spec", "gaussian_nb",
-            "--k", "5", "--holdout", "2", "--repeats", "1",
-            *_TRIALS[command], "--out", str(tmp_path / "o"),
-        ]
-    )
+    # vector and the fit has no optimum; gaussian_nb converges.
+    out = tmp_path / "o"
+    rc = main([command, *_NO_OPTIMUM, "--repeats", "1", *_TRIALS[command], "--out", str(out)])
     assert rc == 0
-    out, err = capsys.readouterr()
+    table, err = capsys.readouterr()
     assert err == (
-        "ldmcap: warning: knn:k=500: Dirichlet fit did not converge in 1 of 1 "
-        "repeats; its entropy is not a maximum-likelihood estimate\n"
+        "ldmcap: warning: knn:k=500: Dirichlet fit has no optimum in 1 of 1 repeats "
+        "(columns identical, or indistinguishable in floating point), so no entropy\n"
     )
-    assert "gaussian_nb" not in err
-    assert "knn:k=500" in out and "gaussian_nb" in out
+    rows = {line.split()[0]: line for line in table.splitlines()[1:]}
+    assert "no optimum" in rows["knn:k=500"]
+    assert "no optimum" not in rows["gaussian_nb"]
+    if command == "ldm":
+        payload = json.loads((out / "knn_k500.json").read_text())
+        assert payload["status"] == "no_optimum" and payload["iterations"] == 0
+        assert payload["entropies"] == [None] and payload["entropy_mean"] is None
+    else:
+        with open(out / "compare.csv", newline="") as fh:
+            entropy = {row["spec"]: row["ldm_entropy_mean"] for row in csv.DictReader(fh)}
+        assert entropy["knn:k=500"] == "nan"
+        assert np.isfinite(float(entropy["gaussian_nb"]))
+
+
+@pytest.mark.parametrize("command", ["ldm", "compare"])
+def test_no_optimum_leaves_the_other_spec_unchanged(tmp_path, capsys, command):
+    both, alone = tmp_path / "both", tmp_path / "alone"
+    tail = ["--repeats", "2", *_TRIALS[command]]
+    assert main([command, *_NO_OPTIMUM, *tail, "--out", str(both)]) == 0
+    gaussian = ["--spec", "gaussian_nb", "--spec", "knn:k=1", "--k", "5", "--holdout", "2"]
+    assert main([command, *gaussian, *tail, "--out", str(alone)]) == 0
+    if command == "ldm":
+        for name in ("gaussian_nb.json", "gaussian_nb.csv", "gaussian_nb.pgm"):
+            assert (both / name).read_bytes() == (alone / name).read_bytes()
+    else:
+        def gaussian_row(out):
+            lines = (out / "compare.csv").read_text().splitlines()
+            return next(line for line in lines if line.startswith("gaussian_nb,"))
+
+        assert gaussian_row(both) == gaussian_row(alone)
+
+
+def test_step_bound_is_named_on_stderr(tmp_path, capsys, monkeypatch):
+    from ldmcap import dirichlet
+
+    monkeypatch.setattr(dirichlet, "_MAX_ITER", 2)
+    out = tmp_path / "o"
+    rc = main(["ldm", "--spec", "gaussian_nb", "--k", "5", "--holdout", "2",
+               "--repeats", "2", "--out", str(out)])
+    assert rc == 0
+    err = capsys.readouterr().err
+    assert err == (
+        "ldmcap: warning: gaussian_nb: Dirichlet fit reached the step bound in 2 of 2 "
+        "repeats, so its entropy is not a maximum-likelihood estimate\n"
+    )
+    payload = json.loads((out / "gaussian_nb.json").read_text())
+    assert payload["status"] == "max_iter" and payload["iterations"] == 2
+    assert payload["converged"] is False and np.isfinite(payload["final_delta"])
+    assert all(np.isfinite(payload["entropies"])) and np.isfinite(payload["entropy_mean"])
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_every_json_artifact_parses_strictly(tmp_path):
+    out = tmp_path / "o"
+    assert main(["ldm", *_NO_OPTIMUM, "--repeats", "2", "--out", str(out)]) == 0
+    assert main(["record", "--spec", "knn:k=500", "--spec", "gaussian_nb",
+                 "--trials", "3", "--out", str(out / "record")]) == 0
+    written = sorted(out.rglob("*.json"))
+    assert len(written) == 6  # two specs x (ldm json, pgm sidecar, record json)
+    for path in written:
+        json.loads(path.read_text(), parse_constant=_reject_constant)
 
 
 def test_compare_requires_two_specs(tmp_path, capsys):

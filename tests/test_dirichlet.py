@@ -17,6 +17,7 @@ from ldmcap import (
     lgamma,
     sample_dirichlet,
 )
+from ldmcap import dirichlet
 
 mpmath.mp.dps = 40
 
@@ -192,15 +193,22 @@ def test_fit_convergence_is_max_component_step():
     assert loose.iterations <= report.iterations
 
 
-def test_fit_identical_columns_diverges_without_crashing():
-    # zero-variance input has no finite MLE; alpha should run upward and the
-    # report must say so instead of raising
-    samples = np.full((4, 50), 0.25)
-    report = fit_dirichlet(samples, max_iter=200)
+def _assert_no_optimum(report):
+    # no step is taken: the report carries the moment-matched start, and its
+    # JSON form has no entropy and no last step
+    assert report.status == "no_optimum"
     assert not report.converged
-    assert report.iterations == 200
-    assert np.all(np.isfinite(report.alpha))
-    assert report.alpha.sum() > 100.0
+    assert report.iterations == 0
+    assert np.all(np.isfinite(report.alpha)) and np.all(report.alpha > 0.0)
+    payload = fit_report_json(report)
+    assert payload["entropy"] is None
+    assert payload["final_delta"] is None
+
+
+def test_fit_identical_columns_diverges_without_crashing():
+    # zero-variance input has no finite MLE; the report must say so at once
+    # instead of raising or running the likelihood up towards a point mass
+    _assert_no_optimum(fit_dirichlet(np.full((4, 50), 0.25)))
 
 
 @pytest.mark.parametrize("column", [[0.1, 0.2, 0.7], [0.15, 0.35, 0.5]])
@@ -209,45 +217,55 @@ def test_fit_identical_non_uniform_columns_take_the_fixed_point_route(column):
     # fit must recognise them by their zero spread, not by their values (for
     # the second column sum_j exp(mean log p_j) rounds to just below 1)
     samples = np.tile(np.array(column)[:, None], 40)
-    short = fit_dirichlet(samples, max_iter=50)
-    long = fit_dirichlet(samples, max_iter=100)
-    for report, max_iter in ((short, 50), (long, 100)):
-        assert not report.converged
-        assert report.iterations == max_iter
-        assert np.all(np.isfinite(report.alpha))
-    assert long.alpha.sum() > short.alpha.sum()
-    # the route is today's fixed point, bit for bit
-    alpha = samples.mean(axis=1)  # zero variance: the start clamps a0 to 1
+    _assert_no_optimum(fit_dirichlet(samples))
+    if column == [0.15, 0.35, 0.5]:
+        assert np.exp(np.log(samples).mean(axis=1)).sum() < 1.0
+
+
+def _gradient_max_norm(samples, alpha):
     log_p_bar = np.log(samples).mean(axis=1)
-    for _ in range(50):
-        alpha = inverse_digamma(digamma(alpha.sum()) + log_p_bar)
-    assert np.array_equal(short.alpha, alpha)
+    return float(np.max(np.abs(digamma(alpha.sum()) - digamma(alpha) + log_p_bar)))
 
 
-def test_fit_takes_a_fixed_point_step_where_the_newton_step_overflows():
+def test_fit_takes_a_fixed_point_step_where_the_newton_step_overflows(monkeypatch):
     # the first component is 1e-30 of the second or less, so the Newton
-    # step's denominator 1/z + sum(1/q) cancels to zero; the fit carries on
+    # step's denominator 1/z + sum(1/q) cancels to zero; the fixed-point step
+    # stands in, and the fit still reaches the optimum
+    newton_step = dirichlet._newton_step
+    fallbacks = []
+
+    def spy(alpha, log_p_bar):
+        step = newton_step(alpha, log_p_bar)
+        fallbacks.append(step is None)
+        return step
+
+    inverse = dirichlet._inverse_digamma_raw
+    fixed_point_steps = []
+
+    def fixed_point_spy(y):
+        fixed_point_steps.append(y)
+        return inverse(y)
+
+    monkeypatch.setattr(dirichlet, "_newton_step", spy)
+    monkeypatch.setattr(dirichlet, "_inverse_digamma_raw", fixed_point_spy)
     samples = np.array([[1e-40, 1e-30], [1.0 - 2.0**-53, 1.0 - 2.0**-53]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = fit_dirichlet(samples)
+    assert report.status == "optimum"
     assert np.all(np.isfinite(report.alpha))
     assert np.all(report.alpha > 0.0)
+    assert _gradient_max_norm(samples, report.alpha) <= 1e-9
+    assert any(fallbacks)
+    assert len(fallbacks) == report.iterations
+    assert len(fixed_point_steps) == sum(fallbacks)
 
 
 def test_fit_without_an_optimum_in_floating_point_does_not_converge():
     # the second row rounds to exactly 1, so sum_j exp(mean log p_j) >= 1 and
     # no finite alpha maximises the likelihood, though the columns differ
     p1 = np.geomspace(1e-300, 1e-30, 2)
-    report = fit_dirichlet(np.vstack([p1, 1.0 - p1]), max_iter=60)
-    assert not report.converged
-    assert report.iterations == 60
-    assert np.all(np.isfinite(report.alpha))
-
-
-def _gradient_max_norm(samples, alpha):
-    log_p_bar = np.log(samples).mean(axis=1)
-    return float(np.max(np.abs(digamma(alpha.sum()) - digamma(alpha) + log_p_bar)))
+    _assert_no_optimum(fit_dirichlet(np.vstack([p1, 1.0 - p1])))
 
 
 @pytest.mark.parametrize(
@@ -299,7 +317,10 @@ def test_fit_report_json_fields():
     samples = sample_dirichlet(np.array([2.0, 2.0]), 200, rng)
     report = fit_dirichlet(samples)
     payload = fit_report_json(report)
-    assert set(payload) == {"alpha", "iterations", "converged", "final_delta", "entropy"}
+    assert set(payload) == {
+        "alpha", "iterations", "status", "converged", "final_delta", "entropy"
+    }
+    assert payload["status"] == "optimum"
     assert payload["converged"] is True
     assert isinstance(payload["alpha"], list)
     assert abs(payload["entropy"] - dirichlet_entropy(report.alpha)) < 1e-12

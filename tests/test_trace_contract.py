@@ -2,8 +2,10 @@
 
 ``perfbench/child.py`` wraps these names from outside the package; a run
 that finds one missing exits 3, and one that never calls a name its command
-must call exits 3 too (``perfbench/run.py::missing_coverage``).  Reading its
-tables here makes either loss fail the test suite instead.  Likewise every
+must call exits 3 too (``perfbench/run.py::missing_coverage``).  Its span
+describers read attributes off the hooked calls' arguments and results (a fit
+report's ``converged``, a matrix's ``k_columns``), so they run here as well.
+Reading its tables here makes any such loss fail the test suite instead.  Likewise every
 workload's command line in ``perfbench/workloads.py`` must still parse.
 """
 
@@ -61,18 +63,30 @@ def test_every_hook_is_called(command, extra, tmp_path, monkeypatch):
     from ldmcap.ldm import LDMatrix
 
     calls = {}
+    described = set()
 
-    def counted(key, fn):
+    def counted(key, fn, span_name=None):
+        # span_name is the name the traced run gives the call; its describer,
+        # if any, must read the call's arguments and result into a dict
+        describe = child.DESCRIBE.get(span_name)
+
         def wrapper(*args, **kwargs):
             calls[key] = calls.get(key, 0) + 1
-            return fn(*args, **kwargs)
+            result = fn(*args, **kwargs)
+            if describe is not None:
+                assert isinstance(describe(args, result), dict)
+                described.add(span_name)
+            return result
 
         return wrapper
 
     for module_name, attr, _, _ in child.HOOKS:
         module = importlib.import_module(module_name)
-        monkeypatch.setattr(module, attr, counted(f"{module_name}.{attr}", getattr(module, attr)))
-    matrix = counted("LDMatrix.matrix", LDMatrix.matrix.fget)
+        span_name = f"{module_name.removeprefix('ldmcap.')}.{attr}"
+        monkeypatch.setattr(
+            module, attr, counted(f"{module_name}.{attr}", getattr(module, attr), span_name)
+        )
+    matrix = counted("LDMatrix.matrix", LDMatrix.matrix.fget, "ldm.matrix")
     monkeypatch.setattr(LDMatrix, "matrix", property(matrix))
     for family, class_name in child.MODEL_CLASSES.items():
         cls = getattr(classifiers, class_name)
@@ -87,6 +101,13 @@ def test_every_hook_is_called(command, extra, tmp_path, monkeypatch):
     ]
     expected += ["LDMatrix.matrix", *child.MODEL_CLASSES]
     assert [key for key in expected if not calls.get(key)] == []
+    # every describer of a name this command calls ran at least once
+    called = {
+        f"{module_name.removeprefix('ldmcap.')}.{attr}"
+        for module_name, attr, _, commands in child.HOOKS
+        if command in commands
+    } | {"ldm.matrix"}
+    assert described == called & set(child.DESCRIBE)
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
