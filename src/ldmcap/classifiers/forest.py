@@ -1,8 +1,10 @@
 """Random forest: bagged decision trees with per-split feature subsampling.
 
 The members are ordinary flat-array :class:`DecisionTreeModel` trees.  With
-the default ``max_features=1`` each node scans the one feature it draws, so
-the tree's one-pass scan runs over a one-row table.
+the default ``max_features=1`` each node draws its one feature with a single
+bounded integer draw and scans only that feature; a node of at most 48 rows,
+nine in ten of an unpruned tree's, is scanned in plain Python rather than by
+the array pass.
 """
 
 from __future__ import annotations

@@ -88,12 +88,16 @@ def _shift_up(x: np.ndarray, minimum: float, step):
     """
     x = x.copy()
     acc = np.zeros_like(x)
-    while True:
-        below = x < minimum
-        if not below.any():
-            return x, acc
-        acc[below] += step(x[below])
-        x[below] += 1
+    # Masked adds give each moved entry the operations of an indexed update
+    # without gathering and scattering it.  ``step`` also runs on the entries
+    # that stay put, whose results are dropped; there 1/v**2 may overflow.
+    with np.errstate(over="ignore"):
+        while True:
+            below = x < minimum
+            if not below.any():
+                return x, acc
+            np.add(acc, step(x), out=acc, where=below)
+            np.add(x, 1, out=x, where=below)
 
 
 def _horner(z, coeffs):
@@ -186,8 +190,8 @@ class FitReport:
 
     ``status`` is ``"optimum"`` (the fit stopped at the maximum),
     ``"max_iter"`` (it ran out of steps first) or ``"no_optimum"`` (the
-    likelihood has no maximum; ``alpha`` is the moment-matched start, no step
-    was taken and ``final_delta`` is NaN).
+    likelihood has no maximum; ``alpha`` is the column mean, summing to 1,
+    no step was taken and ``final_delta`` is NaN).
     """
 
     alpha: np.ndarray
@@ -238,7 +242,8 @@ def fit_dirichlet(samples, tolerance: float = 1e-7) -> FitReport:
     ``tolerance`` (status ``"optimum"``), or at the step bound (``"max_iter"``,
     reported, not raised).  Input whose likelihood has no maximum — identical
     columns, or columns so close to identical that rounding hides the
-    difference — returns before the first step with status ``"no_optimum"``.
+    difference — returns before the first step with status ``"no_optimum"``
+    and the column mean as ``alpha``.
     """
     p = np.asarray(samples, dtype=np.float64)
     if p.ndim != 2:
@@ -269,6 +274,10 @@ def fit_dirichlet(samples, tolerance: float = 1e-7) -> FitReport:
     no_optimum = not np.ptp(log_p, axis=1).any() or np.exp(log_p_bar).sum() >= 1.0
     del log_p
     means = p.mean(axis=1)
+    if no_optimum:
+        # No alpha is best, and the moment-matched scale of identical columns
+        # rests on the sign of rounding noise in their variance.
+        return FitReport(alpha=means, iterations=0, status="no_optimum", final_delta=np.nan)
     second = float((p[0] ** 2).mean())
     variance = second - float(means[0]) ** 2
     if variance > 0.0:
@@ -283,8 +292,6 @@ def fit_dirichlet(samples, tolerance: float = 1e-7) -> FitReport:
         a0 = 1.0
     a0 = min(max(a0, 1.0), 1e6)
     alpha = means * a0
-    if no_optimum:
-        return FitReport(alpha=alpha, iterations=0, status="no_optimum", final_delta=np.nan)
 
     status = "max_iter"
     for iterations in range(1, _MAX_ITER + 1):

@@ -18,6 +18,8 @@ from ldmcap import (
     sample_dirichlet,
 )
 from ldmcap import dirichlet
+from ldmcap.classifiers import parse_spec
+from ldmcap.ldm import build_ldm
 
 mpmath.mp.dps = 40
 
@@ -194,12 +196,13 @@ def test_fit_convergence_is_max_component_step():
 
 
 def _assert_no_optimum(report):
-    # no step is taken: the report carries the moment-matched start, and its
-    # JSON form has no entropy and no last step
+    # no step is taken: the report carries the column mean, and its JSON form
+    # has no entropy and no last step
     assert report.status == "no_optimum"
     assert not report.converged
     assert report.iterations == 0
     assert np.all(np.isfinite(report.alpha)) and np.all(report.alpha > 0.0)
+    assert report.alpha.sum() == pytest.approx(1.0)
     payload = fit_report_json(report)
     assert payload["entropy"] is None
     assert payload["final_delta"] is None
@@ -220,6 +223,17 @@ def test_fit_identical_non_uniform_columns_take_the_fixed_point_route(column):
     _assert_no_optimum(fit_dirichlet(samples))
     if column == [0.15, 0.35, 0.5]:
         assert np.exp(np.log(samples).mean(axis=1)).sum() < 1.0
+
+
+@pytest.mark.parametrize("k_columns, holdout", [(100, 5), (5, 2)])
+def test_no_optimum_alpha_does_not_depend_on_rounding_noise(k_columns, holdout, iris):
+    # knn with k above the training rows gives identical columns; their
+    # rounded variance is -3.4e-21 in the first setting and positive in the
+    # second, which once scaled the reported alpha by 1 or by 1e6
+    ldm = build_ldm(parse_spec("knn:k=500"), iris, k_columns, holdout)
+    report = fit_dirichlet(ldm.matrix)
+    _assert_no_optimum(report)
+    assert np.array_equal(report.alpha, ldm.matrix.mean(axis=1))
 
 
 def _gradient_max_norm(samples, alpha):

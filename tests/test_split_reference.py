@@ -1,10 +1,12 @@
-"""The array split scans against one-cut-at-a-time pure-Python references.
+"""The split scans against one-cut-at-a-time pure-Python references.
 
 Each reference tries every feature and every cut between adjacent distinct
 values, in (feature, threshold) order, and keeps a candidate only when it is
 strictly better, so the first of equally good candidates wins.  The data are
 tie-heavy: iris columns rounded to integers, with random labels, so many
-cuts share a cost.
+cuts share a cost.  A tree scans a small node in plain Python and a larger
+one in one array pass; both scans are also checked against each other, and
+the forest's one-feature draw against the ``Generator.choice`` it stands for.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ldmcap.classifiers import AdaBoostModel, DecisionTreeModel, RandomForestModel
+from ldmcap.classifiers import AdaBoostModel, DecisionTreeModel, RandomForestModel, tree
 
 
 def _cuts(column):
@@ -102,15 +104,102 @@ def _tie_heavy(seed, iris):
     return X, rng.integers(0, num_classes, rows.size), num_classes
 
 
-@pytest.mark.parametrize("seed", range(50))
-def test_tree_root_matches_exhaustive_gini_search(seed, iris):
-    X, y, num_classes = _tie_heavy(seed, iris)
+def _assert_root_matches_exhaustive_gini_search(X, y, num_classes):
     model = DecisionTreeModel(X, y, num_classes, max_depth=1)
     expected = gini_root_split(X.tolist(), y.tolist(), num_classes)
     if expected is None:
         assert model._left[0] == 0  # the root is a leaf
     else:
         assert (int(model._feature[0]), float(model._threshold[0])) == expected
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_tree_root_matches_exhaustive_gini_search(seed, iris):
+    _assert_root_matches_exhaustive_gini_search(*_tie_heavy(seed, iris))
+
+
+@pytest.mark.parametrize("columns", ["all", "one"])
+@pytest.mark.parametrize("seed", range(25))
+def test_small_tree_root_matches_exhaustive_gini_search(seed, columns, iris):
+    # 2-12 rows of four features, or of one, fit the plain-Python scan
+    rng = np.random.default_rng(1000 + seed)
+    rows = rng.choice(iris.n_examples, size=int(rng.integers(2, 13)), replace=False)
+    num_classes = int(rng.integers(2, 4))
+    X = np.round(iris.features[rows])
+    if columns == "one":
+        X = X[:, [int(rng.integers(X.shape[1]))]]
+    assert X.size <= tree._SMALL_SCAN_CELLS
+    _assert_root_matches_exhaustive_gini_search(X, rng.integers(0, num_classes, rows.size),
+                                                num_classes)
+
+
+def _node_table(rng):
+    """A node's (features x rows) table, its labels and class counts; the
+    table's cell count lies within a factor of two of the scan threshold."""
+    n_features = int(rng.integers(1, 5))
+    cells = int(rng.integers(2, 2 * tree._SMALL_SCAN_CELLS + 1))
+    n = max(2, cells // n_features)
+    kind = rng.integers(4)
+    if kind == 0:  # few distinct values, many repeats
+        values = rng.choice([-1.5, 0.25, 2.0, 7.0], size=(n_features, n))
+    elif kind == 1:  # integer-rounded
+        values = np.round(rng.normal(0.0, 2.0, (n_features, n)))
+    elif kind == 2:  # both signed zeros beside their neighbours
+        values = rng.choice([-0.0, 0.0, -5e-324, 5e-324, 1.0], size=(n_features, n))
+    else:
+        values = rng.normal(0.0, 1.0, (n_features, n))
+    num_classes = int(rng.integers(2, 6))
+    labels = rng.integers(0, max(2, num_classes - 1), n)  # the top class may be absent
+    return values, labels, np.bincount(labels, minlength=num_classes)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_small_scan_matches_table_scan(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(25):
+        values, labels, counts = _node_table(rng)
+        table = tree._table_scan(values, labels, counts)
+        small = tree._small_scan(values.tolist(), labels.tolist(), counts.tolist())
+        if table is None:
+            assert small is None
+            continue
+        cost, row, threshold, child_counts = small
+        assert (cost, row) == table[:2]
+        assert np.float64(threshold).tobytes() == np.float64(table[2]).tobytes()
+        assert np.array_equal(child_counts, table[3])
+
+
+@pytest.mark.parametrize("max_features", [None, 2, 1])
+def test_tree_is_the_same_whichever_scan_takes_each_node(max_features, iris, monkeypatch):
+    y = np.random.default_rng(3).integers(0, 3, iris.n_examples)
+
+    def grow():
+        return DecisionTreeModel(iris.features, y, 3, max_features=max_features,
+                                 rng=np.random.default_rng(8))
+
+    mixed = grow()
+    monkeypatch.setattr(tree, "_SMALL_SCAN_CELLS", 0)
+    arrays = grow()
+    monkeypatch.setattr(tree, "_SMALL_SCAN_CELLS", iris.features.size)
+    plain = grow()
+    for other in (arrays, plain):
+        for name in ("_feature", "_threshold", "_left", "_right", "_probs"):
+            assert np.array_equal(getattr(mixed, name), getattr(other, name))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 13, 1000])
+def test_one_feature_draw_is_the_choice_it_replaces(d):
+    # a one-feature node draws rng.integers(d) in place of
+    # rng.choice(d, size=1, replace=False): the same feature and the same
+    # generator state after it, between bootstrap-sized draws too
+    for seed in range(5):
+        chosen, drawn = np.random.default_rng(seed), np.random.default_rng(seed)
+        for i in range(200):
+            assert chosen.choice(d, size=1, replace=False)[0] == drawn.integers(d)
+            if i % 7 == 0:
+                chosen.integers(0, 150, size=150)
+                drawn.integers(0, 150, size=150)
+        assert chosen.bit_generator.state == drawn.bit_generator.state
 
 
 @pytest.mark.parametrize("seed", range(50))
