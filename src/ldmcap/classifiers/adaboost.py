@@ -22,7 +22,8 @@ class _StumpScan:
 
     Ties resolve toward the lower feature index, then the lower threshold,
     then the lower class index.  When no feature has two distinct values the
-    stump degenerates to the weighted-majority constant.
+    stump is feature 0 with the weighted-majority class on both sides, so it
+    gives every row, NaN included, the same vote.
     """
 
     def __init__(self, X, y, num_classes):
@@ -37,11 +38,11 @@ class _StumpScan:
 
     def best(self, weights):
         """The stump minimizing weighted error, as (error, feature, threshold,
-        c_left, c_right); feature -1 is the constant stump."""
+        c_left, c_right)."""
         total = np.bincount(self._y, weights, minlength=self._num_classes)
         if not self._splittable:
             c = int(np.argmax(total))
-            return 1.0 - float(total[c]), -1, 0.0, c, c
+            return 1.0 - float(total[c]), 0, 0.0, c, c
         # per class, feature and cut position: class weight left of the cut
         below = np.cumsum(self._in_class * weights[self._orders], axis=2)[:, :, :-1]
         above = total[:, None, None] - below
@@ -96,22 +97,18 @@ class AdaBoostModel(TrainedModel):
             self._stumps.append((f, threshold, c_left, c_right, alpha))
             if err <= _ERR_FLOOR:
                 break  # perfect stump; further rounds cannot change votes
-            if f < 0:
-                pred = np.full(n, c_left)
-            else:
-                pred = np.where(features[:, f] <= threshold, c_left, c_right)
+            pred = np.where(features[:, f] <= threshold, c_left, c_right)
             weights = weights * np.exp(alpha * (pred != labels))
             weights /= weights.sum()
 
     def predict_proba_batch(self, X) -> np.ndarray:
         X = self._check_rows(X)
-        n = X.shape[0]
-        scores = np.zeros((n, self.num_classes))
+        scores = np.zeros((X.shape[0], self.num_classes))
         # Classes absent from training get no mass; with no stump kept, the
         # classes present share an even vote.
         scores[:, ~self._present] = -np.inf
         for f, threshold, c_left, c_right, alpha in self._stumps:
-            left = np.ones(n, dtype=bool) if f < 0 else X[:, f] <= threshold
+            left = X[:, f] <= threshold
             scores[left, c_left] += alpha
             scores[~left, c_right] += alpha
         return log_softmax_rows(scores)

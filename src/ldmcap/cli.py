@@ -9,6 +9,10 @@ Three commands, each taking only the flags it reads (``ldmcap CMD --help``):
 * ``compare`` — both of the above for two or more specs, joined into one
                 table sorted by recorder capacity; writes only compare.csv.
 
+``main`` runs every command: it loads the dataset, checks the specs against
+the command's minimum (two for ``compare``) and makes ``--out`` before the
+command's own work, so a bad spec leaves no output directory behind.
+
 Each repeat's matrix is freed before the next one is built; ``ldm`` first
 writes the first repeat's as CSV and PGM.  A spec whose Dirichlet fit has no
 optimum in some repeat (its columns are identical, or indistinguishable in
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -117,11 +122,9 @@ def _load_dataset(text: str) -> LabeledDataset:
     raise _UsageError(f"unknown dataset {text!r}; use 'iris' or 'csv:PATH:LABELCOL'")
 
 
-def _parse_specs(args: argparse.Namespace, minimum: int = 1) -> list[ClassifierSpec]:
+def _parse_specs(args: argparse.Namespace, minimum: int) -> list[ClassifierSpec]:
     if len(args.specs) < minimum:
-        raise _UsageError(
-            f"{args.command} needs at least {minimum} --spec argument(s)"
-        )
+        raise _UsageError(f"{args.command} needs at least {minimum} --spec argument(s)")
     specs = [parse_spec(text) for text in args.specs]
     owners: dict[str, str] = {}
     for text, spec in zip(args.specs, specs):
@@ -158,9 +161,7 @@ def _entropy_runs(
     and PGM before it is dropped.  A spec with a fit that stopped short of an
     optimum is named on stderr, with the cause.
     """
-    first = None
-    entropies = []
-    statuses = []
+    first, entropies, statuses = None, [], []
     for r in range(args.repeats):
         ldm = build_ldm(spec, ds, args.k, args.holdout, derive_seed(args.seed, "repeat", r))
         payload = fit_report_json(fit_dirichlet(ldm.matrix))
@@ -195,11 +196,16 @@ def _entropy_cell(entropy: float | None) -> str:
     return f"{'no optimum':>16}" if entropy is None else f"{entropy:>16.4f}"
 
 
-def cmd_ldm(args: argparse.Namespace) -> int:
-    ds = _load_dataset(args.dataset)
-    specs = _parse_specs(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _write_json(path: Path, payload: dict) -> None:
+    path.write_text(json.dumps(payload, indent=2) + "\n")
+
+
+def _interval(est: CapacityEstimate) -> str:
+    return f"[{est.ci_low:.2f}, {est.ci_high:.2f}]"
+
+
+def cmd_ldm(args: argparse.Namespace, ds: LabeledDataset, specs: list[ClassifierSpec],
+            out: Path) -> None:
     print(f"{'spec':<40} {'entropy(mean)':>16} {'converged':>10}")
     for spec in specs:
         first_report, entropies = _entropy_runs(spec, ds, args, out)
@@ -213,57 +219,33 @@ def cmd_ldm(args: argparse.Namespace) -> int:
             "entropies": entropies,
             "entropy_mean": _entropy_mean(entropies),
         }
-        (out / f"{_artifact_stem(spec)}.json").write_text(json.dumps(payload, indent=2) + "\n")
+        _write_json(out / f"{_artifact_stem(spec)}.json", payload)
         print(
             f"{spec.to_string():<40} {_entropy_cell(payload['entropy_mean'])} "
             f"{str(first_report['converged']):>10}"
         )
-    return 0
 
 
-def _estimate_json(spec: ClassifierSpec, est: CapacityEstimate, seed: int) -> dict:
-    return {
-        "spec": spec.to_string(),
-        "seed": seed,
-        "mean_recovered": est.mean_recovered,
-        "std_dev": est.std_dev,
-        "ci_low": est.ci_low,
-        "ci_high": est.ci_high,
-        "trials": est.trials,
-        "dataset_size": est.dataset_size,
-        "num_classes": est.num_classes,
-        "chance_baseline": chance_baseline(est.dataset_size, est.num_classes),
-    }
-
-
-def cmd_record(args: argparse.Namespace) -> int:
-    ds = _load_dataset(args.dataset)
-    specs = _parse_specs(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_record(args: argparse.Namespace, ds: LabeledDataset, specs: list[ClassifierSpec],
+               out: Path) -> None:
     print(f"{'spec':<40} {'mean':>9} {'95% CI':>22} {'std':>8}")
     for spec in specs:
         est = estimate_capacity(spec, ds, args.trials, args.seed)
         stem = _artifact_stem(spec)
-        (out / f"{stem}.json").write_text(
-            json.dumps(_estimate_json(spec, est, args.seed), indent=2) + "\n"
-        )
-        trial_lines = ["trial,count"]
-        trial_lines += [f"{t},{c}" for t, c in enumerate(est.counts)]
-        (out / f"{stem}.csv").write_text("\n".join(trial_lines) + "\n")
-        interval = f"[{est.ci_low:.2f}, {est.ci_high:.2f}]"
+        summary = dataclasses.asdict(est)
+        del summary["counts"]  # the CSV holds them
+        summary["chance_baseline"] = chance_baseline(est.dataset_size, est.num_classes)
+        _write_json(out / f"{stem}.json", {"spec": spec.to_string(), "seed": args.seed, **summary})
+        trials = "".join(f"{t},{c}\n" for t, c in enumerate(est.counts))
+        (out / f"{stem}.csv").write_text("trial,count\n" + trials)
         print(
-            f"{spec.to_string():<40} {est.mean_recovered:>9.2f} {interval:>22} "
+            f"{spec.to_string():<40} {est.mean_recovered:>9.2f} {_interval(est):>22} "
             f"{est.std_dev:>8.3f}"
         )
-    return 0
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
-    ds = _load_dataset(args.dataset)
-    specs = _parse_specs(args, minimum=2)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_compare(args: argparse.Namespace, ds: LabeledDataset, specs: list[ClassifierSpec],
+                out: Path) -> None:
     rows = []
     for spec in specs:
         entropy = _entropy_mean(_entropy_runs(spec, ds, args)[1])
@@ -279,28 +261,30 @@ def cmd_compare(args: argparse.Namespace) -> int:
             values = (np.nan if entropy is None else entropy, est.mean_recovered,
                       est.ci_low, est.ci_high)
             writer.writerow([name, *(f"{v:.17g}" for v in values)])
-            interval = f"[{est.ci_low:.2f}, {est.ci_high:.2f}]"
             print(
                 f"{name:<40} {_entropy_cell(entropy)} {est.mean_recovered:>10.2f} "
-                f"{interval:>22}"
+                f"{_interval(est):>22}"
             )
-    return 0
 
 
-_COMMANDS = {"ldm": cmd_ldm, "record": cmd_record, "compare": cmd_compare}
+# Each command, and the fewest --spec arguments it runs with.
+_COMMANDS = {"ldm": (cmd_ldm, 1), "record": (cmd_record, 1), "compare": (cmd_compare, 2)}
 
 
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"ldmcap: error: {exc}", file=sys.stderr)
-        return 1
+        command, minimum = _COMMANDS[args.command]
+        ds = _load_dataset(args.dataset)
+        specs = _parse_specs(args, minimum)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        command(args, ds, specs, out)
+        return 0
     except (CapacityLimitError, MemoryLimitError) as exc:
         print(f"ldmcap: {exc}", file=sys.stderr)
         return 2
-    except (FitNumericalError, ValueError, OSError) as exc:  # includes CSV and dataset errors
+    except (_UsageError, FitNumericalError, ValueError, OSError) as exc:  # bad input or data
         print(f"ldmcap: error: {exc}", file=sys.stderr)
         return 1
 

@@ -29,7 +29,7 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """An N x d feature matrix with integer class labels in [0, num_classes).
+    """An N x d matrix of finite features with integer class labels in [0, num_classes).
 
     Instances are immutable: the arrays are defensive read-only copies.
     """
@@ -44,6 +44,11 @@ class LabeledDataset:
         if feats.ndim != 2 or feats.shape[0] < 1 or feats.shape[1] < 1:
             raise InvalidDatasetError(
                 f"features must be a non-empty 2-D matrix, got shape {feats.shape}"
+            )
+        if not np.isfinite(feats).all():
+            row, column = np.argwhere(~np.isfinite(feats))[0]
+            raise InvalidDatasetError(
+                f"features must be finite; row {row}, column {column} is {feats[row, column]}"
             )
         if labs.ndim != 1 or labs.shape[0] != feats.shape[0]:
             raise InvalidDatasetError(

@@ -112,7 +112,10 @@ def _digamma_raw(x: np.ndarray) -> np.ndarray:
     """digamma on a positive float64 array (no validation)."""
     # psi(x) = psi(x + 1) - 1/x; at most six shifts take any x > 0 to >= 6.
     x, acc = _shift_up(x, _ASYMPTOTIC_MIN, lambda v: -1.0 / v)
-    inv2 = 1.0 / (x * x)
+    # x * x overflows past 1.3e154; the 0 that 1/x^2 then yields in place of
+    # a subnormal is far below the series' truncation error.
+    with np.errstate(over="ignore"):
+        inv2 = 1.0 / (x * x)
     # Bernoulli-number tail of the asymptotic series, truncated at x^-14;
     # the first omitted term is below 1.6e-13 once x >= 6.
     tail = inv2 * _horner(inv2, _DIGAMMA_SERIES)
@@ -253,7 +256,7 @@ def fit_dirichlet(samples, tolerance: float = 1e-7) -> FitReport:
         raise ValueError(f"need at least 2 components per sample, got {m}")
     if k < 2:
         raise ValueError(f"need at least 2 samples (columns), got {k}")
-    if not np.all(np.isfinite(p)) or np.any(p <= 0.0):
+    if not (p.min() > 0.0 and p.max() < np.inf):  # NaN fails both
         raise ValueError(
             "samples must be strictly positive and finite; "
             "apply epsilon-smoothing before fitting"

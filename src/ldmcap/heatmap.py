@@ -19,41 +19,49 @@ import numpy as np
 
 from .ldm import DEFAULT_EPSILON, LDMatrix
 
+_BLOCK_BYTES = 1 << 20  # float working array per block of rows
 
-def render_pgm(ldm: LDMatrix, path: str | Path, scale: str = "linear") -> None:
-    """Write the matrix as a binary PGM (maxval 255) plus a ``.json`` sidecar.
 
-    ``scale`` is ``"linear"`` or ``"log"``.  One float working array the size
-    of the matrix is computed in place, so the render needs about 1.125 times
-    the matrix's memory (the array plus its 8-bit pixels).
-    """
-    if scale not in ("linear", "log"):
-        raise ValueError(f"scale must be 'linear' or 'log', got {scale!r}")
-    path = Path(path)
-    matrix = ldm.matrix
-    global_max = float(matrix.max())
-    v = np.zeros(matrix.shape)
+def _pixels(block: np.ndarray, global_max: float, scale: str) -> np.ndarray:
+    """The 8-bit intensities of a block of matrix rows."""
+    v = np.zeros(block.shape)
     if scale == "linear":
         if global_max > 0.0:
-            np.divide(matrix, global_max, out=v)
+            np.divide(block, global_max, out=v)
     else:
         log_lo = np.log(DEFAULT_EPSILON)
         log_hi = np.log(global_max) if global_max > 0.0 else log_lo
         if log_hi <= log_lo:  # every entry at or below the smoothing floor
             v.fill(1.0)
         else:
-            np.maximum(matrix, DEFAULT_EPSILON, out=v)
+            np.maximum(block, DEFAULT_EPSILON, out=v)
             np.log(v, out=v)
             v -= log_lo
             v /= log_hi - log_lo
     np.clip(v, 0.0, 1.0, out=v)
     v *= 255.0
     np.rint(v, out=v)
-    pixels = v.astype(np.uint8)
-    height, width = pixels.shape
+    return v.astype(np.uint8)
+
+
+def render_pgm(ldm: LDMatrix, path: str | Path, scale: str = "linear") -> None:
+    """Write the matrix as a binary PGM (maxval 255) plus a ``.json`` sidecar.
+
+    ``scale`` is ``"linear"`` or ``"log"``.  Pixels are computed and written
+    one block of rows at a time, so beside the matrix the render holds one
+    block: about 1 MiB of floats (at least one row) and its 8-bit pixels.
+    """
+    if scale not in ("linear", "log"):
+        raise ValueError(f"scale must be 'linear' or 'log', got {scale!r}")
+    path = Path(path)
+    matrix = ldm.matrix
+    global_max = float(matrix.max())
+    height, width = matrix.shape
+    rows = max(1, _BLOCK_BYTES // (8 * width))
     with open(path, "wb") as fh:
         fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
-        fh.write(pixels)
+        for top in range(0, height, rows):
+            fh.write(_pixels(matrix[top:top + rows], global_max, scale))
 
     sidecar = {
         "num_classes": ldm.num_classes,

@@ -91,7 +91,7 @@ def _simplex(probs, num_classes: int, holdout_size: int) -> np.ndarray:
             f"probs must have {num_classes}**{holdout_size} = {expected} rows "
             f"and at least one column, got shape {probs.shape}"
         )
-    if np.any(probs < 0.0) or not np.all(np.isfinite(probs)):
+    if not (probs.min() >= 0.0 and probs.max() < np.inf):  # NaN fails both
         raise ValueError("probs must be non-negative and finite")
     worst = float(np.max(np.abs(probs.sum(axis=0) - 1.0)))
     if worst > 1e-9:

@@ -226,6 +226,25 @@ def test_tree_rejects_nonpositive_max_features(iris):
         DecisionTreeModel(*_xyc(iris), max_features=0, rng=np.random.default_rng(0))
 
 
+@pytest.mark.parametrize(
+    "call, named",
+    [
+        (lambda: parse_spec("knn:k"), "malformed spec parameter"),
+        (lambda: with_defaults(ClassifierSpec("knn"), "bogus"), "unknown pipeline"),
+        (lambda: KnnModel(*_xyc(BLOBS), k=1).predict_proba_batch(np.zeros((1, 3))),
+         "rows with 2 features"),
+        (lambda: KnnModel(*_xyc(BLOBS), k=1).predict_proba(np.zeros(3)), "vector of length 2"),
+        (lambda: DecisionTreeModel(np.eye(3), np.array([0, 1, 0]), 2, max_features=2),
+         "requires an rng"),
+    ],
+    ids=["spec-without-value", "unknown-pipeline", "batch-width", "row-width",
+         "subsampling-without-rng"],
+)
+def test_public_guards_name_the_bad_argument(call, named):
+    with pytest.raises(ValueError, match=named):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # random forest
 # ---------------------------------------------------------------------------
@@ -248,6 +267,17 @@ def test_forest_is_deterministic_given_rng_seed():
     ds = _ds(rng.random((30, 2)), rng.integers(0, 3, 30), num_classes=3)
     a = fit(ClassifierSpec("random_forest"), ds, np.random.default_rng(5))
     b = fit(ClassifierSpec("random_forest"), ds, np.random.default_rng(5))
+    assert np.array_equal(
+        a.predict_proba_batch(ds.features), b.predict_proba_batch(ds.features)
+    )
+
+
+def test_forest_without_rng_draws_from_default_rng_0():
+    rng = np.random.default_rng(4)
+    ds = _ds(rng.random((30, 2)), rng.integers(0, 3, 30), num_classes=3)
+    args = (*_xyc(ds), 5, 1, None)
+    a = RandomForestModel(*args)
+    b = RandomForestModel(*args, rng=np.random.default_rng(0))
     assert np.array_equal(
         a.predict_proba_batch(ds.features), b.predict_proba_batch(ds.features)
     )
@@ -350,6 +380,16 @@ def test_adaboost_identical_features_fall_back_to_even_vote():
     assert np.all(np.isfinite(probs))
     assert abs(probs.sum() - 1.0) < 1e-9
     assert probs[0] == probs[1]
+
+
+def test_adaboost_constant_features_keep_one_majority_stump():
+    # the stump votes the majority class on both sides of feature 0; its
+    # error 1/3 keeps it, and the reweighted classes then tie at chance
+    model = AdaBoostModel(np.ones((6, 2)), np.array([0, 0, 0, 0, 1, 2]), 3, rounds=5)
+    assert len(model._stumps) == 1
+    assert model._stumps[0][4] == pytest.approx(np.log(4.0))
+    probs = model.predict_proba_batch(np.array([[1.0, 1.0], [np.nan, -5.0]]))
+    assert np.allclose(probs, [[2 / 3, 1 / 6, 1 / 6]] * 2)
 
 
 def test_adaboost_absent_class_gets_no_mass_when_stumps_are_kept():

@@ -88,6 +88,19 @@ def test_load_csv_empty_file_rejected(tmp_path):
         load_csv(_write(tmp_path, ""))
 
 
+@pytest.mark.parametrize(
+    "text, error, named",
+    [
+        ("1.0\n2.0\n", CsvParseError, "row 1 has 1 column"),
+        ("f0,f1,label\n", InvalidDatasetError, "no data rows after the header"),
+    ],
+    ids=["one-column", "header-only"],
+)
+def test_load_csv_rejects_files_without_features_or_rows(tmp_path, text, error, named):
+    with pytest.raises(error, match=named):
+        load_csv(_write(tmp_path, text))
+
+
 def test_load_csv_label_column_out_of_range(tmp_path):
     path = _write(tmp_path, "1.0,2.0,a\n3.0,4.0,b\n")
     with pytest.raises(CsvParseError, match="label column"):
@@ -118,6 +131,15 @@ def test_dataset_validation_rejects_degenerate_shapes():
         LabeledDataset(np.ones((3, 2)), np.array([0, 1, 0]), num_classes=1)
     with pytest.raises(InvalidDatasetError):
         LabeledDataset(np.ones((3, 2)), np.array([0, 1]), num_classes=2)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_dataset_rejects_non_finite_features_naming_row_and_column(value):
+    # load_csv names the file row instead (see the non-numeric cell test)
+    features = np.ones((3, 2))
+    features[2, 1] = value
+    with pytest.raises(InvalidDatasetError, match="finite; row 2, column 1"):
+        LabeledDataset(features, np.array([0, 1, 0]), num_classes=2)
 
 
 def test_dataset_arrays_are_immutable(iris):

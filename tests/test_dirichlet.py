@@ -68,6 +68,15 @@ def test_inverse_digamma_round_trips():
     assert np.max(np.abs(back - xs) / xs) < 1e-10
 
 
+def test_huge_arguments_do_not_overflow():
+    # x * x overflows past 1.3e154 inside digamma's series
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert digamma(1e200) == pytest.approx(math.log(1e200))
+        for y in (300.0, 355.0, 700.0):
+            assert digamma(inverse_digamma(y)) == pytest.approx(y)
+
+
 def test_inverse_digamma_scalar_and_array_forms():
     y = digamma(3.7)
     assert abs(inverse_digamma(y) - 3.7) < 1e-10
@@ -125,6 +134,19 @@ def test_entropy_concentrated_is_very_negative():
     spread = dirichlet_entropy(np.ones(5))
     spiked = dirichlet_entropy(np.array([100.0, 0.1, 0.1, 0.1, 0.1]))
     assert spiked < spread - 10
+
+
+@pytest.mark.parametrize(
+    "call, named",
+    [
+        (lambda: inverse_digamma(np.nan), "finite"),
+        (lambda: sample_dirichlet(np.ones(2), 0, np.random.default_rng(0)), "size"),
+    ],
+    ids=["inverse-digamma-nan", "sample-size-0"],
+)
+def test_public_guards_name_the_bad_argument(call, named):
+    with pytest.raises(ValueError, match=named):
+        call()
 
 
 def test_entropy_rejects_bad_alpha():

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ldmcap import LDMatrix, render_pgm
+from ldmcap import LDMatrix, heatmap, render_pgm
 
 
 def _ldm_from_matrix(matrix):
@@ -125,12 +125,26 @@ def test_config_validation(tmp_path):
 
 
 @pytest.mark.parametrize("scale", ["linear", "log"])
-def test_render_works_in_place(tmp_path, scale):
-    # one float working array plus its 8-bit pixels: 1.125 times the matrix
-    rng = np.random.default_rng(5)
-    matrix = rng.random((3**7, 40))
+@pytest.mark.parametrize("block_bytes", [1, 3 * 5 * 8, 7 * 5 * 8])
+def test_block_size_does_not_change_the_image(tmp_path, monkeypatch, scale, block_bytes):
+    # one row per block, blocks that tile the 81 rows, and a short last block
+    rng = np.random.default_rng(6)
+    matrix = rng.random((3**4, 5))
     matrix /= matrix.sum(axis=0, keepdims=True)
-    ldm = LDMatrix(matrix, num_classes=3, holdout_size=7, column_seeds=range(40))
+    ldm = LDMatrix(matrix, num_classes=3, holdout_size=4, column_seeds=range(5))
+    render_pgm(ldm, tmp_path / "whole.pgm", scale=scale)
+    monkeypatch.setattr(heatmap, "_BLOCK_BYTES", block_bytes)
+    render_pgm(ldm, tmp_path / "blocks.pgm", scale=scale)
+    assert (tmp_path / "blocks.pgm").read_bytes() == (tmp_path / "whole.pgm").read_bytes()
+
+
+@pytest.mark.parametrize("scale", ["linear", "log"])
+def test_render_works_in_place(tmp_path, scale):
+    # beside the matrix, one block of rows as floats plus its 8-bit pixels
+    rng = np.random.default_rng(5)
+    matrix = rng.random((3**8, 100))
+    matrix /= matrix.sum(axis=0, keepdims=True)
+    ldm = LDMatrix(matrix, num_classes=3, holdout_size=8, column_seeds=range(100))
     render_pgm(ldm, tmp_path / "warm.pgm", scale=scale)
     tracemalloc.start()
     try:
@@ -139,4 +153,4 @@ def test_render_works_in_place(tmp_path, scale):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (peak - start) / matrix.nbytes <= 1.2
+    assert (matrix.nbytes + peak - start) / matrix.nbytes <= 1.35

@@ -76,6 +76,23 @@ def test_index_to_labeling_rejects_out_of_range():
         index_to_labeling(-1, 2, 3)
 
 
+@pytest.mark.parametrize(
+    "call, named",
+    [
+        (lambda ds: build_ldm(ClassifierSpec("knn"), ds, k_columns=0), "k_columns"),
+        (lambda ds: build_ldm(ClassifierSpec("knn"), ds, holdout_size=0), "holdout_size"),
+        (lambda ds: simplex_vector(_StubModel([[0.5, 0.5]]), np.zeros(1)), "holdout_features"),
+        (lambda ds: simplex_vector(_StubModel([[1.0]]), _holdout(1)), "num_classes"),
+        (lambda ds: index_to_labeling(0, 3, 0), "holdout_size"),
+    ],
+    ids=["build-k-0", "build-holdout-0", "simplex-1d-holdout", "simplex-one-class",
+         "labeling-holdout-0"],
+)
+def test_public_guards_name_the_bad_argument(iris, call, named):
+    with pytest.raises(ValueError, match=named):
+        call(iris)
+
+
 # ---------------------------------------------------------------------------
 # simplex vectors
 # ---------------------------------------------------------------------------
