@@ -3,9 +3,9 @@
 The fit takes Newton steps on the mean log-likelihood.  Its Hessian is
 diagonal plus rank one, so each step inverts it in closed form at O(m) cost
 (T. Minka, *Estimating a Dirichlet distribution*, 2000).  A fit stops on the
-first step whose largest alpha change is at most the tolerance; Newton
-converges quadratically, so that step lands at the optimum.  A Newton step
-that overflows is replaced by the classic fixed-point step
+first step whose largest alpha change is at most 1e-7; Newton converges
+quadratically, so that step lands at the optimum.  A Newton step that
+overflows is replaced by the classic fixed-point step
 
     psi(alpha_j_new) = psi(sum_k alpha_k) + mean_i log p_j^(i)
 
@@ -17,26 +17,24 @@ bound towards a point mass), and so do columns whose sum rounds to 1 or
 more.  Both are detected before the first step, and the fit returns at once
 with status ``"no_optimum"``: such input has no maximum-likelihood entropy.
 
-The special functions it needs —
-``digamma``, ``inverse_digamma``, ``lgamma`` — are implemented here from
-primitive operations so their accuracy contracts are owned by this module.
-Each takes a scalar (and returns a Python float) or an array of any shape
-(and returns an array of that shape), and works on the whole array at once.
+``digamma`` and ``inverse_digamma`` are implemented here from primitive
+operations, so their accuracy contracts are owned by this module;
+``lgamma`` maps the standard library's ``math.lgamma``.  Each takes a scalar
+(and returns a Python float) or an array of any shape (and returns an array
+of that shape).
 
-``digamma``, its derivative ``trigamma`` and ``lgamma`` share one recurrence
-step, ``f(x) = f(x + 1) + term(x)``: ``_shift_up`` raises every argument
-below a threshold by ones and sums the terms it passed, and an asymptotic
-series (``_horner``) is then evaluated at the shifted argument.
+``digamma`` and its derivative ``trigamma`` share one recurrence step,
+``f(x) = f(x + 1) + term(x)``: ``_shift_up`` raises every argument below 6
+by ones and sums the terms it passed, and an asymptotic series
+(``_horner``) is then evaluated at the shifted argument.
 
-* ``digamma``: de Moivre asymptotic series after shifting the argument up to
-  at least 6 (term ``-1/x``); absolute error stays below 1e-12 for x >= 1e-2.
+* ``digamma``: de Moivre asymptotic series (term ``-1/x``); absolute error
+  stays below 1e-12 for x >= 1e-2.
+* ``trigamma``: 1/x + 1/(2x^2) + sum_k B_2k / x^(2k+1) (term ``1/x^2``);
+  relative error stays below 2e-12.
 * ``inverse_digamma``: Newton iterations from the standard piecewise initial
   guess (exp(y) + 1/2 for y >= -2.22, else -1/(y + Euler gamma)), with
-  trigamma (term ``1/x^2``) as the derivative.
-* ``lgamma``: Stirling–de Moivre log-series after shifting to x >= 10 (term
-  ``-log x``), evaluated in extended precision so that the result is
-  accurate to 1e-12 in absolute terms even where log Gamma reaches several
-  thousand.
+  trigamma as the derivative.
 
 Everything uses natural logarithms.  Differential entropy can be negative;
 for concentrated Dirichlets it is very negative.
@@ -44,6 +42,7 @@ for concentrated Dirichlets it is very negative.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,20 +51,11 @@ from .errors import FitNumericalError
 
 EULER_GAMMA = 0.5772156649015328606
 
-# 0.5 * ln(2 * pi) to extended precision (parsed into a long double).
-_HALF_LN_TWO_PI = np.longdouble("0.91893853320467274178032973640561763986")
-
 _ASYMPTOTIC_MIN = 6.0
-_LGAMMA_SHIFT_MIN = 10.0
 
 # Coefficients c0, c1, .. of the asymptotic series in powers of 1/x^2.
 _DIGAMMA_SERIES = (-1 / 12, 1 / 120, -1 / 252, 1 / 240, -1 / 132, 691 / 32760, -1 / 12)
 _TRIGAMMA_SERIES = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
-_STIRLING_SERIES = tuple(
-    np.longdouble(n) / d
-    for n, d in ((1, 12), (-1, 360), (1, 1260), (-1, 1680), (1, 1188),
-                 (-691, 360360), (1, 156), (-3617, 122400))
-)
 
 
 def _as_positive_array(x, name: str) -> np.ndarray:
@@ -127,7 +117,7 @@ def _trigamma_raw(x: np.ndarray) -> np.ndarray:
     x, acc = _shift_up(x, _ASYMPTOTIC_MIN, lambda v: 1.0 / v**2)
     inv = 1.0 / x
     inv2 = inv * inv
-    tail = inv * (1.0 + inv * (0.5 + inv2 * _horner(inv2, _TRIGAMMA_SERIES)))
+    tail = inv * (1.0 + inv * (0.5 + inv * _horner(inv2, _TRIGAMMA_SERIES)))
     return acc + tail
 
 
@@ -136,15 +126,18 @@ def digamma(x):
     return _like_input(_digamma_raw(_as_positive_array(x, "digamma")), x)
 
 
-def _inverse_digamma_raw(y: np.ndarray) -> np.ndarray:
-    y = np.asarray(y, dtype=np.float64)
+def inverse_digamma(y):
+    """The x > 0 with psi(x) = y.  Accepts scalars or arrays of finite reals."""
+    y_arr = np.atleast_1d(np.asarray(y, dtype=np.float64))
+    if not np.all(np.isfinite(y_arr)):
+        raise ValueError("inverse_digamma requires finite arguments")
     x = np.where(
-        y >= -2.22,
-        np.exp(np.minimum(y, 700.0)) + 0.5,
-        -1.0 / (y + EULER_GAMMA),
+        y_arr >= -2.22,
+        np.exp(np.minimum(y_arr, 700.0)) + 0.5,
+        -1.0 / (y_arr + EULER_GAMMA),
     )
     for _ in range(40):
-        resid = _digamma_raw(x) - y
+        resid = _digamma_raw(x) - y_arr
         if np.all(np.abs(resid) <= 1e-13):
             break
         step = resid / _trigamma_raw(x)
@@ -154,36 +147,24 @@ def _inverse_digamma_raw(y: np.ndarray) -> np.ndarray:
             step = np.where(new <= 0.0, 0.5 * step, step)
             new = x - step
         x = new
-    return x
-
-
-def inverse_digamma(y):
-    """The x > 0 with psi(x) = y.  Accepts scalars or arrays of finite reals."""
-    arr = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("inverse_digamma requires finite arguments")
-    return _like_input(_inverse_digamma_raw(arr), y)
+    return _like_input(x, y)
 
 
 def lgamma(x):
     """log Gamma(x) for x > 0.  Accepts scalars or arrays.
 
-    Internals run in extended precision: log Gamma(1000) is ~5906, so hitting
-    1e-12 absolute accuracy needs more headroom than float64 arithmetic has.
+    Maps ``math.lgamma``, which raises ``OverflowError`` where log Gamma
+    exceeds the float64 range (x above about 2.6e305).
     """
-    # log Gamma(x) = log Gamma(x + 1) - log x, shifted until x >= 10.
-    x_ld = _as_positive_array(x, "lgamma").astype(np.longdouble)
-    x_ld, shift = _shift_up(x_ld, _LGAMMA_SHIFT_MIN, np.log)
-    inv = 1 / x_ld
-    # Stirling-series correction sum B_2n / (2n (2n-1) x^(2n-1)).
-    tail = inv * _horner(inv * inv, _STIRLING_SERIES)
-    out = (x_ld - 0.5) * np.log(x_ld) - x_ld + _HALF_LN_TWO_PI + tail - shift
-    return _like_input(out.astype(np.float64), x)
+    arr = _as_positive_array(x, "lgamma")
+    return _like_input(np.array([math.lgamma(v) for v in arr.ravel().tolist()]), x)
 
 
-# Step bound of a fit.  Newton reaches the optimum of an LDM in 6-13 steps,
-# and in 40 where fixed-point steps stand in; a fit that exhausts the bound
-# reports status "max_iter".
+# A fit stops on the first step that moves no alpha by more than _TOLERANCE,
+# or reports status "max_iter" after _MAX_ITER steps.  Newton reaches the
+# optimum of the benchmark's LDMs in 5-30 steps (6-13 at N' = 8 and 9), and
+# in 172 on the test input where fixed-point steps stand in.
+_TOLERANCE = 1e-7
 _MAX_ITER = 1000
 
 
@@ -232,7 +213,7 @@ def _newton_step(alpha, log_p_bar):
     return step if np.all(np.isfinite(step)) else None
 
 
-def fit_dirichlet(samples, tolerance: float = 1e-7) -> FitReport:
+def fit_dirichlet(samples) -> FitReport:
     """Fit Dirichlet concentration parameters to simplex samples by MLE.
 
     ``samples`` is an m x K matrix whose K columns are simplex vectors (every
@@ -241,12 +222,12 @@ def fit_dirichlet(samples, tolerance: float = 1e-7) -> FitReport:
     against the first component's variance.  Each iteration then takes a
     Newton step (``_newton_step``), halved as often as needed to keep every
     alpha positive, or the fixed-point step where the Newton step is not
-    finite.  The fit stops once a step changes no alpha by more than
-    ``tolerance`` (status ``"optimum"``), or at the step bound (``"max_iter"``,
-    reported, not raised).  Input whose likelihood has no maximum — identical
-    columns, or columns so close to identical that rounding hides the
-    difference — returns before the first step with status ``"no_optimum"``
-    and the column mean as ``alpha``.
+    finite.  The fit stops once a step changes no alpha by more than 1e-7
+    (``_TOLERANCE``; status ``"optimum"``), or at the step bound
+    (``"max_iter"``, reported, not raised).  Input whose likelihood has no
+    maximum — identical columns, or columns so close to identical that
+    rounding hides the difference — returns before the first step with
+    status ``"no_optimum"`` and the column mean as ``alpha``.
     """
     p = np.asarray(samples, dtype=np.float64)
     if p.ndim != 2:
@@ -289,7 +270,7 @@ def fit_dirichlet(samples, tolerance: float = 1e-7) -> FitReport:
         a0 = 0.0
     # The moment estimate degenerates on spiky data (near-Bernoulli first
     # component).  A microscopic start is hazardous: one step can then move
-    # less than the convergence tolerance while still being nowhere near the
+    # less than the stop tolerance while still being nowhere near the
     # optimum.  Clamping only changes the starting point.
     if not np.isfinite(a0):
         a0 = 1.0
@@ -301,7 +282,7 @@ def fit_dirichlet(samples, tolerance: float = 1e-7) -> FitReport:
         step = _newton_step(alpha, log_p_bar)
         if step is None:
             psi_total = _digamma_raw(np.array([alpha.sum()]))[0]
-            alpha_new = _inverse_digamma_raw(psi_total + log_p_bar)
+            alpha_new = inverse_digamma(psi_total + log_p_bar)
         else:
             alpha_new = alpha - step
             while np.any(alpha_new <= 0.0):
@@ -313,7 +294,7 @@ def fit_dirichlet(samples, tolerance: float = 1e-7) -> FitReport:
             )
         delta = float(np.max(np.abs(alpha_new - alpha)))
         alpha = alpha_new
-        if delta <= tolerance:
+        if delta <= _TOLERANCE:
             status = "optimum"
             break
     return FitReport(alpha=alpha, iterations=iterations, status=status, final_delta=delta)

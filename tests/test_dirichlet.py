@@ -50,6 +50,14 @@ def test_digamma_rejects_nonpositive():
         digamma(np.array([1.0, -2.0]))
 
 
+def test_trigamma_matches_reference_over_fifteen_decades():
+    # the Newton step's Hessian; x = 6 is where the series takes over
+    xs = np.append(np.geomspace(1e-3, 1e12, 76), 6.0)
+    ours = dirichlet._trigamma_raw(xs)
+    ref = np.array([float(mpmath.psi(1, x)) for x in xs])
+    assert np.max(np.abs(ours - ref) / ref) <= 2e-12
+
+
 def test_lgamma_matches_reference():
     xs = np.geomspace(1e-2, 1e3, 60)
     ours = np.array([lgamma(x) for x in xs])
@@ -60,6 +68,12 @@ def test_lgamma_matches_reference():
 def test_lgamma_factorials():
     for n in range(1, 15):
         assert abs(lgamma(n + 1) - math.log(math.factorial(n))) < 1e-11
+
+
+def test_lgamma_raises_where_log_gamma_overflows():
+    assert lgamma(1e305) == pytest.approx(float(mpmath.loggamma(1e305)))
+    with pytest.raises(OverflowError):
+        lgamma(np.array([2.0, 1e306]))
 
 
 def test_inverse_digamma_round_trips():
@@ -210,11 +224,9 @@ def test_fit_is_deterministic():
 def test_fit_convergence_is_max_component_step():
     rng = np.random.default_rng(9)
     samples = sample_dirichlet(np.array([3.0, 1.0, 2.0]), 2_000, rng)
-    report = fit_dirichlet(samples, tolerance=1e-7)
+    report = fit_dirichlet(samples)
     assert report.converged
     assert report.final_delta < 1e-7
-    loose = fit_dirichlet(samples, tolerance=1e-3)
-    assert loose.iterations <= report.iterations
 
 
 def _assert_no_optimum(report):
@@ -275,7 +287,7 @@ def test_fit_takes_a_fixed_point_step_where_the_newton_step_overflows(monkeypatc
         fallbacks.append(step is None)
         return step
 
-    inverse = dirichlet._inverse_digamma_raw
+    inverse = dirichlet.inverse_digamma
     fixed_point_steps = []
 
     def fixed_point_spy(y):
@@ -283,7 +295,7 @@ def test_fit_takes_a_fixed_point_step_where_the_newton_step_overflows(monkeypatc
         return inverse(y)
 
     monkeypatch.setattr(dirichlet, "_newton_step", spy)
-    monkeypatch.setattr(dirichlet, "_inverse_digamma_raw", fixed_point_spy)
+    monkeypatch.setattr(dirichlet, "inverse_digamma", fixed_point_spy)
     samples = np.array([[1e-40, 1e-30], [1.0 - 2.0**-53, 1.0 - 2.0**-53]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -383,8 +395,8 @@ def test_fit_handles_near_deterministic_columns():
     assert -1e7 < entropy < 0
 
 
-def test_fit_at_default_tolerance_reaches_the_tight_optimum_on_spiky_columns():
+def test_fit_stops_at_a_zero_gradient_on_spiky_columns():
     samples = _spiky_columns()
-    default = dirichlet_entropy(fit_dirichlet(samples).alpha)
-    tight = dirichlet_entropy(fit_dirichlet(samples, tolerance=1e-12).alpha)
-    assert abs(default - tight) <= 1e-8
+    report = fit_dirichlet(samples)
+    assert report.converged
+    assert _gradient_max_norm(samples, report.alpha) <= 1e-9
