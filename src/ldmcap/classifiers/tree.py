@@ -21,7 +21,14 @@ evaluate the cost with the same float operations in the same order.
   calls dominates: 90% of an unpruned forest's split searches on iris with
   random labels.
 
-Which scan runs depends only on the size of the node's table.
+Which scan runs depends only on the size of the node's table.  Every node
+below a small node is small too, so a small node's whole subtree is grown on
+plain Python lists (rows, class counts, columns gathered from one
+``tolist()`` of the features per tree) with no numpy call but the feature
+draw; larger nodes stay on arrays.  There the impurity test adds the squared
+class fractions in order, as numpy's sum does for fewer than eight terms;
+from eight classes up numpy sums in unrolled blocks, so those nodes call
+``_gini``.
 
 With feature subsampling a node draws its features from ``rng`` as it is
 reached.  One feature of several, a forest's default, is drawn as
@@ -33,12 +40,15 @@ gives, at a quarter of the cost.
 The grown tree is a set of arrays indexed by node id in preorder (depth
 first, left before right): split feature and threshold, left and right child,
 and the node's training class frequencies.  A leaf is its own child on both
-sides, so prediction steps every row down one level per pass until the
-deepest leaf.  AdaBoost's stumps share the threshold rule
+sides, so :func:`_walk` steps every row down one level per pass until the
+deepest leaf; it starts from several roots at once for a forest's
+concatenated trees.  AdaBoost's stumps share the threshold rule
 (``_threshold_after``).
 """
 
 from __future__ import annotations
+
+from operator import itemgetter
 
 import numpy as np
 
@@ -48,6 +58,17 @@ from .base import TrainedModel
 def _gini(counts: np.ndarray, total: int) -> float:
     frac = counts / total
     return 1.0 - float((frac * frac).sum())
+
+
+def _gini_of_list(counts: list, total: int) -> float:
+    """:func:`_gini` of a list of counts, to the bit."""
+    if len(counts) >= 8:  # numpy sums eight or more terms out of order
+        return _gini(np.array(counts), total)
+    squares = 0.0
+    for c in counts:
+        frac = c / total
+        squares += frac * frac
+    return 1.0 - squares
 
 
 def _threshold_after(sv, i):
@@ -79,13 +100,30 @@ class DecisionTreeModel(TrainedModel):
 
     def predict_proba_batch(self, X) -> np.ndarray:
         X = self._check_rows(X)
-        flat = X.ravel()
-        row_start = np.arange(X.shape[0]) * X.shape[1]
-        node = np.zeros(X.shape[0], dtype=np.intp)
-        for _ in range(self._depth):
-            go_left = flat[row_start + self._feature[node]] <= self._threshold[node]
-            node = np.where(go_left, self._left[node], self._right[node])
-        return self._probs[node]
+        leaves = _walk(self._feature, self._threshold, self._left, self._right,
+                       self._depth, X, _ONE_ROOT)
+        return self._probs[leaves[0]]
+
+
+_ONE_ROOT = np.zeros(1, dtype=np.intp)
+
+
+def _walk(feature, threshold, left, right, depth, X, roots):
+    """The leaf each row of ``X`` reaches from each root: shape (roots, rows).
+
+    The arrays hold one tree, or several concatenated with their child ids
+    offset; ``depth`` is the deepest leaf's depth below any root.  Every
+    (root, row) pair steps down one level per pass, so a forest costs the
+    numpy calls of one tree.
+    """
+    q, d = X.shape
+    flat = X.ravel()
+    row_start = np.arange(roots.size * q) % q * d
+    node = roots.repeat(q)
+    for _ in range(depth):
+        go_left = flat[row_start + feature[node]] <= threshold[node]
+        node = np.where(go_left, left[node], right[node])
+    return node.reshape(roots.size, q)
 
 
 def _table_scan(values, labels, counts):
@@ -122,11 +160,11 @@ def _table_scan(values, labels, counts):
 def _small_scan(columns, labels, counts):
     """:func:`_table_scan` in plain Python, for nodes of a few rows.
 
-    Takes lists: the node's columns (one list of values per drawn feature),
-    its rows' classes and its class counts.  The sums of squared class counts
-    are exact integers kept up to date one row at a time, and each cut's
-    cost is the same float expression as the table's, so the result is the
-    same.
+    Takes the node's columns (a sequence of values per drawn feature), its
+    rows' classes and its class counts (a list), and gives the child class
+    counts as two lists.  The sums of squared class counts are exact
+    integers kept up to date one row at a time, and each cut's cost is the
+    same float expression as the table's, so the result is the same.
     """
     n = len(labels)
     sq_total = sum(c * c for c in counts)
@@ -157,7 +195,7 @@ def _small_scan(columns, labels, counts):
     if best is None:
         return None
     row, bounds, left, right = best
-    return best_cost, row, _threshold_after(bounds, 0), np.array([left, right], dtype=np.intp)
+    return best_cost, row, _threshold_after(bounds, 0), [left, right]
 
 
 # A node whose table has at most this many cells (rows x drawn features) is
@@ -180,39 +218,17 @@ def _build(X, y, num_classes, max_depth, max_features, rng):
     if max_features is not None and max_features < d and rng is None:
         raise ValueError("feature subsampling requires an rng")
     n_sub = d if max_features is None else min(max_features, d)
+    small_rows = _SMALL_SCAN_CELLS // n_sub  # a node of at most this many rows is small
     by_feature = np.ascontiguousarray(X.T)
-    all_features = np.arange(d)
+    columns = labels = None  # the lists small nodes gather from, made once
+    all_features = range(d)
     feature, threshold, left, right, class_counts = [], [], [], [], []
     depth_reached = 0
 
-    def split(idx, counts):
-        """(feature, threshold, go_left, child class counts) of the best cut
-        of rows ``idx``, or None when no cut gains.  Its tables die on return,
-        so the nodes waiting on the stack hold none of them."""
-        n = idx.size
-        if n_sub == d:
-            feats, values = all_features, by_feature[:, idx]
-        else:
-            if n_sub == 1:  # the draw choice(d, size=1, replace=False) makes
-                feats = [int(rng.integers(d))]
-            else:
-                feats = np.sort(rng.choice(d, size=n_sub, replace=False))
-            values = by_feature[feats][:, idx]
-        if values.size <= _SMALL_SCAN_CELLS:
-            best = _small_scan(values.tolist(), y[idx].tolist(), counts.tolist())
-        else:
-            best = _table_scan(values, y[idx], counts)
-        if best is None or best[0] >= _gini(counts, n) - 1e-12:
-            return None
-        _, row, t, child_counts = best
-        return int(feats[row]), t, values[row] <= t, child_counts
-
-    # Depth first, left before right, so node ids come out in preorder and
-    # the feature draws happen in that order.  Each entry is (rows, class
-    # counts, depth, the child list to record the node in, its parent).
-    stack = [(np.arange(n_rows), np.bincount(y, minlength=num_classes), 0, None, 0)]
-    while stack:
-        idx, counts, depth, children, parent = stack.pop()
+    def record(counts, depth, children, parent):
+        """Append a leaf node; the caller makes it a split by setting its
+        feature, threshold and children."""
+        nonlocal depth_reached
         node = len(feature)
         if children is not None:
             children[parent] = node
@@ -222,14 +238,65 @@ def _build(X, y, num_classes, max_depth, max_features, rng):
         right.append(node)
         class_counts.append(counts)
         depth_reached = max(depth_reached, depth)
+        return node
+
+    def draw():
+        """The features a node scans, drawn from ``rng`` when subsampling."""
+        if n_sub == d:
+            return all_features
+        if n_sub == 1:  # the draw choice(d, size=1, replace=False) makes
+            return [int(rng.integers(d))]
+        return np.sort(rng.choice(d, size=n_sub, replace=False)).tolist()
+
+    def grow_small(rows, counts, depth, children, parent):
+        """Grow the subtree of a small node on lists, in preorder.  Its
+        entries are those of the array stack, with lists for arrays."""
+        nonlocal columns, labels
+        stack = [(rows, counts, depth, children, parent)]
+        while stack:
+            rows, counts, depth, children, parent = stack.pop()
+            node = record(counts, depth, children, parent)
+            n = len(rows)
+            if n < 2 or max(counts) == n or (max_depth is not None and depth >= max_depth):
+                continue
+            if columns is None:
+                columns, labels = by_feature.tolist(), y.tolist()
+            feats = draw()
+            take = itemgetter(*rows)
+            values = [take(columns[f]) for f in feats]
+            best = _small_scan(values, take(labels), counts)
+            if best is None or best[0] >= _gini_of_list(counts, n) - 1e-12:
+                continue
+            _, row, t, (left_counts, right_counts) = best
+            feature[node], threshold[node] = feats[row], t
+            column = values[row]
+            stack.append(([r for r, v in zip(rows, column) if v > t],
+                          right_counts, depth + 1, right, node))
+            stack.append(([r for r, v in zip(rows, column) if v <= t],
+                          left_counts, depth + 1, left, node))
+
+    # Depth first, left before right, so node ids come out in preorder and
+    # the feature draws happen in that order.  Each entry is (rows, class
+    # counts, depth, the child list to record the node in, its parent).
+    stack = [(np.arange(n_rows), np.bincount(y, minlength=num_classes), 0, None, 0)]
+    while stack:
+        idx, counts, depth, children, parent = stack.pop()
+        if idx.size <= small_rows:
+            grow_small(idx.tolist(), counts.tolist(), depth, children, parent)
+            continue
+        node = record(counts, depth, children, parent)
         pure = np.count_nonzero(counts) == 1
         capped = max_depth is not None and depth >= max_depth
         if pure or capped or idx.size < 2:
             continue
-        best = split(idx, counts)
-        if best is None:
+        feats = draw()
+        values = by_feature[:, idx] if n_sub == d else by_feature[feats][:, idx]
+        best = _table_scan(values, y[idx], counts)
+        if best is None or best[0] >= _gini(counts, idx.size) - 1e-12:
             continue
-        feature[node], threshold[node], go_left, child_counts = best
+        _, row, t, child_counts = best
+        feature[node], threshold[node] = feats[row], t
+        go_left = values[row] <= t
         stack.append((idx[~go_left], child_counts[1], depth + 1, right, node))
         stack.append((idx[go_left], child_counts[0], depth + 1, left, node))
     class_counts = np.array(class_counts)

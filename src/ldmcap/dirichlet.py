@@ -340,7 +340,7 @@ def fit_report_json(report: FitReport) -> dict:
     """
     found = report.status != "no_optimum"
     return {
-        "alpha": [float(a) for a in report.alpha],
+        "alpha": report.alpha.tolist(),
         "iterations": report.iterations,
         "status": report.status,
         "converged": report.converged,

@@ -200,11 +200,26 @@ def build_ldm(
     return LDMatrix(matrix, ds.num_classes, holdout_size, seeds)
 
 
+#: Values :func:`write_ldm_csv` formats per write: a block is as many whole
+#: rows as fit, at least one.  Larger blocks cost peak memory that grows with
+#: the file: blocks of 256 rows x 30 columns raised a writer's peak RSS by
+#: 4 MB at 6,561 rows and 12 MB at 59,049, against 0.3-0.4 MB for this size.
+_CSV_BLOCK_VALUES = 256
+
+
 def write_ldm_csv(ldm: LDMatrix, path: str | Path) -> None:
     """Write the matrix as CSV: header ``col_0..col_{K-1}``, row r = labeling index r.
 
     Values carry 17 significant digits, enough to reproduce every float64
-    exactly.
+    exactly.  The text is ``np.savetxt``'s with ``fmt="%.17g"``, but each
+    block of rows is formatted by one ``%`` over its values, not row by row.
     """
-    header = ",".join(f"col_{i}" for i in range(ldm.k_columns))
-    np.savetxt(path, ldm.matrix, fmt="%.17g", delimiter=",", header=header, comments="")
+    matrix = ldm.matrix
+    k = ldm.k_columns
+    rows = max(1, _CSV_BLOCK_VALUES // k)
+    line = ",".join(["%.17g"] * k) + "\n"
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(",".join(f"col_{i}" for i in range(k)) + "\n")
+        for top in range(0, matrix.shape[0], rows):
+            block = matrix[top:top + rows]
+            fh.write((line * block.shape[0]) % tuple(block.ravel().tolist()))

@@ -277,6 +277,29 @@ def test_write_ldm_csv_round_trips_exactly(tmp_path, iris):
     assert np.array_equal(back, ldm.matrix)  # 17 significant digits: bit exact
 
 
+# 2 columns make blocks of 128 rows, 30 columns blocks of 8
+@pytest.mark.parametrize("k_columns, num_classes, holdout_size, shape", [
+    (2, 2, 6, "under-one-block"), (2, 2, 7, "one-block"), (2, 3, 5, "partial-last-block"),
+    (30, 2, 2, "under-one-block"), (30, 2, 3, "one-block"), (30, 3, 3, "partial-last-block"),
+])
+def test_write_ldm_csv_is_savetxt_byte_for_byte(k_columns, num_classes, holdout_size, shape,
+                                                 tmp_path):
+    rows = num_classes**holdout_size
+    block = ldm_module._CSV_BLOCK_VALUES // k_columns
+    assert {"under-one-block": rows < block, "one-block": rows == block,
+            "partial-last-block": rows > block and rows % block != 0}[shape]
+    # values across many decades, one of them subnormal
+    matrix = np.random.default_rng(rows + k_columns).random((rows, k_columns)) ** 12
+    matrix[-1, 0] = 1e-310
+    matrix /= matrix.sum(axis=0)
+    ldm = LDMatrix(matrix, num_classes, holdout_size, tuple(range(k_columns)))
+    write_ldm_csv(ldm, tmp_path / "blocks.csv")
+    header = ",".join(f"col_{i}" for i in range(k_columns))
+    np.savetxt(tmp_path / "savetxt.csv", matrix, fmt="%.17g", delimiter=",", header=header,
+               comments="")
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
+
+
 def test_csv_row_order_is_labeling_index(tmp_path):
     # a stub whose first point strongly prefers class 0 makes the first
     # block of 2**1 rows the largest, pinning the row convention

@@ -4,8 +4,9 @@ Each reference tries every feature and every cut between adjacent distinct
 values, in (feature, threshold) order, and keeps a candidate only when it is
 strictly better, so the first of equally good candidates wins.  The data are
 tie-heavy: iris columns rounded to integers, with random labels, so many
-cuts share a cost.  A tree scans a small node in plain Python and a larger
-one in one array pass; both scans are also checked against each other, and
+cuts share a cost.  A tree grows a small node's subtree in plain Python and
+scans a larger node in one array pass; both scans are also checked against
+each other, whole trees and forests grown either way against each other, and
 the forest's one-feature draw against the ``Generator.choice`` it stands for.
 """
 
@@ -169,22 +170,61 @@ def test_small_scan_matches_table_scan(seed):
         assert np.array_equal(child_counts, table[3])
 
 
+def _grown_three_ways(grow, cells):
+    """``grow()`` with small nodes as the scan threshold puts them, with none
+    and with every node small (the whole tree on lists)."""
+    mixed = grow()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tree, "_SMALL_SCAN_CELLS", 0)
+        arrays = grow()
+        patch.setattr(tree, "_SMALL_SCAN_CELLS", cells)
+        return mixed, arrays, grow()
+
+
+_TREE_ARRAYS = ("_feature", "_threshold", "_left", "_right", "_probs", "_depth")
+
+
 @pytest.mark.parametrize("max_features", [None, 2, 1])
-def test_tree_is_the_same_whichever_scan_takes_each_node(max_features, iris, monkeypatch):
-    y = np.random.default_rng(3).integers(0, 3, iris.n_examples)
+def test_tree_is_the_same_whichever_scan_takes_each_node(max_features, iris):
+    # nine classes: numpy sums nine squared fractions in blocks, not in order
+    for max_depth, num_classes in [(None, 3), (5, 3), (None, 9), (5, 9)]:
+        y = np.random.default_rng(3).integers(0, num_classes, iris.n_examples)
+
+        def grow():
+            return DecisionTreeModel(iris.features, y, num_classes, max_depth=max_depth,
+                                     max_features=max_features, rng=np.random.default_rng(8))
+
+        mixed, *others = _grown_three_ways(grow, iris.features.size)
+        for other in others:
+            for name in _TREE_ARRAYS:
+                assert np.array_equal(getattr(mixed, name), getattr(other, name))
+
+
+@pytest.mark.parametrize("num_classes", [3, 9])
+@pytest.mark.parametrize("max_depth", [None, 5])
+def test_forest_is_the_same_whichever_scan_takes_each_node(max_depth, num_classes, iris):
+    y = np.random.default_rng(4).integers(0, num_classes, iris.n_examples)
 
     def grow():
-        return DecisionTreeModel(iris.features, y, 3, max_features=max_features,
-                                 rng=np.random.default_rng(8))
+        return RandomForestModel(iris.features, y, num_classes, 10, 1, max_depth,
+                                 np.random.default_rng(6))
 
-    mixed = grow()
-    monkeypatch.setattr(tree, "_SMALL_SCAN_CELLS", 0)
-    arrays = grow()
-    monkeypatch.setattr(tree, "_SMALL_SCAN_CELLS", iris.features.size)
-    plain = grow()
-    for other in (arrays, plain):
-        for name in ("_feature", "_threshold", "_left", "_right", "_probs"):
+    mixed, *others = _grown_three_ways(grow, iris.n_examples)
+    for other in others:
+        for name in _TREE_ARRAYS + ("_roots",):
             assert np.array_equal(getattr(mixed, name), getattr(other, name))
+        assert np.array_equal(mixed.predict_proba_batch(iris.features),
+                              other.predict_proba_batch(iris.features))
+
+
+@pytest.mark.parametrize("num_classes", range(2, 11))
+def test_gini_of_a_count_list_is_gini_to_the_bit(num_classes):
+    rng = np.random.default_rng(num_classes)
+    for _ in range(2000):
+        total = int(rng.integers(2, 200))
+        counts = rng.multinomial(total, rng.dirichlet(np.ones(num_classes)))
+        expected = np.float64(tree._gini(counts, total)).tobytes()
+        assert np.float64(tree._gini_of_list(counts.tolist(), total)).tobytes() == expected
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 13, 1000])
@@ -219,8 +259,9 @@ def test_adaboost_first_stump_matches_exhaustive_samme_search(seed, iris):
         lambda X, y: DecisionTreeModel(X, y, 3),
         lambda X, y: DecisionTreeModel(X, y, 3, max_depth=3),
         lambda X, y: RandomForestModel(X, y, 3, 5, 1, None, np.random.default_rng(2)),
+        lambda X, y: RandomForestModel(X, y, 3, 5, 2, 3, np.random.default_rng(2)),
     ],
-    ids=["unpruned", "depth3", "forest"],
+    ids=["unpruned", "depth3", "forest", "forest-depth3"],
 )
 def test_batch_prediction_matches_row_by_row(build, iris):
     # rows reach leaves at different depths; walking them together must not
