@@ -1,32 +1,31 @@
 """Random forest: bagged decision trees with per-split feature subsampling.
 
-The members are ordinary flat-array :class:`DecisionTreeModel` trees.  With
-the default ``max_features=1`` each node draws its one feature with a single
-bounded integer draw and scans only that feature; a node of at most 48 rows,
-nine in ten of an unpruned tree's, is grown with its whole subtree on plain
-Python lists rather than on arrays.
-
-The fitted forest concatenates its members' preorder arrays, offsetting each
-tree's child ids by the id of its root, and predicts in one level-by-level
-walk over every (tree, row) pair (:func:`~.tree._walk`).  The members' leaf
-frequencies are then summed in tree order and divided by the tree count.
+A :class:`RandomForestModel` is a :class:`~.tree.DecisionTreeModel` whose
+node table holds one root per tree.  The one grower of :mod:`.tree` grows
+the trees one after another onto the same node lists, so node ids are
+global, and the forest predicts as a tree does: one level-by-level walk over
+every (tree, row) pair, then the trees' leaf frequencies summed in tree
+order and divided by the tree count.  With the default ``max_features=1``
+each node draws its one feature with a single bounded integer draw and scans
+only that feature; a node of at most 48 rows, nine in ten of an unpruned
+tree's, is grown with its whole subtree on plain Python lists.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .base import TrainedModel
-from .tree import DecisionTreeModel, _walk
+from .tree import DecisionTreeModel
 
 
-class RandomForestModel(TrainedModel):
+class RandomForestModel(DecisionTreeModel):
     """Probabilities are the mean of the member trees' leaf frequencies.
 
     Each tree is grown on a bootstrap resample of the training rows; all of
     the randomness (bootstraps and per-split feature choices) is drawn
     sequentially from the one generator passed in (``default_rng(0)`` when
-    none is), so a seed fixes the forest.
+    none is), so a seed fixes the forest.  Each bootstrap is drawn just
+    before its tree grows.
     """
 
     def __init__(
@@ -43,31 +42,16 @@ class RandomForestModel(TrainedModel):
             raise ValueError(f"n_estimators must be at least 1, got {n_estimators}")
         if rng is None:
             rng = np.random.default_rng(0)
-        super().__init__(num_classes, features.shape[1])
         n = features.shape[0]
-        self._trees = []
-        for _ in range(n_estimators):
-            boot = rng.integers(0, n, size=n)
-            self._trees.append(
-                DecisionTreeModel(
-                    features[boot], labels[boot], num_classes,
-                    max_depth=max_depth, max_features=max_features, rng=rng,
-                )
-            )
-        trees = self._trees
-        self._roots = np.cumsum([0] + [t._feature.size for t in trees[:-1]])
-        self._feature = np.concatenate([t._feature for t in trees])
-        self._threshold = np.concatenate([t._threshold for t in trees])
-        self._left = np.concatenate([t._left + r for t, r in zip(trees, self._roots)])
-        self._right = np.concatenate([t._right + r for t, r in zip(trees, self._roots)])
-        self._probs = np.concatenate([t._probs for t in trees])
-        self._depth = max(t._depth for t in trees)
 
-    def predict_proba_batch(self, X) -> np.ndarray:
-        X = self._check_rows(X)
-        leaves = _walk(self._feature, self._threshold, self._left, self._right,
-                       self._depth, X, self._roots)
-        acc = np.zeros((X.shape[0], self.num_classes))
-        for tree_leaves in leaves:
-            acc += self._probs[tree_leaves]
-        return acc / len(self._trees)
+        def bootstraps():
+            for _ in range(n_estimators):
+                boot = rng.integers(0, n, size=n)
+                yield features[boot], labels[boot]
+
+        self._grow(bootstraps(), features.shape[1], num_classes, max_depth, max_features, rng)
+
+    # Its own entry, not an inherited one: the benchmark's tracer wraps each
+    # model class's own predict_proba_batch, so a forest's predictions are
+    # timed as random_forest and never also as decision_tree.
+    predict_proba_batch = DecisionTreeModel.predict_proba_batch

@@ -1,4 +1,4 @@
-"""CART-style decision tree with Gini impurity, stored as flat arrays.
+"""CART-style decision trees with Gini impurity, grown onto one node table.
 
 Candidate thresholds sit at midpoints between consecutive sorted unique
 values of each feature.  Ties between equally good splits resolve toward the
@@ -22,13 +22,13 @@ evaluate the cost with the same float operations in the same order.
   random labels.
 
 Which scan runs depends only on the size of the node's table.  Every node
-below a small node is small too, so a small node's whole subtree is grown on
-plain Python lists (rows, class counts, columns gathered from one
-``tolist()`` of the features per tree) with no numpy call but the feature
-draw; larger nodes stay on arrays.  There the impurity test adds the squared
-class fractions in order, as numpy's sum does for fewer than eight terms;
-from eight classes up numpy sums in unrolled blocks, so those nodes call
-``_gini``.
+below a small node is small too, so a node turns its rows and class counts
+into lists when it becomes small, and its whole subtree is grown on plain
+Python lists (columns gathered from one ``tolist()`` of the features per
+tree) with no numpy call but the feature draw; larger nodes stay on arrays.
+There the impurity test adds the squared class fractions in order, as
+numpy's sum does for fewer than eight terms; from eight classes up numpy
+sums in unrolled blocks, so those nodes call ``_gini``.
 
 With feature subsampling a node draws its features from ``rng`` as it is
 reached.  One feature of several, a forest's default, is drawn as
@@ -37,12 +37,15 @@ Floyd's sampler, which makes that same single bounded draw and no shuffle,
 so the feature and the generator state after it are the ones ``choice``
 gives, at a quarter of the cost.
 
-The grown tree is a set of arrays indexed by node id in preorder (depth
-first, left before right): split feature and threshold, left and right child,
-and the node's training class frequencies.  A leaf is its own child on both
-sides, so :func:`_walk` steps every row down one level per pass until the
-deepest leaf; it starts from several roots at once for a forest's
-concatenated trees.  AdaBoost's stumps share the threshold rule
+One stack loop grows every tree, depth first and left before right, onto
+one node table: arrays indexed by node id holding the split feature and
+threshold, the left and right child, and the node's training class
+frequencies.  A tree is the table with one root; a forest
+(:mod:`.forest`) grows its trees one after another onto the same table, so
+node ids are global and ``_roots`` lists where each tree starts.  A leaf is
+its own child on both sides, so prediction steps every (root, row) pair
+down one level per pass until the deepest leaf, and a forest costs the
+numpy calls of one tree.  AdaBoost's stumps share the threshold rule
 (``_threshold_after``).
 """
 
@@ -76,54 +79,6 @@ def _threshold_after(sv, i):
     lo, hi = float(sv[i]), float(sv[i + 1])
     mid = 0.5 * (lo + hi)
     return mid if mid < hi else lo
-
-
-class DecisionTreeModel(TrainedModel):
-    def __init__(
-        self,
-        features: np.ndarray,
-        labels: np.ndarray,
-        num_classes: int,
-        max_depth: int | None = None,
-        max_features: int | None = None,
-        rng: np.random.Generator | None = None,
-    ):
-        if max_depth is not None and max_depth < 1:
-            raise ValueError(f"max_depth must be at least 1, got {max_depth}")
-        if max_features is not None and max_features < 1:
-            raise ValueError(f"max_features must be at least 1, got {max_features}")
-        super().__init__(num_classes, features.shape[1])
-        (self._feature, self._threshold, self._left, self._right,
-         self._probs, self._depth) = _build(
-            features, labels, num_classes, max_depth, max_features, rng
-        )
-
-    def predict_proba_batch(self, X) -> np.ndarray:
-        X = self._check_rows(X)
-        leaves = _walk(self._feature, self._threshold, self._left, self._right,
-                       self._depth, X, _ONE_ROOT)
-        return self._probs[leaves[0]]
-
-
-_ONE_ROOT = np.zeros(1, dtype=np.intp)
-
-
-def _walk(feature, threshold, left, right, depth, X, roots):
-    """The leaf each row of ``X`` reaches from each root: shape (roots, rows).
-
-    The arrays hold one tree, or several concatenated with their child ids
-    offset; ``depth`` is the deepest leaf's depth below any root.  Every
-    (root, row) pair steps down one level per pass, so a forest costs the
-    numpy calls of one tree.
-    """
-    q, d = X.shape
-    flat = X.ravel()
-    row_start = np.arange(roots.size * q) % q * d
-    node = roots.repeat(q)
-    for _ in range(depth):
-        go_left = flat[row_start + feature[node]] <= threshold[node]
-        node = np.where(go_left, left[node], right[node])
-    return node.reshape(roots.size, q)
 
 
 def _table_scan(values, labels, counts):
@@ -207,105 +162,118 @@ def _small_scan(columns, labels, counts):
 _SMALL_SCAN_CELLS = 48
 
 
-def _build(X, y, num_classes, max_depth, max_features, rng):
-    """Grow a tree depth first; return its preorder arrays and its depth.
 
-    The arrays are (feature, threshold, left, right, probs); a leaf is its
-    own left and right child.  With feature subsampling, each node that
-    looks for a split draws its features from ``rng`` as it is reached.
-    """
-    n_rows, d = X.shape
-    if max_features is not None and max_features < d and rng is None:
-        raise ValueError("feature subsampling requires an rng")
-    n_sub = d if max_features is None else min(max_features, d)
-    small_rows = _SMALL_SCAN_CELLS // n_sub  # a node of at most this many rows is small
-    by_feature = np.ascontiguousarray(X.T)
-    columns = labels = None  # the lists small nodes gather from, made once
-    all_features = range(d)
-    feature, threshold, left, right, class_counts = [], [], [], [], []
-    depth_reached = 0
 
-    def record(counts, depth, children, parent):
-        """Append a leaf node; the caller makes it a split by setting its
-        feature, threshold and children."""
-        nonlocal depth_reached
-        node = len(feature)
-        if children is not None:
-            children[parent] = node
-        feature.append(0)
-        threshold.append(0.0)
-        left.append(node)
-        right.append(node)
-        class_counts.append(counts)
-        depth_reached = max(depth_reached, depth)
-        return node
+class DecisionTreeModel(TrainedModel):
+    def __init__(
+        self,
+        features: np.ndarray,
+        labels: np.ndarray,
+        num_classes: int,
+        max_depth: int | None = None,
+        max_features: int | None = None,
+        rng: np.random.Generator | None = None,
+    ):
+        self._grow([(features, labels)], features.shape[1], num_classes,
+                   max_depth, max_features, rng)
 
-    def draw():
-        """The features a node scans, drawn from ``rng`` when subsampling."""
-        if n_sub == d:
-            return all_features
-        if n_sub == 1:  # the draw choice(d, size=1, replace=False) makes
-            return [int(rng.integers(d))]
-        return np.sort(rng.choice(d, size=n_sub, replace=False)).tolist()
+    def _grow(self, samples, d, num_classes, max_depth, max_features, rng):
+        """Grow one tree on each (features, labels) sample of ``samples`` in
+        turn, all onto the same node lists.  With feature subsampling, each
+        node that looks for a split draws its features from ``rng`` as it is
+        reached; ``samples`` may draw from it too, between trees."""
+        if max_depth is not None and max_depth < 1:
+            raise ValueError(f"max_depth must be at least 1, got {max_depth}")
+        if max_features is not None and max_features < 1:
+            raise ValueError(f"max_features must be at least 1, got {max_features}")
+        if max_features is not None and max_features < d and rng is None:
+            raise ValueError("feature subsampling requires an rng")
+        super().__init__(num_classes, d)
+        n_sub = d if max_features is None else min(max_features, d)
+        small_rows = _SMALL_SCAN_CELLS // n_sub  # a node of at most this many rows is small
+        all_features = range(d)
+        feature, threshold, left, right, class_counts, roots = [], [], [], [], [], []
+        depth_reached = 0
+        for X, y in samples:
+            roots.append(len(feature))
+            by_feature = np.ascontiguousarray(X.T)
+            columns = labels = None  # the lists small nodes gather from, made once
+            # Depth first, left before right, so node ids come out in preorder
+            # and the feature draws happen in that order.  Each entry is (rows,
+            # class counts, depth, the child list to record the node in, its
+            # parent).
+            stack = [(np.arange(len(y)), np.bincount(y, minlength=num_classes), 0, None, 0)]
+            while stack:
+                rows, counts, depth, children, parent = stack.pop()
+                n = len(rows)
+                small = n <= small_rows
+                if small and isinstance(rows, np.ndarray):
+                    rows, counts = rows.tolist(), counts.tolist()
+                node = len(feature)
+                if children is not None:
+                    children[parent] = node
+                # a leaf is its own child; a split sets its feature, threshold
+                # and children below
+                feature.append(0)
+                threshold.append(0.0)
+                left.append(node)
+                right.append(node)
+                class_counts.append(counts)
+                depth_reached = max(depth_reached, depth)
+                if n < 2 or max(counts) == n or (max_depth is not None and depth >= max_depth):
+                    continue
+                if n_sub == d:
+                    feats = all_features
+                elif n_sub == 1:  # the draw choice(d, size=1, replace=False) makes
+                    feats = [int(rng.integers(d))]
+                else:
+                    feats = np.sort(rng.choice(d, size=n_sub, replace=False)).tolist()
+                if small:
+                    if columns is None:
+                        columns, labels = by_feature.tolist(), y.tolist()
+                    take = itemgetter(*rows)
+                    values = [take(columns[f]) for f in feats]
+                    best = _small_scan(values, take(labels), counts)
+                    gini = _gini_of_list
+                else:
+                    values = by_feature[:, rows] if n_sub == d else by_feature[feats][:, rows]
+                    best = _table_scan(values, y[rows], counts)
+                    gini = _gini
+                if best is None or best[0] >= gini(counts, n) - 1e-12:
+                    continue
+                _, row, t, (left_counts, right_counts) = best
+                feature[node], threshold[node] = feats[row], t
+                column = values[row]
+                if small:
+                    go_left = [r for r, v in zip(rows, column) if v <= t]
+                    go_right = [r for r, v in zip(rows, column) if v > t]
+                else:
+                    to_left = column <= t
+                    go_left, go_right = rows[to_left], rows[~to_left]
+                stack.append((go_right, right_counts, depth + 1, right, node))
+                stack.append((go_left, left_counts, depth + 1, left, node))
+        class_counts = np.array(class_counts)
+        self._feature = np.array(feature, dtype=np.intp)
+        self._threshold = np.array(threshold)
+        self._left = np.array(left, dtype=np.intp)
+        self._right = np.array(right, dtype=np.intp)
+        self._probs = class_counts / class_counts.sum(axis=1, keepdims=True)
+        self._roots = np.array(roots, dtype=np.intp)
+        self._depth = depth_reached  # the deepest leaf's depth below its root
 
-    def grow_small(rows, counts, depth, children, parent):
-        """Grow the subtree of a small node on lists, in preorder.  Its
-        entries are those of the array stack, with lists for arrays."""
-        nonlocal columns, labels
-        stack = [(rows, counts, depth, children, parent)]
-        while stack:
-            rows, counts, depth, children, parent = stack.pop()
-            node = record(counts, depth, children, parent)
-            n = len(rows)
-            if n < 2 or max(counts) == n or (max_depth is not None and depth >= max_depth):
-                continue
-            if columns is None:
-                columns, labels = by_feature.tolist(), y.tolist()
-            feats = draw()
-            take = itemgetter(*rows)
-            values = [take(columns[f]) for f in feats]
-            best = _small_scan(values, take(labels), counts)
-            if best is None or best[0] >= _gini_of_list(counts, n) - 1e-12:
-                continue
-            _, row, t, (left_counts, right_counts) = best
-            feature[node], threshold[node] = feats[row], t
-            column = values[row]
-            stack.append(([r for r, v in zip(rows, column) if v > t],
-                          right_counts, depth + 1, right, node))
-            stack.append(([r for r, v in zip(rows, column) if v <= t],
-                          left_counts, depth + 1, left, node))
-
-    # Depth first, left before right, so node ids come out in preorder and
-    # the feature draws happen in that order.  Each entry is (rows, class
-    # counts, depth, the child list to record the node in, its parent).
-    stack = [(np.arange(n_rows), np.bincount(y, minlength=num_classes), 0, None, 0)]
-    while stack:
-        idx, counts, depth, children, parent = stack.pop()
-        if idx.size <= small_rows:
-            grow_small(idx.tolist(), counts.tolist(), depth, children, parent)
-            continue
-        node = record(counts, depth, children, parent)
-        pure = np.count_nonzero(counts) == 1
-        capped = max_depth is not None and depth >= max_depth
-        if pure or capped or idx.size < 2:
-            continue
-        feats = draw()
-        values = by_feature[:, idx] if n_sub == d else by_feature[feats][:, idx]
-        best = _table_scan(values, y[idx], counts)
-        if best is None or best[0] >= _gini(counts, idx.size) - 1e-12:
-            continue
-        _, row, t, child_counts = best
-        feature[node], threshold[node] = feats[row], t
-        go_left = values[row] <= t
-        stack.append((idx[~go_left], child_counts[1], depth + 1, right, node))
-        stack.append((idx[go_left], child_counts[0], depth + 1, left, node))
-    class_counts = np.array(class_counts)
-    probs = class_counts / class_counts.sum(axis=1, keepdims=True)
-    return (
-        np.array(feature, dtype=np.intp),
-        np.array(threshold),
-        np.array(left, dtype=np.intp),
-        np.array(right, dtype=np.intp),
-        probs,
-        depth_reached,
-    )
+    def predict_proba_batch(self, X) -> np.ndarray:
+        """The leaf frequencies each row reaches, summed over the roots in
+        order and divided by their count; for one root, (0 + p) / 1 is p."""
+        X = self._check_rows(X)
+        q, d = X.shape
+        roots = self._roots
+        flat = X.ravel()
+        row_start = np.arange(roots.size * q) % q * d
+        node = roots.repeat(q)  # every (root, row) pair steps down one level per pass
+        for _ in range(self._depth):
+            go_left = flat[row_start + self._feature[node]] <= self._threshold[node]
+            node = np.where(go_left, self._left[node], self._right[node])
+        total = np.zeros((q, self.num_classes))
+        for leaves in node.reshape(roots.size, q):
+            total += self._probs[leaves]
+        return total / roots.size

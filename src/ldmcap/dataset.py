@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -50,6 +50,17 @@ class LabeledDataset:
             raise InvalidDatasetError(
                 f"features must be finite; row {row}, column {column} is {feats[row, column]}"
             )
+        # k-NN distances, Gaussian variances and QDA covariances square the
+        # features; where even their sum of squares overflows, those fits
+        # give inf and NaN probabilities instead of an error
+        with np.errstate(over="ignore"):
+            squares = np.einsum("ij,ij->", feats, feats)
+        if not math.isfinite(squares):
+            row, column = np.unravel_index(np.abs(feats).argmax(), feats.shape)
+            raise InvalidDatasetError(
+                "features are too large to square: their sum of squares overflows; "
+                f"the largest, row {row}, column {column}, is {feats[row, column]}"
+            )
         if labs.ndim != 1 or labs.shape[0] != feats.shape[0]:
             raise InvalidDatasetError(
                 f"labels must be 1-D with one entry per feature row, got shape {labs.shape}"
@@ -85,7 +96,7 @@ class HoldoutSplit:
 
     train: LabeledDataset
     holdout_features: np.ndarray
-    holdout_indices: tuple[int, ...] = field(default=())
+    holdout_indices: tuple[int, ...]
 
     def __post_init__(self):
         object.__setattr__(

@@ -256,11 +256,15 @@ def test_forest_probabilities_average_member_trees():
     # shallow trees leave mixed leaves, whose sums depend on their order
     model = RandomForestModel(*_xyc(ds), n_estimators=10, max_features=3,
                               max_depth=2, rng=np.random.default_rng(11))
-    # one walk over every (tree, row) pair, summed in tree order
+    # the member trees again, replaying the generator: each bootstrap, then its tree
+    rng = np.random.default_rng(11)
+    X, y, _ = _xyc(ds)
     total = np.zeros((ds.features.shape[0], 3))
-    for t in model._trees:
-        total += t.predict_proba_batch(ds.features)
-    assert np.array_equal(model.predict_proba_batch(ds.features), total / len(model._trees))
+    for _ in range(10):
+        boot = rng.integers(0, len(y), size=len(y))
+        tree = DecisionTreeModel(X[boot], y[boot], 3, max_depth=2, max_features=3, rng=rng)
+        total += tree.predict_proba_batch(ds.features)
+    assert np.array_equal(model.predict_proba_batch(ds.features), total / 10)
 
 
 def test_forest_is_deterministic_given_rng_seed():

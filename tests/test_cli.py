@@ -475,6 +475,26 @@ def test_bad_input_exits_1_without_traceback(tmp_path, args, named):
     assert not (tmp_path / "o").exists()
 
 
+def test_record_on_features_too_large_to_square_exits_1_without_traceback(tmp_path):
+    # k-NN, naive Bayes and QDA would square these into inf and NaN
+    rng = np.random.default_rng(0)
+    path = tmp_path / "huge.csv"
+    path.write_text("".join(
+        f"{rng.normal() * 1e200!r},{rng.normal()!r},{i % 2}\n" for i in range(40)
+    ))
+    env = {**os.environ, "PYTHONPATH": str(Path(ldmcap.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "ldmcap.cli", "record", "--dataset", f"csv:{path}:2",
+         "--spec", "gaussian_nb", "--spec", "qda", "--spec", "knn", "--trials", "20",
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 1
+    assert done.stderr.startswith("ldmcap: error: features are too large to square")
+    assert "Traceback" not in done.stderr and "Warning" not in done.stderr
+    assert done.stdout == ""
+
+
 def test_fit_numerical_error_exits_1(tmp_path, monkeypatch, capsys):
     def diverge(samples, *args, **kwargs):
         raise FitNumericalError("alpha became non-finite", 7)

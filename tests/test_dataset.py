@@ -142,6 +142,16 @@ def test_dataset_rejects_non_finite_features_naming_row_and_column(value):
         LabeledDataset(features, np.array([0, 1, 0]), num_classes=2)
 
 
+def test_dataset_rejects_features_too_large_to_square_naming_the_largest():
+    features = np.ones((3, 2))
+    features[1, 0] = 1e200
+    features[2, 1] = -3e200
+    with pytest.raises(InvalidDatasetError, match="overflows; the largest, row 2, column 1,"):
+        LabeledDataset(features, np.array([0, 1, 0]), num_classes=2)
+    # values whose squares still sum to a finite number are kept
+    LabeledDataset(np.full((3, 2), -1e153), np.array([0, 1, 0]), num_classes=2)
+
+
 def test_dataset_arrays_are_immutable(iris):
     with pytest.raises(ValueError):
         iris.features[0, 0] = 99.0

@@ -181,7 +181,7 @@ def _grown_three_ways(grow, cells):
         return mixed, arrays, grow()
 
 
-_TREE_ARRAYS = ("_feature", "_threshold", "_left", "_right", "_probs", "_depth")
+_TREE_ARRAYS = ("_feature", "_threshold", "_left", "_right", "_probs", "_depth", "_roots")
 
 
 @pytest.mark.parametrize("max_features", [None, 2, 1])
@@ -211,7 +211,7 @@ def test_forest_is_the_same_whichever_scan_takes_each_node(max_depth, num_classe
 
     mixed, *others = _grown_three_ways(grow, iris.n_examples)
     for other in others:
-        for name in _TREE_ARRAYS + ("_roots",):
+        for name in _TREE_ARRAYS:
             assert np.array_equal(getattr(mixed, name), getattr(other, name))
         assert np.array_equal(mixed.predict_proba_batch(iris.features),
                               other.predict_proba_batch(iris.features))
