@@ -1,6 +1,6 @@
 """Capacity probes for classifiers via labeling distributions over holdout sets."""
 
-from .classifiers import ClassifierSpec, fit, parse_spec, with_defaults
+from .classifiers import ClassifierSpec, fit, ldm_spec, parse_spec
 from .dataset import (
     HoldoutSplit,
     LabeledDataset,
@@ -66,6 +66,7 @@ __all__ = [
     "inverse_digamma",
     "labeling_to_index",
     "ldm_column",
+    "ldm_spec",
     "lgamma",
     "load_csv",
     "parse_spec",
@@ -76,6 +77,5 @@ __all__ = [
     "sample_dirichlet",
     "simplex_vector",
     "split_train_holdout",
-    "with_defaults",
     "write_ldm_csv",
 ]

@@ -5,10 +5,10 @@ and has a text form for CLI use, e.g. ``knn:k=3`` or
 ``random_forest:n=10,max_features=1,max_depth=5``.
 
 Everything the package knows about a family is one :class:`Family` record in
-:data:`FAMILIES`.  Hyperparameters left unset fall back to the record's
-everyday defaults; the two analysis pipelines then overlay their own
-conventions via :func:`with_defaults` — matrix-building runs cap tree depth
-at 5 while recorder runs grow trees unpruned.
+:data:`FAMILIES`.  :func:`fit` fills hyperparameters left unset from the
+record's everyday defaults, so recorder runs grow trees unpruned;
+matrix-building runs first pass their spec through :func:`ldm_spec`, which
+caps tree depth at 5 unless the spec sets one.
 """
 
 from __future__ import annotations
@@ -118,20 +118,9 @@ def parse_spec(text: str) -> ClassifierSpec:
     return ClassifierSpec(family.strip(), params)
 
 
-def with_defaults(spec: ClassifierSpec, pipeline: str) -> ClassifierSpec:
-    """Fill unset hyperparameters with family defaults plus pipeline overlays.
-
-    ``pipeline`` is ``"ldm"`` (depth-5 tree caps) or ``"recorder"`` (family
-    defaults only, so trees grow unpruned).
-    """
-    if pipeline not in ("ldm", "recorder"):
-        raise ValueError(f"unknown pipeline {pipeline!r}")
-    family = FAMILIES[spec.family]
-    merged = {k: v for k, v in family.params.items() if v is not None}
-    if pipeline == "ldm":
-        merged.update(family.ldm)
-    merged.update(spec.params)
-    return ClassifierSpec(spec.family, merged)
+def ldm_spec(spec: ClassifierSpec) -> ClassifierSpec:
+    """The spec matrix-building runs fit: the family's ``ldm`` values under the spec's own."""
+    return ClassifierSpec(spec.family, {**FAMILIES[spec.family].ldm, **spec.params})
 
 
 def fit(
@@ -161,6 +150,6 @@ __all__ = [
     "QdaModel",
     "RandomForestModel",
     "fit",
+    "ldm_spec",
     "parse_spec",
-    "with_defaults",
 ]

@@ -27,11 +27,28 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _checked_labels(labels, n_examples: int, num_classes: int) -> np.ndarray:
+    """``labels`` as a read-only int64 copy, once they are known to fit the dataset."""
+    labs = np.asarray(labels, dtype=np.int64)
+    if labs.ndim != 1 or labs.shape[0] != n_examples:
+        raise InvalidDatasetError(
+            f"labels must be 1-D with one entry per feature row, got shape {labs.shape}"
+        )
+    if num_classes < 2:
+        raise InvalidDatasetError(f"num_classes must be at least 2, got {num_classes}")
+    if labs.size and (labs.min() < 0 or labs.max() >= num_classes):
+        raise InvalidDatasetError(
+            f"labels must lie in [0, {num_classes}), got range [{labs.min()}, {labs.max()}]"
+        )
+    return _readonly(labs)
+
+
 @dataclass(frozen=True)
 class LabeledDataset:
     """An N x d matrix of finite features with integer class labels in [0, num_classes).
 
-    Instances are immutable: the arrays are defensive read-only copies.
+    Instances are immutable: the arrays are defensive read-only copies, and a
+    relabeled dataset shares its parent's features.
     """
 
     features: np.ndarray
@@ -40,7 +57,6 @@ class LabeledDataset:
 
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=np.float64)
-        labs = np.asarray(self.labels, dtype=np.int64)
         if feats.ndim != 2 or feats.shape[0] < 1 or feats.shape[1] < 1:
             raise InvalidDatasetError(
                 f"features must be a non-empty 2-D matrix, got shape {feats.shape}"
@@ -61,21 +77,9 @@ class LabeledDataset:
                 "features are too large to square: their sum of squares overflows; "
                 f"the largest, row {row}, column {column}, is {feats[row, column]}"
             )
-        if labs.ndim != 1 or labs.shape[0] != feats.shape[0]:
-            raise InvalidDatasetError(
-                f"labels must be 1-D with one entry per feature row, got shape {labs.shape}"
-            )
-        if self.num_classes < 2:
-            raise InvalidDatasetError(
-                f"num_classes must be at least 2, got {self.num_classes}"
-            )
-        if labs.size and (labs.min() < 0 or labs.max() >= self.num_classes):
-            raise InvalidDatasetError(
-                f"labels must lie in [0, {self.num_classes}), "
-                f"got range [{labs.min()}, {labs.max()}]"
-            )
+        labels = _checked_labels(self.labels, len(feats), self.num_classes)
         object.__setattr__(self, "features", _readonly(feats))
-        object.__setattr__(self, "labels", _readonly(labs))
+        object.__setattr__(self, "labels", labels)
 
     @property
     def n_examples(self) -> int:
@@ -86,8 +90,13 @@ class LabeledDataset:
         return self.features.shape[1]
 
     def with_labels(self, labels: np.ndarray) -> "LabeledDataset":
-        """Same features, new labels (same class count)."""
-        return LabeledDataset(self.features, labels, self.num_classes)
+        """Same features, new labels (same class count); only the labels are checked."""
+        checked = _checked_labels(labels, self.n_examples, self.num_classes)
+        relabeled = object.__new__(LabeledDataset)  # shares the checked, read-only features
+        object.__setattr__(relabeled, "features", self.features)
+        object.__setattr__(relabeled, "labels", checked)
+        object.__setattr__(relabeled, "num_classes", self.num_classes)
+        return relabeled
 
 
 @dataclass(frozen=True)
@@ -122,13 +131,21 @@ def load_csv(path: str | Path, label_column: int = -1) -> LabeledDataset:
     mapped to dense indices 0..C-1 in order of first appearance, which keeps
     runs over the same file deterministic.
 
-    Raises :class:`CsvParseError` for malformed rows and for feature cells
-    that are not finite numbers (naming the file row number) and
-    :class:`InvalidDatasetError` when fewer than two distinct labels are present.
+    The file is read as UTF-8; a leading byte-order mark is dropped.
+
+    Raises :class:`CsvParseError` for malformed rows, for text the CSV reader
+    rejects (such as a cell over its field size limit; the message names the
+    reader's line) and for feature cells that are not finite numbers (naming
+    the file row number), and :class:`InvalidDatasetError` when fewer than two
+    distinct labels are present.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
-        rows = [(lineno, row) for lineno, row in enumerate(csv.reader(fh), start=1) if row]
+    with path.open(newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            rows = [(lineno, row) for lineno, row in enumerate(reader, start=1) if row]
+        except csv.Error as exc:
+            raise CsvParseError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise InvalidDatasetError(f"{path}: no data rows")
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifiers import ClassifierSpec, TrainedModel, fit, with_defaults
+from .classifiers import ClassifierSpec, TrainedModel, fit, ldm_spec
 from .dataset import LabeledDataset, permute_labels, split_train_holdout
 from .errors import CapacityLimitError, MemoryLimitError
 from .seeding import derive_seed, make_rng
@@ -157,7 +157,7 @@ def ldm_column(
     holdout_features,
     seed: int,
 ) -> np.ndarray:
-    """One LDM column: permute the train labels, fit, and read the simplex.
+    """One LDM column: permute the train labels, fit ``spec`` as given, and read the simplex.
 
     The simplex is smoothed by ``DEFAULT_EPSILON``.  Self-contained given its
     seed, so columns can be computed in any order — or concurrently — without
@@ -179,10 +179,10 @@ def build_ldm(
 
     The holdout is drawn once from the master seed and shared by every
     column; column ``i`` then trains on labels permuted by its own derived
-    seed.  Tree-based specs get the depth-5 pipeline default unless the spec
-    sets a depth explicitly.  Raises ``MemoryLimitError`` before allocating
-    when the float64 matrix and the Dirichlet fit's log copy of it would
-    together exceed physical memory.
+    seed.  Each column fits :func:`ldm_spec` of ``spec``, so tree-based specs
+    are capped at depth 5 unless the spec sets a depth explicitly.  Raises
+    ``MemoryLimitError`` before allocating when the float64 matrix and the
+    Dirichlet fit's log copy of it would together exceed physical memory.
     """
     if k_columns < 1:
         raise ValueError(f"k_columns must be at least 1, got {k_columns}")
@@ -192,7 +192,7 @@ def build_ldm(
     if needed > available:
         raise MemoryLimitError(size, k_columns, needed, available)
     split = split_train_holdout(ds, holdout_size, make_rng(master_seed, "holdout"))
-    resolved = with_defaults(spec, "ldm")
+    resolved = ldm_spec(spec)
     seeds = tuple(derive_seed(master_seed, "column", i) for i in range(k_columns))
     matrix = np.empty((size, k_columns))
     for i, seed in enumerate(seeds):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifiers import ClassifierSpec, fit, with_defaults
+from .classifiers import ClassifierSpec, fit
 from .dataset import LabeledDataset, random_labels
 from .seeding import make_rng
 
@@ -50,9 +50,9 @@ def chance_baseline(dataset_size: int, num_classes: int) -> float:
 
 
 def record_trial(spec: ClassifierSpec, ds: LabeledDataset, rng: np.random.Generator) -> int:
-    """One trial: random labels in, count of recovered labels out."""
+    """One trial: random labels in, ``spec`` fitted as given, count of recovered labels out."""
     randomized = random_labels(ds, rng)
-    model = fit(with_defaults(spec, "recorder"), randomized, rng)
+    model = fit(spec, randomized, rng)
     predictions = model.predict_batch(randomized.features)
     return int((predictions == randomized.labels).sum())
 

@@ -31,10 +31,10 @@ from ldmcap import (
     inverse_digamma,
     labeling_to_index,
     ldm_column,
+    ldm_spec,
     lgamma,
     sample_dirichlet,
     simplex_vector,
-    with_defaults,
 )
 from ldmcap.classifiers import FAMILIES
 from ldmcap.classifiers.base import TrainedModel
@@ -87,7 +87,7 @@ def test_03_simplex_vector_equals_brute_force_products():
         )
         holdout = rng.random((holdout_size, 3))
         for family in FAMILIES:
-            spec = with_defaults(ClassifierSpec(family), "ldm")
+            spec = ldm_spec(ClassifierSpec(family))
             model = fit(spec, train, np.random.default_rng(7))
             vec = simplex_vector(model, holdout, epsilon=0.0)
 
@@ -249,7 +249,7 @@ def test_08_reruns_are_byte_identical_and_order_free(tmp_path, iris):
     spec = ClassifierSpec("knn", {"k": 1})
     sequential = build_ldm(spec, iris, k_columns=12, holdout_size=4, master_seed=3)
     split = split_train_holdout(iris, 4, make_rng(3, "holdout"))
-    resolved = with_defaults(spec, "ldm")
+    resolved = ldm_spec(spec)
     seeds = [derive_seed(3, "column", i) for i in range(12)]
     assert list(sequential.column_seeds) == seeds
 

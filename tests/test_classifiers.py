@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ldmcap import ClassifierSpec, fit, parse_spec, with_defaults
+from ldmcap import ClassifierSpec, fit, ldm_spec, parse_spec
 from ldmcap.classifiers import (
     FAMILIES,
     AdaBoostModel,
@@ -40,8 +40,7 @@ BLOBS = _ds(
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_predict_proba_rows_are_distributions(family, iris):
-    model = fit(with_defaults(ClassifierSpec(family), "recorder"), iris,
-                rng=np.random.default_rng(0))
+    model = fit(ClassifierSpec(family), iris, rng=np.random.default_rng(0))
     probs = model.predict_proba_batch(iris.features[:25])
     assert probs.shape == (25, 3)
     assert np.all(probs >= 0)
@@ -50,8 +49,7 @@ def test_predict_proba_rows_are_distributions(family, iris):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_single_point_prediction_matches_batch(family, iris):
-    model = fit(with_defaults(ClassifierSpec(family), "recorder"), iris,
-                rng=np.random.default_rng(0))
+    model = fit(ClassifierSpec(family), iris, rng=np.random.default_rng(0))
     one = model.predict_proba(iris.features[7])
     batch = model.predict_proba_batch(iris.features[7:8])[0]
     assert np.array_equal(one, batch)
@@ -59,8 +57,7 @@ def test_single_point_prediction_matches_batch(family, iris):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_separable_blobs_are_learned(family):
-    model = fit(with_defaults(ClassifierSpec(family), "recorder"), BLOBS,
-                rng=np.random.default_rng(0))
+    model = fit(ClassifierSpec(family), BLOBS, rng=np.random.default_rng(0))
     preds = model.predict_batch(BLOBS.features)
     assert np.array_equal(preds, BLOBS.labels)
 
@@ -69,8 +66,7 @@ def test_separable_blobs_are_learned(family):
 def test_absent_class_gets_no_mass(family):
     # trained with num_classes=3 but only labels {0, 1} present
     ds = _ds([[0.0], [0.2], [5.0], [5.2]], [0, 0, 1, 1], num_classes=3)
-    model = fit(with_defaults(ClassifierSpec(family), "recorder"), ds,
-                rng=np.random.default_rng(0))
+    model = fit(ClassifierSpec(family), ds, rng=np.random.default_rng(0))
     probs = model.predict_proba_batch(ds.features)
     assert probs.shape == (4, 3)
     assert np.all(probs[:, 2] < 1e-9)
@@ -230,15 +226,13 @@ def test_tree_rejects_nonpositive_max_features(iris):
     "call, named",
     [
         (lambda: parse_spec("knn:k"), "malformed spec parameter"),
-        (lambda: with_defaults(ClassifierSpec("knn"), "bogus"), "unknown pipeline"),
         (lambda: KnnModel(*_xyc(BLOBS), k=1).predict_proba_batch(np.zeros((1, 3))),
          "rows with 2 features"),
         (lambda: KnnModel(*_xyc(BLOBS), k=1).predict_proba(np.zeros(3)), "vector of length 2"),
         (lambda: DecisionTreeModel(np.eye(3), np.array([0, 1, 0]), 2, max_features=2),
          "requires an rng"),
     ],
-    ids=["spec-without-value", "unknown-pipeline", "batch-width", "row-width",
-         "subsampling-without-rng"],
+    ids=["spec-without-value", "batch-width", "row-width", "subsampling-without-rng"],
 )
 def test_public_guards_name_the_bad_argument(call, named):
     with pytest.raises(ValueError, match=named):
@@ -444,31 +438,33 @@ def test_parse_spec_rejects_unknown_family_and_params():
         parse_spec("knn:k=three")
 
 
-def test_with_defaults_fills_family_defaults():
-    spec = with_defaults(ClassifierSpec("knn"), "recorder")
-    assert spec.params["k"] == FAMILIES["knn"].params["k"]
+def test_fit_uses_family_defaults(iris):
+    knn = fit(ClassifierSpec("knn"), iris)
+    assert np.array_equal(knn.predict_proba_batch(iris.features),
+                          KnnModel(*_xyc(iris), k=5).predict_proba_batch(iris.features))
+    forest = fit(ClassifierSpec("random_forest"), iris, np.random.default_rng(3))
+    expected = RandomForestModel(*_xyc(iris), 10, 1, None, np.random.default_rng(3))
+    for name in ("_feature", "_threshold", "_left", "_right", "_probs", "_depth", "_roots"):
+        assert np.array_equal(getattr(forest, name), getattr(expected, name))
 
 
-def test_with_defaults_depth_caps_trees_for_ldm_only():
-    ldm_tree = with_defaults(ClassifierSpec("decision_tree"), "ldm")
-    assert ldm_tree.params["max_depth"] == 5
-    rec_tree = with_defaults(ClassifierSpec("decision_tree"), "recorder")
-    assert "max_depth" not in rec_tree.params
-    ldm_forest = with_defaults(ClassifierSpec("random_forest"), "ldm")
-    assert ldm_forest.params["max_depth"] == 5
+def test_ldm_spec_caps_tree_depth_at_5_and_leaves_other_families():
+    assert ldm_spec(ClassifierSpec("decision_tree")).params == {"max_depth": 5}
+    assert ldm_spec(ClassifierSpec("random_forest")).params == {"max_depth": 5}
+    assert ldm_spec(ClassifierSpec("knn")) == ClassifierSpec("knn")
 
 
-def test_with_defaults_never_overrides_explicit_choices():
-    spec = with_defaults(ClassifierSpec("knn", {"k": 9}), "ldm")
-    assert spec.params["k"] == 9
-    deep = with_defaults(ClassifierSpec("decision_tree", {"max_depth": 2}), "ldm")
-    assert deep.params["max_depth"] == 2
+def test_ldm_spec_never_overrides_explicit_choices():
+    assert ldm_spec(ClassifierSpec("knn", {"k": 9})).params == {"k": 9}
+    deep = ldm_spec(ClassifierSpec("decision_tree", {"max_depth": 2}))
+    assert deep.params == {"max_depth": 2}
+    forest = ldm_spec(ClassifierSpec("random_forest", {"n": 3, "max_depth": 7}))
+    assert forest.params == {"n": 3, "max_depth": 7}
 
 
 def test_fit_dispatch_covers_every_family(iris):
     for family in FAMILIES:
-        spec = with_defaults(ClassifierSpec(family), "recorder")
-        model = fit(spec, iris, rng=np.random.default_rng(0))
+        model = fit(ClassifierSpec(family), iris, rng=np.random.default_rng(0))
         assert model.num_classes == 3
 
 

@@ -495,6 +495,20 @@ def test_record_on_features_too_large_to_square_exits_1_without_traceback(tmp_pa
     assert done.stdout == ""
 
 
+def test_csv_cell_over_the_field_limit_exits_1_naming_the_line(tmp_path, capsys):
+    path = tmp_path / "wide.csv"
+    path.write_text("1.0,2.0,a\n3.0," + "x" * 200_000 + ",b\n")
+    rc = main(["record", "--dataset", f"csv:{path}:2", "--spec", "knn", "--trials", "1",
+               "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == (
+        f"ldmcap: error: {path}: line 2: field larger than field limit (131072)\n"
+    )
+    assert captured.out == ""
+    assert not (tmp_path / "o").exists()
+
+
 def test_fit_numerical_error_exits_1(tmp_path, monkeypatch, capsys):
     def diverge(samples, *args, **kwargs):
         raise FitNumericalError("alpha became non-finite", 7)

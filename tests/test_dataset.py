@@ -43,6 +43,18 @@ def test_load_csv_integer_labels_are_densely_mapped_too(tmp_path):
     assert ds.labels.max() < ds.num_classes
 
 
+def test_load_csv_ignores_a_utf8_byte_order_mark(tmp_path):
+    text = "1.0,2.0,a\n3.0,4.0,b\n5.0,6.0,a\n"
+    plain = load_csv(_write(tmp_path, text))
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    marked = load_csv(bom)
+    assert marked.n_examples == 3
+    assert np.array_equal(marked.features, plain.features)
+    assert np.array_equal(marked.labels, plain.labels)
+    assert marked.num_classes == plain.num_classes
+
+
 def test_load_csv_detects_header_from_feature_cells(tmp_path):
     path = _write(tmp_path, "width,height,species\n1.0,2.0,cat\n3.0,4.0,dog\n")
     ds = load_csv(path)
@@ -118,10 +130,12 @@ def test_builtin_iris_shape_and_balance(iris):
 
 
 def test_dataset_validation_rejects_bad_label_range():
-    with pytest.raises(InvalidDatasetError):
-        LabeledDataset(np.ones((3, 2)), np.array([0, 1, 2]), num_classes=2)
-    with pytest.raises(InvalidDatasetError):
-        LabeledDataset(np.ones((3, 2)), np.array([0, -1, 1]), num_classes=2)
+    valid = LabeledDataset(np.ones((3, 2)), np.array([0, 1, 0]), num_classes=2)
+    for labels in ([0, 1, 2], [0, -1, 1]):
+        with pytest.raises(InvalidDatasetError, match="labels must lie in"):
+            LabeledDataset(np.ones((3, 2)), np.array(labels), num_classes=2)
+        with pytest.raises(InvalidDatasetError, match="labels must lie in"):
+            valid.with_labels(np.array(labels))
 
 
 def test_dataset_validation_rejects_degenerate_shapes():
@@ -157,6 +171,12 @@ def test_dataset_arrays_are_immutable(iris):
         iris.features[0, 0] = 99.0
     with pytest.raises(ValueError):
         iris.labels[0] = 2
+    labels = iris.labels.copy()
+    relabeled = iris.with_labels(labels)
+    labels[0] = 2  # the caller's array was copied
+    assert relabeled.labels[0] == iris.labels[0]
+    with pytest.raises(ValueError):
+        relabeled.labels[0] = 2
 
 
 def test_split_preserves_train_order_and_disjointness(iris, rng):
@@ -193,7 +213,7 @@ def test_split_rejects_bad_sizes(iris, rng):
 def test_permute_labels_preserves_the_multiset(iris, rng):
     permuted = permute_labels(iris, rng)
     assert np.bincount(permuted.labels).tolist() == [50, 50, 50]
-    assert np.array_equal(permuted.features, iris.features)
+    assert permuted.features is iris.features  # shared, not copied or re-checked
     # and with overwhelming probability actually changes the sequence
     assert not np.array_equal(permuted.labels, iris.labels)
 
@@ -217,7 +237,7 @@ def test_random_labels_are_iid_uniform(iris):
     counts = np.bincount(randomized.labels, minlength=3)
     # Binomial(150, 1/3): sd ~5.77, stay within 3 sigma of 50
     assert all(abs(c - 50) < 3 * 5.77 for c in counts)
-    assert np.array_equal(randomized.features, iris.features)
+    assert randomized.features is iris.features
 
 
 def test_random_labels_fair_coin_frequency():

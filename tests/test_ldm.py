@@ -12,8 +12,8 @@ from ldmcap import (
     index_to_labeling,
     labeling_to_index,
     ldm_column,
+    ldm_spec,
     simplex_vector,
-    with_defaults,
     write_ldm_csv,
 )
 from ldmcap import ldm as ldm_module
@@ -243,7 +243,7 @@ def test_columns_are_order_invariant(iris):
     ldm = build_ldm(spec, iris, k_columns=5, holdout_size=3, master_seed=42)
 
     split = split_train_holdout(iris, 3, make_rng(42, "holdout"))
-    resolved = with_defaults(spec, "ldm")
+    resolved = ldm_spec(spec)
     for seed, column in zip(reversed(ldm.column_seeds), ldm.matrix.T[::-1]):
         redone = ldm_column(resolved, split.train, split.holdout_features, seed)
         assert np.array_equal(redone, column)
