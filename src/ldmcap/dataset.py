@@ -11,6 +11,7 @@ Two distinct label-randomization schemes live here and must not be confused:
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -133,19 +134,28 @@ def load_csv(path: str | Path, label_column: int = -1) -> LabeledDataset:
 
     The file is read as UTF-8; a leading byte-order mark is dropped.
 
-    Raises :class:`CsvParseError` for malformed rows, for text the CSV reader
+    Raises :class:`CsvParseError` for a file that is not UTF-8 (naming the
+    line of its first bad byte), for malformed rows, for text the CSV reader
     rejects (such as a cell over its field size limit; the message names the
     reader's line) and for feature cells that are not finite numbers (naming
     the file row number), and :class:`InvalidDatasetError` when fewer than two
     distinct labels are present.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            rows = [(lineno, row) for lineno, row in enumerate(reader, start=1) if row]
-        except csv.Error as exc:
-            raise CsvParseError(f"{path}: line {reader.line_num}: {exc}") from None
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # exc.object is what the codec decoded: the bytes after any byte-order mark
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise CsvParseError(
+            f"{path}: line {line}: byte 0x{exc.object[exc.start]:02x} is not UTF-8 ({exc.reason})"
+        ) from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        rows = [(lineno, row) for lineno, row in enumerate(reader, start=1) if row]
+    except csv.Error as exc:
+        raise CsvParseError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise InvalidDatasetError(f"{path}: no data rows")
 

@@ -14,7 +14,6 @@ Labelings are indexed lexicographically, big-endian in base C: labeling
 from __future__ import annotations
 
 import os
-from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -132,11 +131,11 @@ def simplex_vector(
     """The model-induced distribution over all labelings of the holdout rows.
 
     Built as the Kronecker product of the per-point probability rows (first
-    point most significant), which realizes the per-entry product
-    ``prod_j predict_proba(z_j)[l_j]`` for every labeling at once.  Epsilon
-    smoothing then shifts every entry by ``epsilon`` and renormalizes; pass
-    ``epsilon=0.0`` for the raw product distribution.  Returns a read-only
-    float64 vector of length C**N'.
+    point most significant), folded left as outer products, which realizes
+    the per-entry product ``prod_j predict_proba(z_j)[l_j]`` for every
+    labeling at once.  Epsilon smoothing then shifts every entry by
+    ``epsilon`` and renormalizes; pass ``epsilon=0.0`` for the raw product
+    distribution.  Returns a read-only float64 vector of length C**N'.
     """
     holdout = np.asarray(holdout_features, dtype=np.float64)
     if holdout.ndim != 2 or holdout.shape[0] < 1:
@@ -145,7 +144,9 @@ def simplex_vector(
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")
     _check_space(model.num_classes, holdout.shape[0])
     rows = model.predict_proba_batch(holdout)
-    raw = reduce(np.kron, rows)
+    raw = rows[0]
+    for row in rows[1:]:
+        raw = np.multiply.outer(raw, row).ravel()
     smoothed = raw + epsilon
     smoothed /= smoothed.sum()
     return _simplex(smoothed, model.num_classes, holdout.shape[0])
@@ -200,26 +201,110 @@ def build_ldm(
     return LDMatrix(matrix, ds.num_classes, holdout_size, seeds)
 
 
-#: Values :func:`write_ldm_csv` formats per write: a block is as many whole
-#: rows as fit, at least one.  Larger blocks cost peak memory that grows with
-#: the file: blocks of 256 rows x 30 columns raised a writer's peak RSS by
-#: 4 MB at 6,561 rows and 12 MB at 59,049, against 0.3-0.4 MB for this size.
-_CSV_BLOCK_VALUES = 256
+#: Values :func:`write_ldm_csv` reads per block: as many whole rows as fit,
+#: at least one, in whole ``%`` parts where a part fits.  Finding a block's
+#: repeats costs a few numpy calls whatever its size; at 1,024 values they
+#: cost about 1% of formatting the block.
+_CSV_BLOCK_VALUES = 1024
+
+#: Values formatted per ``%`` in a block without enough repeats: as many
+#: whole rows as fit, at least one.  Longer strings raise peak RSS that the
+#: process keeps after the write: one ``%`` per 1,024 values raised an ``ldm``
+#: run's peak RSS by 0.7 MB (N'=8, K=30), and 256 rows x 30 columns by 4 MB
+#: at 6,561 rows and 12 MB at 59,049.
+_CSV_FORMAT_VALUES = 256
+
+#: Slots in :func:`write_ldm_csv`'s memo of formatted values, a power of two.
+#: Each value has one slot, picked by hashing its bit pattern, and a new value
+#: evicts the old one, so the memo never outgrows this: at most 16,384 keys
+#: (128 KiB), 16,384 references (128 KiB) and 16,384 texts of at most 23
+#: characters (72 bytes each, 1.1 MiB).  k-NN and tree matrices at N'=8 and
+#: K=30 hold 1,500-7,600 distinct values.
+_CSV_MEMO_SLOTS = 1 << 14
+
+# a NaN bit pattern, so no LDM value (all finite) matches an empty slot
+_EMPTY_SLOT = np.uint64(0xFFFFFFFFFFFFFFFF)
+
+
+class _TextMemo:
+    """Texts of formatted float64 values, one per slot, keyed by bit pattern.
+
+    A value's slot is picked by the top bits of a Fibonacci hash of its bit
+    pattern, so ``-0.0`` and ``0.0`` are different keys, and a new value
+    evicts whatever held its slot.
+    """
+
+    def __init__(self):
+        self.keys = np.full(_CSV_MEMO_SLOTS, _EMPTY_SLOT)
+        self.texts = np.empty(_CSV_MEMO_SLOTS, dtype=object)
+        self.used = False
+
+    def lines(self, block: np.ndarray) -> str | None:
+        """The block's CSV lines, or None where formatting the block directly is cheaper.
+
+        The memo pays where values repeat: a block with no repeat while the
+        memo is empty, or whose values missing from the memo (each distinct
+        value counted once) are more than half its values, gets None.
+        """
+        bits = block.ravel().view(np.uint64)
+        ordered = np.sort(bits)
+        new = ordered[1:] != ordered[:-1]
+        if not self.used and new.all():
+            return None
+        distinct = ordered[np.append(True, new)]
+        slots = (distinct * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(
+            64 - (_CSV_MEMO_SLOTS - 1).bit_length()
+        )
+        fresh = self.keys[slots] != distinct
+        if 2 * np.count_nonzero(fresh) > bits.size:
+            return None
+        texts = self.texts[slots]
+        if fresh.any():
+            made = ",".join(["%.17g"] * np.count_nonzero(fresh)) % tuple(
+                distinct[fresh].view(np.float64).tolist()
+            )
+            texts[fresh] = made.split(",")
+            self.keys[slots[fresh]] = distinct[fresh]
+            # numpy does not say which of two fresh values sharing a slot it
+            # stores, so the memo keeps the text of the one whose key it holds
+            kept = fresh & (self.keys[slots] == distinct)
+            self.texts[slots[kept]] = texts[kept]
+            self.used = True
+        cells = texts[np.searchsorted(distinct, bits)].reshape(block.shape)
+        return "\n".join(map(",".join, cells.tolist())) + "\n"
 
 
 def write_ldm_csv(ldm: LDMatrix, path: str | Path) -> None:
     """Write the matrix as CSV: header ``col_0..col_{K-1}``, row r = labeling index r.
 
     Values carry 17 significant digits, enough to reproduce every float64
-    exactly.  The text is ``np.savetxt``'s with ``fmt="%.17g"``, but each
-    block of rows is formatted by one ``%`` over its values, not row by row.
+    exactly; the bytes are ``np.savetxt``'s with ``fmt="%.17g"``.  Rows go
+    out in blocks of about ``_CSV_BLOCK_VALUES`` values.  k-NN and tree
+    matrices repeat a few thousand values, so a block's distinct values are
+    found by sorting their bit patterns and looked up in a memo of
+    ``_CSV_MEMO_SLOTS`` texts.  When those missing from the memo are at most
+    half the block's values, they are formatted by one ``%`` and stored, and
+    the block's lines are joined from the texts.  Any other block, such as
+    one without repeats while the memo is empty, is formatted by one ``%``
+    per ``_CSV_FORMAT_VALUES`` values.
     """
+    # the memo lives in its own class so that this function stays short:
+    # tracemalloc finds the line of each allocation by scanning the function's
+    # line table, which made the peak-memory checks 2x slower
     matrix = ldm.matrix
     k = ldm.k_columns
-    rows = max(1, _CSV_BLOCK_VALUES // k)
-    line = ",".join(["%.17g"] * k) + "\n"
+    part = max(1, _CSV_FORMAT_VALUES // k)
+    rows = max(1, _CSV_BLOCK_VALUES // (part * k)) * part
+    floats = ",".join(["%.17g"] * k) + "\n"
+    memo = _TextMemo()
     with open(path, "w", encoding="ascii") as fh:
         fh.write(",".join(f"col_{i}" for i in range(k)) + "\n")
         for top in range(0, matrix.shape[0], rows):
             block = matrix[top:top + rows]
-            fh.write((line * block.shape[0]) % tuple(block.ravel().tolist()))
+            lines = memo.lines(block)
+            if lines is not None:
+                fh.write(lines)
+                continue
+            for i in range(0, block.shape[0], part):
+                piece = block[i:i + part]
+                fh.write((floats * piece.shape[0]) % tuple(piece.ravel().tolist()))

@@ -509,6 +509,20 @@ def test_csv_cell_over_the_field_limit_exits_1_naming_the_line(tmp_path, capsys)
     assert not (tmp_path / "o").exists()
 
 
+def test_csv_that_is_not_utf8_exits_1_naming_the_file_and_line(tmp_path, capsys):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("1.0,2.0,tea\n3.0,4.0,café\n5.0,6.0,tea\n".encode("latin-1"))
+    rc = main(["record", "--dataset", f"csv:{path}:2", "--spec", "knn", "--trials", "1",
+               "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == (
+        f"ldmcap: error: {path}: line 2: byte 0xe9 is not UTF-8 (invalid continuation byte)\n"
+    )
+    assert captured.out == ""
+    assert not (tmp_path / "o").exists()
+
+
 def test_fit_numerical_error_exits_1(tmp_path, monkeypatch, capsys):
     def diverge(samples, *args, **kwargs):
         raise FitNumericalError("alpha became non-finite", 7)

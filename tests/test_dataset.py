@@ -55,6 +55,15 @@ def test_load_csv_ignores_a_utf8_byte_order_mark(tmp_path):
     assert marked.num_classes == plain.num_classes
 
 
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "byte-order-mark"])
+def test_load_csv_names_the_line_and_byte_that_are_not_utf8(bom, tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(bom + "1.0,2.0,tea\n3.0,4.0,café\n".encode("latin-1"))
+    with pytest.raises(CsvParseError, match=r": line 2: byte 0xe9 is not UTF-8 \(") as info:
+        load_csv(path)
+    assert str(info.value).startswith(f"{path}: ")
+
+
 def test_load_csv_detects_header_from_feature_cells(tmp_path):
     path = _write(tmp_path, "width,height,species\n1.0,2.0,cat\n3.0,4.0,dog\n")
     ds = load_csv(path)

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import tracemalloc
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -118,6 +121,21 @@ def test_simplex_vector_matches_brute_force_enumeration(rng):
                 idx = labeling_to_index((l0, l1, l2), 3)
                 expected[idx] = rows[0, l0] * rows[1, l1] * rows[2, l2]
     assert np.max(np.abs(vec - expected)) < 1e-15
+
+
+@pytest.mark.parametrize("num_classes", [2, 3, 4])
+@pytest.mark.parametrize("holdout_size", [1, 2, 3, 4, 5, 6])
+def test_simplex_vector_is_the_kronecker_fold_bit_for_bit(num_classes, holdout_size):
+    rows = np.random.default_rng(10 * num_classes + holdout_size).random(
+        (holdout_size, num_classes)
+    )
+    rows /= rows.sum(axis=1, keepdims=True)
+    rows[0, -1] = 0.0
+    rows[-1, 0] = 1e-310  # subnormal, and its products underflow further
+    expected = reduce(np.kron, rows)
+    expected /= expected.sum()  # what epsilon=0.0 smoothing does
+    vec = simplex_vector(_StubModel(rows), _holdout(holdout_size), epsilon=0.0)
+    assert vec.tobytes() == expected.tobytes()
 
 
 def test_simplex_smoothing_removes_zeros_but_keeps_the_peak():
@@ -277,7 +295,22 @@ def test_write_ldm_csv_round_trips_exactly(tmp_path, iris):
     assert np.array_equal(back, ldm.matrix)  # 17 significant digits: bit exact
 
 
-# 2 columns make blocks of 128 rows, 30 columns blocks of 8
+def _assert_savetxt_bytes(matrix, num_classes, holdout_size, tmp_path):
+    ldm = LDMatrix(matrix, num_classes, holdout_size, tuple(range(matrix.shape[1])))
+    write_ldm_csv(ldm, tmp_path / "blocks.csv")
+    header = ",".join(f"col_{i}" for i in range(matrix.shape[1]))
+    np.savetxt(tmp_path / "savetxt.csv", matrix, fmt="%.17g", delimiter=",", header=header,
+               comments="")
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
+
+
+def _repeating(rows, k_columns, levels, seed):
+    """Columns of at most ``levels`` distinct values each, like k-NN vote products."""
+    counts = np.random.default_rng(seed).integers(1, levels + 1, (rows, k_columns))
+    return counts / counts.sum(axis=0)
+
+
+# 2 columns make `%` parts of 128 rows, 30 columns parts of 8
 @pytest.mark.parametrize("k_columns, num_classes, holdout_size, shape", [
     (2, 2, 6, "under-one-block"), (2, 2, 7, "one-block"), (2, 3, 5, "partial-last-block"),
     (30, 2, 2, "under-one-block"), (30, 2, 3, "one-block"), (30, 3, 3, "partial-last-block"),
@@ -285,19 +318,107 @@ def test_write_ldm_csv_round_trips_exactly(tmp_path, iris):
 def test_write_ldm_csv_is_savetxt_byte_for_byte(k_columns, num_classes, holdout_size, shape,
                                                  tmp_path):
     rows = num_classes**holdout_size
-    block = ldm_module._CSV_BLOCK_VALUES // k_columns
+    block = ldm_module._CSV_FORMAT_VALUES // k_columns
     assert {"under-one-block": rows < block, "one-block": rows == block,
             "partial-last-block": rows > block and rows % block != 0}[shape]
     # values across many decades, one of them subnormal
     matrix = np.random.default_rng(rows + k_columns).random((rows, k_columns)) ** 12
     matrix[-1, 0] = 1e-310
     matrix /= matrix.sum(axis=0)
-    ldm = LDMatrix(matrix, num_classes, holdout_size, tuple(range(k_columns)))
-    write_ldm_csv(ldm, tmp_path / "blocks.csv")
-    header = ",".join(f"col_{i}" for i in range(k_columns))
-    np.savetxt(tmp_path / "savetxt.csv", matrix, fmt="%.17g", delimiter=",", header=header,
-               comments="")
-    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
+    _assert_savetxt_bytes(matrix, num_classes, holdout_size, tmp_path)
+
+
+# 2 columns make blocks of 512 rows, 30 columns blocks of 32 (four `%` parts)
+@pytest.mark.parametrize("k_columns, num_classes, holdout_size, shape", [
+    (2, 2, 8, "under-one-block"), (2, 2, 9, "one-block"), (2, 3, 6, "partial-last-block"),
+    (30, 2, 4, "under-one-block"), (30, 2, 5, "one-block"), (30, 3, 4, "partial-last-block"),
+])
+def test_write_ldm_csv_memo_blocks_are_savetxt_byte_for_byte(k_columns, num_classes,
+                                                             holdout_size, shape, tmp_path):
+    rows = num_classes**holdout_size
+    block = {2: 512, 30: 32}[k_columns]
+    assert {"under-one-block": rows < block, "one-block": rows == block,
+            "partial-last-block": rows > block and rows % block != 0}[shape]
+    _assert_savetxt_bytes(_repeating(rows, k_columns, 3, seed=rows), num_classes, holdout_size,
+                          tmp_path)
+
+
+def test_write_ldm_csv_repeats_within_and_across_blocks(tmp_path):
+    matrix = _repeating(3**5, 30, 4, seed=1)
+    block = matrix[:32]  # one block of 30 columns
+    assert np.unique(block).size < block.size / 4
+    assert np.isin(matrix[-block.shape[0]:], block).mean() > 0.5
+    _assert_savetxt_bytes(matrix, 3, 5, tmp_path)
+
+
+@pytest.mark.parametrize("base", ["repeating", "distinct"])
+def test_write_ldm_csv_keeps_negative_zero_apart_from_zero(base, tmp_path):
+    if base == "repeating":
+        matrix = _repeating(2**6, 8, 3, seed=2)
+    else:
+        matrix = np.random.default_rng(2).random((2**6, 8))
+    matrix[5, :2] = 0.0
+    matrix /= matrix.sum(axis=0)
+    matrix[5, 0] = -0.0  # passes the non-negative check, and savetxt writes "-0"
+    _assert_savetxt_bytes(matrix, 2, 6, tmp_path)
+    assert "\n-0,0," in (tmp_path / "blocks.csv").read_text()
+
+
+def test_write_ldm_csv_writes_repeated_subnormals_exactly(tmp_path):
+    matrix = _repeating(2**7, 8, 3, seed=3)
+    matrix[-4:, :3] = np.array([5e-324, 1e-310, 1e-309, 1e-310])[:, None]
+    matrix /= matrix.sum(axis=0)
+    assert np.count_nonzero(matrix < np.finfo(np.float64).tiny) == 12
+    _assert_savetxt_bytes(matrix, 2, 7, tmp_path)
+
+
+def test_write_ldm_csv_with_more_distinct_values_than_memo_slots(tmp_path):
+    # every 4 rows share a value per column, so each 256-row block holds a
+    # quarter fresh values and goes through the memo; after 18,000 values
+    # the first ones recur, so texts are read back from a memo that evicted
+    rows = 3**9
+    counts = (np.arange(rows)[:, None] // 4) % 4500 + 1 + 7919 * np.arange(4)
+    matrix = counts / counts.sum(axis=0)
+    assert np.unique(matrix).size > ldm_module._CSV_MEMO_SLOTS
+    block = matrix[:ldm_module._CSV_BLOCK_VALUES // 4]
+    assert np.unique(block).size == block.size / 4
+    _assert_savetxt_bytes(matrix, 3, 9, tmp_path)
+
+
+@pytest.mark.parametrize("base", ["repeating", "distinct"])
+def test_write_ldm_csv_wider_than_a_block_writes_one_row_per_block(base, tmp_path):
+    k_columns = ldm_module._CSV_BLOCK_VALUES + 7
+    if base == "repeating":
+        matrix = _repeating(2**3, k_columns, 5, seed=5)
+    else:
+        matrix = np.random.default_rng(5).random((2**3, k_columns))
+        matrix /= matrix.sum(axis=0)
+    _assert_savetxt_bytes(matrix, 2, 3, tmp_path)
+
+
+@pytest.mark.parametrize("base", ["repeating", "distinct"])
+def test_write_ldm_csv_peak_memory_does_not_grow_with_rows(base, tmp_path):
+    def peak(holdout_size):
+        rows = 3**holdout_size
+        if base == "repeating":
+            matrix = _repeating(rows, 100, 4, seed=holdout_size)
+            assert np.unique(matrix[:10]).size <= 500  # its blocks go through the memo
+        else:
+            matrix = np.random.default_rng(holdout_size).random((rows, 100))
+            matrix /= matrix.sum(axis=0)
+        ldm = LDMatrix(matrix, 3, holdout_size, range(100))
+        write_ldm_csv(ldm, tmp_path / "warm.csv")  # first-use costs are not the writer's
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            write_ldm_csv(ldm, tmp_path / "ldm.csv")
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(6), peak(8)  # 729 and 6,561 rows
+    assert large <= 1.1 * small
+    assert large < 3**8 * 100 * 8 / 4
 
 
 def test_csv_row_order_is_labeling_index(tmp_path):
