@@ -1,11 +1,11 @@
 """Dirichlet maximum likelihood and differential entropy.
 
-The fit takes Newton steps on the mean log-likelihood.  Its Hessian is
-diagonal plus rank one, so each step inverts it in closed form at O(m) cost
-(T. Minka, *Estimating a Dirichlet distribution*, 2000).  A fit stops on the
-first step whose largest alpha change is at most 1e-7; Newton converges
-quadratically, so that step lands at the optimum.  A Newton step that
-overflows is replaced by the classic fixed-point step
+The fit takes Newton steps on the mean log-likelihood in log alpha, where
+its Hessian is still diagonal plus rank one and inverts in closed form at
+O(m) cost (T. Minka, *Estimating a Dirichlet distribution*, 2000).  A step
+moves each log alpha by at most 1, and the fit stops on the first step
+that moves none by more than 1e-10: a relative stop, whatever the scale of
+alpha.  A Newton step that overflows is replaced by the fixed-point step
 
     psi(alpha_j_new) = psi(sum_k alpha_k) + mean_i log p_j^(i)
 
@@ -160,11 +160,11 @@ def lgamma(x):
     return _like_input(np.array([math.lgamma(v) for v in arr.ravel().tolist()]), x)
 
 
-# A fit stops on the first step that moves no alpha by more than _TOLERANCE,
-# or reports status "max_iter" after _MAX_ITER steps.  Newton reaches the
-# optimum of the benchmark's LDMs in 5-30 steps (6-13 at N' = 8 and 9), and
-# in 172 on the test input where fixed-point steps stand in.
-_TOLERANCE = 1e-7
+# A fit stops on the first step that moves no log alpha by more than
+# _TOLERANCE, or reports status "max_iter" after _MAX_ITER steps.  The
+# benchmark's LDMs take 5-21 steps (7-11 at N' = 9), near-one-hot LDMs 26,
+# and the fallback test input 267, 32 of them fixed-point.
+_TOLERANCE = 1e-10
 _MAX_ITER = 1000
 
 
@@ -175,13 +175,16 @@ class FitReport:
     ``status`` is ``"optimum"`` (the fit stopped at the maximum),
     ``"max_iter"`` (it ran out of steps first) or ``"no_optimum"`` (the
     likelihood has no maximum; ``alpha`` is the column mean, summing to 1,
-    no step was taken and ``final_delta`` is NaN).
+    and no step was taken).  ``final_delta`` is the largest change in log
+    alpha of the last step and ``gradient_norm`` the gradient's max-norm at
+    ``alpha``; both are NaN for ``"no_optimum"``.
     """
 
     alpha: np.ndarray
     iterations: int
     status: str
     final_delta: float
+    gradient_norm: float
 
     def __post_init__(self):
         arr = np.array(self.alpha, dtype=np.float64, copy=True)
@@ -193,23 +196,27 @@ class FitReport:
         return self.status == "optimum"
 
 
-def _newton_step(alpha, log_p_bar):
-    """Newton's step on the mean log-likelihood, or None where it is not finite.
+def _gradient(alpha, log_p_bar):
+    """The mean log-likelihood's gradient: psi(a0) - psi(alpha) + mean log p."""
+    return _digamma_raw(np.array([alpha.sum()]))[0] - _digamma_raw(alpha) + log_p_bar
 
-    The gradient is ``g = psi(a0) - psi(alpha) + mean log p`` and the Hessian
-    ``diag(q) + z 11^T`` with ``q = -psi'(alpha)`` and ``z = psi'(a0)``.  It
-    inverts in closed form (Minka 2000), so a step costs O(m):
-    ``H^-1 g = (g - b) / q`` with ``b = sum(g / q) / (1/z + sum(1/q))``.  When
-    one alpha dwarfs the rest, ``1/z + sum(1/q)`` cancels towards zero and the
-    step overflows.
+
+def _newton_step(alpha, log_p_bar):
+    """Newton's step in log alpha, or None where it is not finite.
+
+    With ``g`` the gradient in alpha, the gradient in log alpha is ``u = alpha
+    g`` and the Hessian ``diag(d) + z alpha alpha^T``, with ``z = psi'(a0)``
+    and ``d = min(u, 0) - alpha^2 psi'(alpha)`` (the ``min`` keeps it negative
+    definite).  So ``H^-1 u = (u - alpha b) / d`` with ``b = sum(alpha u / d)
+    / (1/z + sum(alpha^2 / d))``, at O(m) cost.  When one alpha dwarfs the
+    rest, the denominator cancels towards zero and the step overflows.
     """
-    total = np.array([alpha.sum()])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        g = _digamma_raw(total)[0] - _digamma_raw(alpha) + log_p_bar
-        q = -_trigamma_raw(alpha)
-        z = _trigamma_raw(total)[0]
-        b = np.sum(g / q) / (1.0 / z + np.sum(1.0 / q))
-        step = (g - b) / q
+        u = alpha * _gradient(alpha, log_p_bar)
+        d = np.minimum(u, 0.0) - alpha**2 * _trigamma_raw(alpha)
+        z = _trigamma_raw(np.array([alpha.sum()]))[0]
+        b = np.sum(alpha * u / d) / (1.0 / z + np.sum(alpha**2 / d))
+        step = (u - alpha * b) / d
     return step if np.all(np.isfinite(step)) else None
 
 
@@ -220,14 +227,14 @@ def fit_dirichlet(samples) -> FitReport:
     entry strictly positive — smooth zeros away first — and each column
     summing to 1 within 1e-6).  Initialization moment-matches the sample means
     against the first component's variance.  Each iteration then takes a
-    Newton step (``_newton_step``), halved as often as needed to keep every
-    alpha positive, or the fixed-point step where the Newton step is not
-    finite.  The fit stops once a step changes no alpha by more than 1e-7
-    (``_TOLERANCE``; status ``"optimum"``), or at the step bound
-    (``"max_iter"``, reported, not raised).  Input whose likelihood has no
-    maximum — identical columns, or columns so close to identical that
-    rounding hides the difference — returns before the first step with
-    status ``"no_optimum"`` and the column mean as ``alpha``.
+    Newton step in log alpha (``_newton_step``), or the fixed-point step where
+    that is not finite, scaled to move no log alpha by more than 1.  The fit
+    stops once a step moves none by more than 1e-10 (``_TOLERANCE``; status
+    ``"optimum"``), or at the step bound (``"max_iter"``, reported, not
+    raised).  Input whose likelihood has no maximum — identical columns, or
+    columns so close to identical that rounding hides the difference —
+    returns before the first step with status ``"no_optimum"`` and the
+    column mean as ``alpha``.
     """
     p = np.asarray(samples, dtype=np.float64)
     if p.ndim != 2:
@@ -261,7 +268,7 @@ def fit_dirichlet(samples) -> FitReport:
     if no_optimum:
         # No alpha is best, and the moment-matched scale of identical columns
         # rests on the sign of rounding noise in their variance.
-        return FitReport(alpha=means, iterations=0, status="no_optimum", final_delta=np.nan)
+        return FitReport(means, 0, "no_optimum", final_delta=np.nan, gradient_norm=np.nan)
     second = float((p[0] ** 2).mean())
     variance = second - float(means[0]) ** 2
     if variance > 0.0:
@@ -269,9 +276,8 @@ def fit_dirichlet(samples) -> FitReport:
     else:
         a0 = 0.0
     # The moment estimate degenerates on spiky data (near-Bernoulli first
-    # component).  A microscopic start is hazardous: one step can then move
-    # less than the stop tolerance while still being nowhere near the
-    # optimum.  Clamping only changes the starting point.
+    # component).  A start far from the optimum costs one capped step per
+    # factor of e; clamping only changes the starting point.
     if not np.isfinite(a0):
         a0 = 1.0
     a0 = min(max(a0, 1.0), 1e6)
@@ -282,22 +288,18 @@ def fit_dirichlet(samples) -> FitReport:
         step = _newton_step(alpha, log_p_bar)
         if step is None:
             psi_total = _digamma_raw(np.array([alpha.sum()]))[0]
-            alpha_new = inverse_digamma(psi_total + log_p_bar)
-        else:
-            alpha_new = alpha - step
-            while np.any(alpha_new <= 0.0):
-                step *= 0.5
-                alpha_new = alpha - step
-        if not np.all(np.isfinite(alpha_new)):
+            step = np.log(alpha) - np.log(inverse_digamma(psi_total + log_p_bar))
+        delta = float(np.max(np.abs(step)))
+        alpha = alpha * np.exp(-step / max(delta, 1.0))
+        if not np.all(np.isfinite(alpha)):
             raise FitNumericalError(
                 "Dirichlet fit produced non-finite concentrations", iterations
             )
-        delta = float(np.max(np.abs(alpha_new - alpha)))
-        alpha = alpha_new
         if delta <= _TOLERANCE:
             status = "optimum"
             break
-    return FitReport(alpha=alpha, iterations=iterations, status=status, final_delta=delta)
+    gradient_norm = float(np.max(np.abs(_gradient(alpha, log_p_bar))))
+    return FitReport(alpha, iterations, status, min(delta, 1.0), gradient_norm)
 
 
 def dirichlet_entropy(alpha) -> float:
@@ -335,7 +337,7 @@ def sample_dirichlet(alpha, size: int, rng: np.random.Generator) -> np.ndarray:
 def fit_report_json(report: FitReport) -> dict:
     """The JSON-ready form of a fit report, including the implied entropy.
 
-    A fit with no optimum has neither an entropy nor a last step: both are
+    A fit with no optimum has no entropy, last step or gradient: each is
     written as ``None`` (JSON ``null``).
     """
     found = report.status != "no_optimum"
@@ -345,5 +347,6 @@ def fit_report_json(report: FitReport) -> dict:
         "status": report.status,
         "converged": report.converged,
         "final_delta": report.final_delta if found else None,
+        "gradient_norm": report.gradient_norm if found else None,
         "entropy": dirichlet_entropy(report.alpha) if found else None,
     }

@@ -354,7 +354,21 @@ def test_step_bound_is_named_on_stderr(tmp_path, capsys, monkeypatch):
     payload = json.loads((out / "gaussian_nb.json").read_text())
     assert payload["status"] == "max_iter" and payload["iterations"] == 2
     assert payload["converged"] is False and np.isfinite(payload["final_delta"])
+    assert np.isfinite(payload["gradient_norm"])
     assert all(np.isfinite(payload["entropies"])) and np.isfinite(payload["entropy_mean"])
+
+
+def test_readme_first_example_reaches_the_optimum(tmp_path, capsys):
+    # README's first example (K=100, N'=5 by default) once printed an entropy
+    # near -1.2e10 from a fit that stopped millions of times short of its
+    # optimum, at -4590
+    out = tmp_path / "o"
+    assert main(["ldm", "--spec", "knn:k=1", "--repeats", "2", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    payload = json.loads((out / "knn_k1.json").read_text())
+    assert payload["status"] == "optimum"
+    assert all(entropy > -1e5 for entropy in payload["entropies"])
+    assert payload["gradient_norm"] <= 1e-9
 
 
 def _reject_constant(name):

@@ -18,7 +18,7 @@ from ldmcap import (
     sample_dirichlet,
 )
 from ldmcap import dirichlet
-from ldmcap.classifiers import parse_spec
+from ldmcap.classifiers import FAMILIES, parse_spec
 from ldmcap.ldm import build_ldm
 
 mpmath.mp.dps = 40
@@ -221,12 +221,12 @@ def test_fit_is_deterministic():
     assert a.final_delta == b.final_delta
 
 
-def test_fit_convergence_is_max_component_step():
+def test_fit_convergence_is_max_log_alpha_step():
     rng = np.random.default_rng(9)
     samples = sample_dirichlet(np.array([3.0, 1.0, 2.0]), 2_000, rng)
     report = fit_dirichlet(samples)
     assert report.converged
-    assert report.final_delta < 1e-7
+    assert report.final_delta <= 1e-10
 
 
 def _assert_no_optimum(report):
@@ -366,7 +366,8 @@ def test_fit_report_json_fields():
     report = fit_dirichlet(samples)
     payload = fit_report_json(report)
     assert set(payload) == {
-        "alpha", "iterations", "status", "converged", "final_delta", "entropy"
+        "alpha", "iterations", "status", "converged", "final_delta", "gradient_norm",
+        "entropy",
     }
     assert payload["status"] == "optimum"
     assert payload["converged"] is True
@@ -400,3 +401,61 @@ def test_fit_stops_at_a_zero_gradient_on_spiky_columns():
     report = fit_dirichlet(samples)
     assert report.converged
     assert _gradient_max_norm(samples, report.alpha) <= 1e-9
+
+
+# (spec, K, N'): the six families at their defaults, plus the two specs whose
+# near-one-hot LDMs start with alphas near 1e-8, far below their optimum
+_LDM_PANEL = [
+    (spec, k, holdout)
+    for spec in (*FAMILIES, "knn:k=1", "decision_tree:max_depth=20")
+    for k, holdout in ((100, 5), (30, 8))
+]
+
+
+@pytest.fixture(scope="module")
+def ldm_fits(iris):
+    fits = {}
+    for spec, k, holdout in _LDM_PANEL:
+        samples = build_ldm(parse_spec(spec), iris, k, holdout, 0).matrix
+        fits[spec, k, holdout] = samples, fit_dirichlet(samples)
+    return fits
+
+
+@pytest.mark.parametrize("case", _LDM_PANEL, ids=lambda c: f"{c[0]}-K{c[1]}-N{c[2]}")
+def test_fit_of_an_ldm_stops_at_a_zero_gradient(ldm_fits, case):
+    # a stop rule on the absolute alpha change once reported "optimum" for
+    # the near-one-hot LDMs while their smallest alphas were still millions
+    # of times too small
+    samples, report = ldm_fits[case]
+    assert report.status == "optimum"
+    assert _gradient_max_norm(samples, report.alpha) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "k, holdout, entropy",
+    [(100, 5, -4590.081780640868), (30, 8, -125692.9129023519)],
+    ids=["K100-N5", "K30-N8"],
+)
+def test_near_one_hot_ldm_entropy_is_the_optimum(ldm_fits, k, holdout, entropy):
+    # the entropies of fits continued with Newton steps in log alpha until
+    # no step moved an alpha by more than 1e-13 relative
+    _, report = ldm_fits["knn:k=1", k, holdout]
+    assert dirichlet_entropy(report.alpha) == pytest.approx(entropy, rel=1e-9)
+
+
+def test_gradient_norm_is_the_gradient_at_the_returned_alpha(monkeypatch):
+    # stopped at the step bound, far from the optimum, the gradient is large
+    monkeypatch.setattr(dirichlet, "_MAX_ITER", 2)
+    samples = _spiky_columns()
+    report = fit_dirichlet(samples)
+    assert report.status == "max_iter"
+    expected = _gradient_max_norm(samples, report.alpha)
+    assert expected > 1.0
+    assert report.gradient_norm == pytest.approx(expected, rel=1e-12)
+    assert fit_report_json(report)["gradient_norm"] == report.gradient_norm
+
+
+def test_no_optimum_report_has_no_gradient_norm():
+    report = fit_dirichlet(np.full((4, 50), 0.25))
+    assert math.isnan(report.gradient_norm)
+    assert fit_report_json(report)["gradient_norm"] is None
