@@ -90,12 +90,13 @@ def _shift_up(x: np.ndarray, minimum: float, step):
             np.add(x, 1, out=x, where=below)
 
 
-def _horner(z, coeffs):
-    """c0 + z * (c1 + z * (c2 + ..)), innermost term first."""
-    acc = coeffs[-1]
-    for c in coeffs[-2::-1]:
-        acc = c + z * acc
-    return acc
+def _horner(z: np.ndarray, coeffs) -> np.ndarray:
+    """c0 + z * (c1 + z * (c2 + ..)), innermost term first, in one new array."""
+    acc = z * coeffs[-1]
+    for c in coeffs[-2:0:-1]:
+        acc += c
+        acc *= z
+    return np.add(acc, coeffs[0], out=acc)
 
 
 def _digamma_raw(x: np.ndarray) -> np.ndarray:
@@ -109,16 +110,23 @@ def _digamma_raw(x: np.ndarray) -> np.ndarray:
     # Bernoulli-number tail of the asymptotic series, truncated at x^-14;
     # the first omitted term is below 1.6e-13 once x >= 6.
     tail = inv2 * _horner(inv2, _DIGAMMA_SERIES)
-    return acc + np.log(x) - 0.5 / x + tail
+    # acc + log(x) - 0.5 / x + tail, in place on the shifted copy of x
+    acc += np.log(x)
+    acc -= np.divide(0.5, x, out=x)
+    return np.add(acc, tail, out=acc)
 
 
 def _trigamma_raw(x: np.ndarray) -> np.ndarray:
     """trigamma on a positive float64 array (no validation)."""
     x, acc = _shift_up(x, _ASYMPTOTIC_MIN, lambda v: 1.0 / v**2)
-    inv = 1.0 / x
-    inv2 = inv * inv
-    tail = inv * (1.0 + inv * (0.5 + inv * _horner(inv2, _TRIGAMMA_SERIES)))
-    return acc + tail
+    inv = np.divide(1.0, x, out=x)
+    # acc + inv * (1 + inv * (0.5 + inv * series(inv^2))), in place
+    tail = _horner(inv * inv, _TRIGAMMA_SERIES)
+    for c in (0.5, 1.0):
+        tail *= inv
+        tail += c
+    tail *= inv
+    return np.add(acc, tail, out=acc)
 
 
 def digamma(x):
@@ -211,13 +219,19 @@ def _newton_step(alpha, log_p_bar):
     / (1/z + sum(alpha^2 / d))``, at O(m) cost.  When one alpha dwarfs the
     rest, the denominator cancels towards zero and the step overflows.
     """
+    # u, alpha^2 and d are computed in place, so that a step holds few vectors
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        u = alpha * _gradient(alpha, log_p_bar)
-        d = np.minimum(u, 0.0) - alpha**2 * _trigamma_raw(alpha)
+        u = _gradient(alpha, log_p_bar)
+        u *= alpha
+        square = alpha * alpha
+        d = _trigamma_raw(alpha)
+        d *= square
+        np.subtract(np.minimum(u, 0.0), d, out=d)
         z = _trigamma_raw(np.array([alpha.sum()]))[0]
-        b = np.sum(alpha * u / d) / (1.0 / z + np.sum(alpha**2 / d))
-        step = (u - alpha * b) / d
-    return step if np.all(np.isfinite(step)) else None
+        b = np.sum(alpha * u / d) / (1.0 / z + np.sum(np.divide(square, d, out=square)))
+        u -= alpha * b
+        u /= d
+    return u if np.all(np.isfinite(u)) else None
 
 
 def fit_dirichlet(samples) -> FitReport:
@@ -261,8 +275,10 @@ def fit_dirichlet(samples) -> FitReport:
     # The likelihood has a maximum only where sum_j exp(mean log p_j) < 1.
     # Jensen's inequality guarantees that unless the columns are identical
     # (every row of log p constant); rounding can also push the sum to 1,
-    # when a row is 1 to the last bit.  Otherwise there is no optimum.
-    no_optimum = not np.ptp(log_p, axis=1).any() or np.exp(log_p_bar).sum() >= 1.0
+    # when a row is 1 to the last bit.  Otherwise there is no optimum.  Columns
+    # are compared one by one; one boolean matrix would raise the fit's peak.
+    same = all(np.array_equal(log_p[:, 0], log_p[:, j]) for j in range(1, k))
+    no_optimum = same or np.exp(log_p_bar).sum() >= 1.0
     del log_p
     means = p.mean(axis=1)
     if no_optimum:

@@ -201,77 +201,119 @@ def build_ldm(
     return LDMatrix(matrix, ds.num_classes, holdout_size, seeds)
 
 
-#: Values :func:`write_ldm_csv` reads per block: as many whole rows as fit,
-#: at least one, in whole ``%`` parts where a part fits.  Finding a block's
-#: repeats costs a few numpy calls whatever its size; at 1,024 values they
-#: cost about 1% of formatting the block.
-_CSV_BLOCK_VALUES = 1024
-
-#: Values formatted per ``%`` in a block without enough repeats: as many
-#: whole rows as fit, at least one.  Longer strings raise peak RSS that the
-#: process keeps after the write: one ``%`` per 1,024 values raised an ``ldm``
-#: run's peak RSS by 0.7 MB (N'=8, K=30), and 256 rows x 30 columns by 4 MB
-#: at 6,561 rows and 12 MB at 59,049.
-_CSV_FORMAT_VALUES = 256
-
-#: Slots in :func:`write_ldm_csv`'s memo of formatted values, a power of two.
-#: Each value has one slot, picked by hashing its bit pattern, and a new value
-#: evicts the old one, so the memo never outgrows this: at most 16,384 keys
-#: (128 KiB), 16,384 references (128 KiB) and 16,384 texts of at most 23
-#: characters (72 bytes each, 1.1 MiB).  k-NN and tree matrices at N'=8 and
-#: K=30 hold 1,500-7,600 distinct values.
-_CSV_MEMO_SLOTS = 1 << 14
-
-# a NaN bit pattern, so no LDM value (all finite) matches an empty slot
-_EMPTY_SLOT = np.uint64(0xFFFFFFFFFFFFFFFF)
+#: Values :func:`write_ldm_csv` formats per block: as many whole rows as fit,
+#: at least one.  :func:`_csv_lines` holds about 125 bytes per value of a
+#: block, so 4,096 values peak near 0.5 MB, and numpy's per-call costs stay
+#: near a tenth of the block's time (half of it at 512 values).
+_CSV_BLOCK_VALUES = 4096
 
 
-class _TextMemo:
-    """Texts of formatted float64 values, one per slot, keyed by bit pattern.
+def _least_double_at_least(e: int) -> float:
+    nearest = 1 / 10**-e  # correctly rounded, for e <= 0
+    num, den = nearest.as_integer_ratio()
+    return nearest if num * 10**-e >= den else float(np.nextafter(nearest, np.inf))
 
-    A value's slot is picked by the top bits of a Fibonacci hash of its bit
-    pattern, so ``-0.0`` and ``0.0`` are different keys, and a new value
-    evicts whatever held its slot.
+
+# Tables of _csv_lines.  x >= 10**E exactly where x >= _POWER_FLOORS[E + 31],
+# for E = -31..1.
+_POWER_FLOORS = np.array([*(_least_double_at_least(e) for e in range(-31, 1)), 10.0])
+# 10**k for k = 17..46 as the double-double hi + lo, with hi split into two
+# 26-bit halves by Dekker's splitter, so that x * hi is exact without FMA
+_SPLITTER = 2.0**27 + 1
+_TEN_HI = np.array([float(10**k) for k in range(17, 47)])
+_TEN_HEAD = _SPLITTER * _TEN_HI - (_SPLITTER * _TEN_HI - _TEN_HI)
+_POWERS_OF_TEN = np.stack([
+    _TEN_HI, _TEN_HEAD, _TEN_HI - _TEN_HEAD,
+    [float(10**k - int(hi)) for k, hi in zip(range(17, 47), _TEN_HI.tolist())],
+])
+# the text of each 4-digit chunk 0000..9999 as one uint32, and its trailing zeros
+_CHUNK_TEXT = np.ascontiguousarray(np.moveaxis(np.indices((10,) * 4, np.uint8), 0, -1)
+                                   + ord("0")).view(np.uint32).ravel()
+_CHUNK_ZEROS = sum((np.arange(10_000) % 10**i == 0).astype(np.intp) for i in range(1, 5))
+# A value's record is 32 bytes: a head (bytes 0-7: "0.000", two NULs and the
+# leading digit d, or "d." and six NULs), 16 more digits (8-23), "e-XX"
+# (24-27), the separator (28) and three NULs.  _HEADS[d] is the first head,
+# _HEADS[10 + d] the second, and _EXPONENTS[-E] the text "e-XX".  Bytes that
+# %.17g leaves out are set to NUL, and the NULs are deleted from the text.
+_HEADS = np.frombuffer(b"".join([b"0.000\0\0%d" % d for d in range(10)]
+                                + [b"%d.\0\0\0\0\0\0" % d for d in range(10)]), np.uint64)
+_EXPONENTS = np.frombuffer(b"".join(b"e-%02d" % e for e in range(31)), np.uint32)
+# _KEEP[18 * -E + n] is 0xFF at the record bytes that %.17g writes for a
+# value with exponent E and n significant digits: "0." with -E - 1 zeros for
+# E >= -4, "d." (just "d" for n = 1) and "e-XX" below.  Row 0 keeps a record
+# that holds the text of a value formatted by %.
+_E, _N, _J = np.ogrid[:31, :18, :32]
+_KEEP = np.uint8(255) * np.where(_E == 0, True, (_J >= 28) | np.where(
+    _E <= 4,
+    (_J <= 1) | ((_J >= 6 - _E) & (_J <= 6 + _N)),
+    (_J == 0) | ((_J == 1) & (_N > 1)) | ((_J >= 8) & (_J <= 6 + _N)) | (_J >= 24),
+)).reshape(31 * 18, 32)
+
+
+def _csv_lines(block: np.ndarray) -> bytes:
+    """``block``'s rows as ``np.savetxt(fh, block, fmt="%.17g", delimiter=",")`` writes them.
+
+    Each value x in [1e-30, 1) is formatted in numpy.  Its exponent E
+    (10**E <= x < 10**(E+1)) comes from exact thresholds, and x * 10**(16 - E)
+    from double-double arithmetic, within about 2**-47.  That rounds to the
+    17-digit significand S, whose digits come from a table of 4-digit texts
+    (S = 10**17 is 10**16 with E + 1).  Every other value (0, -0, subnormals,
+    x >= 1 or below 1e-30, negatives, NaN, inf), and any x whose scaled
+    fraction lies within 2**-30 of 1/2, is formatted by ``%``.
     """
-
-    def __init__(self):
-        self.keys = np.full(_CSV_MEMO_SLOTS, _EMPTY_SLOT)
-        self.texts = np.empty(_CSV_MEMO_SLOTS, dtype=object)
-        self.used = False
-
-    def lines(self, block: np.ndarray) -> str | None:
-        """The block's CSV lines, or None where formatting the block directly is cheaper.
-
-        The memo pays where values repeat: a block with no repeat while the
-        memo is empty, or whose values missing from the memo (each distinct
-        value counted once) are more than half its values, gets None.
-        """
-        bits = block.ravel().view(np.uint64)
-        ordered = np.sort(bits)
-        new = ordered[1:] != ordered[:-1]
-        if not self.used and new.all():
-            return None
-        distinct = ordered[np.append(True, new)]
-        slots = (distinct * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(
-            64 - (_CSV_MEMO_SLOTS - 1).bit_length()
-        )
-        fresh = self.keys[slots] != distinct
-        if 2 * np.count_nonzero(fresh) > bits.size:
-            return None
-        texts = self.texts[slots]
-        if fresh.any():
-            made = ",".join(["%.17g"] * np.count_nonzero(fresh)) % tuple(
-                distinct[fresh].view(np.float64).tolist()
-            )
-            texts[fresh] = made.split(",")
-            self.keys[slots[fresh]] = distinct[fresh]
-            # numpy does not say which of two fresh values sharing a slot it
-            # stores, so the memo keeps the text of the one whose key it holds
-            kept = fresh & (self.keys[slots] == distinct)
-            self.texts[slots[kept]] = texts[kept]
-            self.used = True
-        cells = texts[np.searchsorted(distinct, bits)].reshape(block.shape)
-        return "\n".join(map(",".join, cells.tolist())) + "\n"
+    rows, k = block.shape
+    x = block.ravel()
+    n = x.size
+    inside = (x >= _POWER_FLOORS[1]) & (x < 1.0)
+    x_in = np.where(inside, x, 0.5)
+    e = np.floor(np.log10(x_in)).astype(np.intp)  # off by at most one
+    e += x_in >= _POWER_FLOORS.take(e + 32)
+    e -= x_in < _POWER_FLOORS.take(e + 31)
+    # x * 10**(16 - E) = p + err: Dekker's exact x * hi = p + (..), plus x * lo
+    hi, hi_head, hi_tail, lo = _POWERS_OF_TEN.take(-1 - e, axis=1)
+    p = x_in * hi
+    x_head = _SPLITTER * x_in
+    x_head -= x_head - x_in
+    x_tail = x_in - x_head
+    err = (x_head * hi_head - p) + x_head * hi_tail + x_tail * hi_head
+    err += x_tail * hi_tail
+    err += x_in * lo
+    del x_in, hi, hi_head, hi_tail, lo, x_head, x_tail
+    whole = np.floor(err)
+    err -= whole  # p is a whole number above 2**53, so this is the fraction
+    s = p.astype(np.int64) + whole.astype(np.int64) + (err > 0.5)
+    inside &= np.abs(err - 0.5) >= 2.0**-30
+    del p, whole, err
+    carry = s == 10**17
+    s[carry] = 10**16
+    e += carry  # E stays below 0: 1 - 2**-53 is 0.99999999999999989
+    lead = s // 10**16
+    s -= lead * 10**16
+    chunks = np.empty((4, n), np.intp)
+    np.divmod(s // 10**8, 10**4, out=(chunks[0], chunks[1]))
+    np.divmod(s % 10**8, 10**4, out=(chunks[2], chunks[3]))
+    # significant digits: 17 less the trailing zeros, chunk by chunk from the last
+    zeros = _CHUNK_ZEROS.take(chunks[3])
+    for c in (2, 1, 0):
+        more = np.flatnonzero(zeros == 4 * (3 - c))
+        if not more.size:
+            break
+        zeros[more] += _CHUNK_ZEROS.take(chunks[c, more])
+    row = np.where(inside, -18 * e + 17 - zeros, 0)
+    record = np.empty((n, 8), np.uint32)
+    record.view(np.uint64)[:, 0] = _HEADS.take(lead + 10 * (e < -4))
+    record[:, 2:6] = _CHUNK_TEXT.take(chunks).T
+    record[:, 6] = _EXPONENTS.take(-e)
+    record.reshape(rows, k, 8)[:, :, 7] = ord(",")
+    record.reshape(rows, k, 8)[:, -1, 7] = ord("\n")
+    del inside, e, s, lead, chunks, zeros  # so the text copies below set the peak
+    text = record.view(np.uint8)
+    fallback = np.flatnonzero(row == 0)
+    if fallback.size:  # each text is at most 24 bytes, NUL-padded to 28
+        texts = ["%.17g" % v for v in x[fallback].tolist()]
+        text[fallback, :28] = np.array(texts, dtype="S28").view(np.uint8).reshape(-1, 28)
+    np.bitwise_and(text, _KEEP.take(row, axis=0), out=text)
+    return text.tobytes().translate(None, b"\0")
 
 
 def write_ldm_csv(ldm: LDMatrix, path: str | Path) -> None:
@@ -279,32 +321,12 @@ def write_ldm_csv(ldm: LDMatrix, path: str | Path) -> None:
 
     Values carry 17 significant digits, enough to reproduce every float64
     exactly; the bytes are ``np.savetxt``'s with ``fmt="%.17g"``.  Rows go
-    out in blocks of about ``_CSV_BLOCK_VALUES`` values.  k-NN and tree
-    matrices repeat a few thousand values, so a block's distinct values are
-    found by sorting their bit patterns and looked up in a memo of
-    ``_CSV_MEMO_SLOTS`` texts.  When those missing from the memo are at most
-    half the block's values, they are formatted by one ``%`` and stored, and
-    the block's lines are joined from the texts.  Any other block, such as
-    one without repeats while the memo is empty, is formatted by one ``%``
-    per ``_CSV_FORMAT_VALUES`` values.
+    out in blocks of about ``_CSV_BLOCK_VALUES`` values, formatted by
+    :func:`_csv_lines` (without ``%`` for an epsilon-smoothed LDM).
     """
-    # the memo lives in its own class so that this function stays short:
-    # tracemalloc finds the line of each allocation by scanning the function's
-    # line table, which made the peak-memory checks 2x slower
     matrix = ldm.matrix
-    k = ldm.k_columns
-    part = max(1, _CSV_FORMAT_VALUES // k)
-    rows = max(1, _CSV_BLOCK_VALUES // (part * k)) * part
-    floats = ",".join(["%.17g"] * k) + "\n"
-    memo = _TextMemo()
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(",".join(f"col_{i}" for i in range(k)) + "\n")
+    rows = max(1, _CSV_BLOCK_VALUES // ldm.k_columns)
+    with open(path, "wb") as fh:
+        fh.write(",".join(f"col_{i}" for i in range(ldm.k_columns)).encode() + b"\n")
         for top in range(0, matrix.shape[0], rows):
-            block = matrix[top:top + rows]
-            lines = memo.lines(block)
-            if lines is not None:
-                fh.write(lines)
-                continue
-            for i in range(0, block.shape[0], part):
-                piece = block[i:i + part]
-                fh.write((floats * piece.shape[0]) % tuple(piece.ravel().tolist()))
+            fh.write(_csv_lines(matrix[top:top + rows]))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import tracemalloc
+from fractions import Fraction
 from functools import reduce
 
 import numpy as np
@@ -304,21 +305,50 @@ def _assert_savetxt_bytes(matrix, num_classes, holdout_size, tmp_path):
     assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
 
 
+def test_csv_lines_match_percent_on_a_million_values():
+    rng = np.random.default_rng(17)
+    powers = np.array([float(Fraction(10) ** e) for e in range(-40, 2)])
+    values = np.concatenate([
+        rng.random(300_000),
+        10.0 ** rng.uniform(-32, 0, 300_000),
+        np.frombuffer(rng.bytes(8 * 100_000), np.float64),  # NaN, inf, subnormal, negative, huge
+        np.nextafter(powers, 0), powers, np.nextafter(powers, 2),
+        # short dyadic values end in 5 within a few digits past the 17th: ties and near-ties
+        np.ldexp(rng.integers(1, 2**24, 300_000).astype(float), -rng.integers(1, 110, 300_000)),
+        [0.0, -0.0, 9.9999999999999994e-30, 1e-30, 1e-4, 3e-5, 1.0, 1 - 2**-53, 5e-324, -1e-5],
+    ])
+    assert values.size >= 10**6 and values.size % 8 == 0
+    for block in np.split(values.reshape(-1, 8), range(4096, values.size // 8, 4096)):
+        row = ",".join(["%.17g"] * 8) + "\n"
+        want = (row * block.shape[0]) % tuple(block.ravel().tolist())
+        got = ldm_module._csv_lines(block).decode()
+        if got != want:
+            cells = zip(block.ravel().tolist(), got.replace(",", " ").split(),
+                        want.replace(",", " ").split())
+            pytest.fail(str(next((v, g, w) for v, g, w in cells if g != w)))
+
+
 def _repeating(rows, k_columns, levels, seed):
     """Columns of at most ``levels`` distinct values each, like k-NN vote products."""
     counts = np.random.default_rng(seed).integers(1, levels + 1, (rows, k_columns))
     return counts / counts.sum(axis=0)
 
 
-# 2 columns make `%` parts of 128 rows, 30 columns parts of 8
+def _blocks_of(monkeypatch, rows, k_columns):
+    """Make write_ldm_csv format ``rows`` rows of ``k_columns`` values per block."""
+    monkeypatch.setattr(ldm_module, "_CSV_BLOCK_VALUES", rows * k_columns)
+    return ldm_module._CSV_BLOCK_VALUES // k_columns
+
+
+# blocks of 128 rows of 2 columns and 8 rows of 30 columns
 @pytest.mark.parametrize("k_columns, num_classes, holdout_size, shape", [
     (2, 2, 6, "under-one-block"), (2, 2, 7, "one-block"), (2, 3, 5, "partial-last-block"),
     (30, 2, 2, "under-one-block"), (30, 2, 3, "one-block"), (30, 3, 3, "partial-last-block"),
 ])
 def test_write_ldm_csv_is_savetxt_byte_for_byte(k_columns, num_classes, holdout_size, shape,
-                                                 tmp_path):
+                                                 tmp_path, monkeypatch):
     rows = num_classes**holdout_size
-    block = ldm_module._CSV_FORMAT_VALUES // k_columns
+    block = _blocks_of(monkeypatch, {2: 128, 30: 8}[k_columns], k_columns)
     assert {"under-one-block": rows < block, "one-block": rows == block,
             "partial-last-block": rows > block and rows % block != 0}[shape]
     # values across many decades, one of them subnormal
@@ -328,15 +358,17 @@ def test_write_ldm_csv_is_savetxt_byte_for_byte(k_columns, num_classes, holdout_
     _assert_savetxt_bytes(matrix, num_classes, holdout_size, tmp_path)
 
 
-# 2 columns make blocks of 512 rows, 30 columns blocks of 32 (four `%` parts)
+# columns of at most 3 distinct values, in blocks of 512 rows of 2 columns
+# and 32 rows of 30 columns
 @pytest.mark.parametrize("k_columns, num_classes, holdout_size, shape", [
     (2, 2, 8, "under-one-block"), (2, 2, 9, "one-block"), (2, 3, 6, "partial-last-block"),
     (30, 2, 4, "under-one-block"), (30, 2, 5, "one-block"), (30, 3, 4, "partial-last-block"),
 ])
 def test_write_ldm_csv_memo_blocks_are_savetxt_byte_for_byte(k_columns, num_classes,
-                                                             holdout_size, shape, tmp_path):
+                                                             holdout_size, shape, tmp_path,
+                                                             monkeypatch):
     rows = num_classes**holdout_size
-    block = {2: 512, 30: 32}[k_columns]
+    block = _blocks_of(monkeypatch, {2: 512, 30: 32}[k_columns], k_columns)
     assert {"under-one-block": rows < block, "one-block": rows == block,
             "partial-last-block": rows > block and rows % block != 0}[shape]
     _assert_savetxt_bytes(_repeating(rows, k_columns, 3, seed=rows), num_classes, holdout_size,
@@ -345,7 +377,7 @@ def test_write_ldm_csv_memo_blocks_are_savetxt_byte_for_byte(k_columns, num_clas
 
 def test_write_ldm_csv_repeats_within_and_across_blocks(tmp_path):
     matrix = _repeating(3**5, 30, 4, seed=1)
-    block = matrix[:32]  # one block of 30 columns
+    block = matrix[:ldm_module._CSV_BLOCK_VALUES // 30]  # the first block
     assert np.unique(block).size < block.size / 4
     assert np.isin(matrix[-block.shape[0]:], block).mean() > 0.5
     _assert_savetxt_bytes(matrix, 3, 5, tmp_path)
@@ -373,13 +405,13 @@ def test_write_ldm_csv_writes_repeated_subnormals_exactly(tmp_path):
 
 
 def test_write_ldm_csv_with_more_distinct_values_than_memo_slots(tmp_path):
-    # every 4 rows share a value per column, so each 256-row block holds a
-    # quarter fresh values and goes through the memo; after 18,000 values
-    # the first ones recur, so texts are read back from a memo that evicted
+    # every 4 rows share a value per column, so a block holds a quarter
+    # distinct values; 18,000 distinct values (over 2**14) recur after
+    # 4,500 such groups, in later blocks
     rows = 3**9
     counts = (np.arange(rows)[:, None] // 4) % 4500 + 1 + 7919 * np.arange(4)
     matrix = counts / counts.sum(axis=0)
-    assert np.unique(matrix).size > ldm_module._CSV_MEMO_SLOTS
+    assert np.unique(matrix).size > 2**14
     block = matrix[:ldm_module._CSV_BLOCK_VALUES // 4]
     assert np.unique(block).size == block.size / 4
     _assert_savetxt_bytes(matrix, 3, 9, tmp_path)
@@ -402,7 +434,7 @@ def test_write_ldm_csv_peak_memory_does_not_grow_with_rows(base, tmp_path):
         rows = 3**holdout_size
         if base == "repeating":
             matrix = _repeating(rows, 100, 4, seed=holdout_size)
-            assert np.unique(matrix[:10]).size <= 500  # its blocks go through the memo
+            assert np.unique(matrix[:10]).size <= 500  # few distinct values, like k-NN votes
         else:
             matrix = np.random.default_rng(holdout_size).random((rows, 100))
             matrix /= matrix.sum(axis=0)
