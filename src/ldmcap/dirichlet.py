@@ -23,15 +23,15 @@ operations, so their accuracy contracts are owned by this module;
 (and returns a Python float) or an array of any shape (and returns an array
 of that shape).
 
-``digamma`` and its derivative ``trigamma`` share one recurrence step,
-``f(x) = f(x + 1) + term(x)``: ``_shift_up`` raises every argument below 6
-by ones and sums the terms it passed, and an asymptotic series
-(``_horner``) is then evaluated at the shifted argument.
+``digamma`` and its derivative ``trigamma`` share one recurrence,
+``f(x) = f(x + 6) + sum_{i<6} term(x + i)``: six passes over every entry,
+whatever its value, take it above 6, where an asymptotic series
+(``_horner``) is evaluated (Bernardo, *Algorithm AS 103*, 1976).
 
-* ``digamma``: de Moivre asymptotic series (term ``-1/x``); absolute error
-  stays below 1e-12 for x >= 1e-2.
+* ``digamma``: de Moivre asymptotic series (term ``-1/x``); over 4,000
+  points of 1e-8..1e8 its largest error was 2.0e-14 of max(1, |psi(x)|).
 * ``trigamma``: 1/x + 1/(2x^2) + sum_k B_2k / x^(2k+1) (term ``1/x^2``);
-  relative error stays below 2e-12.
+  over 4,000 points of 1e-3..1e12 its largest relative error was 2.0e-14.
 * ``inverse_digamma``: Newton iterations from the standard piecewise initial
   guess (exp(y) + 1/2 for y >= -2.22, else -1/(y + Euler gamma)), with
   trigamma as the derivative.
@@ -51,8 +51,6 @@ from .errors import FitNumericalError
 
 EULER_GAMMA = 0.5772156649015328606
 
-_ASYMPTOTIC_MIN = 6.0
-
 # Coefficients c0, c1, .. of the asymptotic series in powers of 1/x^2.
 _DIGAMMA_SERIES = (-1 / 12, 1 / 120, -1 / 252, 1 / 240, -1 / 132, 691 / 32760, -1 / 12)
 _TRIGAMMA_SERIES = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
@@ -70,26 +68,6 @@ def _like_input(out: np.ndarray, x):
     return float(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(x))
 
 
-def _shift_up(x: np.ndarray, minimum: float, step):
-    """Step every entry below ``minimum`` up by ones, summing ``step`` on the way.
-
-    Returns the shifted copy of ``x`` and, per entry, the sum of ``step(v)``
-    over the values ``v`` it passed through (zero where nothing moved).
-    """
-    x = x.copy()
-    acc = np.zeros_like(x)
-    # Masked adds give each moved entry the operations of an indexed update
-    # without gathering and scattering it.  ``step`` also runs on the entries
-    # that stay put, whose results are dropped; there 1/v**2 may overflow.
-    with np.errstate(over="ignore"):
-        while True:
-            below = x < minimum
-            if not below.any():
-                return x, acc
-            np.add(acc, step(x), out=acc, where=below)
-            np.add(x, 1, out=x, where=below)
-
-
 def _horner(z: np.ndarray, coeffs) -> np.ndarray:
     """c0 + z * (c1 + z * (c2 + ..)), innermost term first, in one new array."""
     acc = z * coeffs[-1]
@@ -101,25 +79,37 @@ def _horner(z: np.ndarray, coeffs) -> np.ndarray:
 
 def _digamma_raw(x: np.ndarray) -> np.ndarray:
     """digamma on a positive float64 array (no validation)."""
-    # psi(x) = psi(x + 1) - 1/x; at most six shifts take any x > 0 to >= 6.
-    x, acc = _shift_up(x, _ASYMPTOTIC_MIN, lambda v: -1.0 / v)
-    # x * x overflows past 1.3e154; the 0 that 1/x^2 then yields in place of
-    # a subnormal is far below the series' truncation error.
+    # psi(x) = psi(x + 6) - sum_{i<6} 1/(x + i), then the series at y = x + 6.
+    # 1/x overflows for subnormal x, and y * y past 1.3e154; the 0 that 1/y^2
+    # then yields in place of a subnormal is far below the series' truncation
+    # error.
+    acc = np.zeros_like(x)
+    y = x.copy()
     with np.errstate(over="ignore"):
-        inv2 = 1.0 / (x * x)
-    # Bernoulli-number tail of the asymptotic series, truncated at x^-14;
-    # the first omitted term is below 1.6e-13 once x >= 6.
+        for _ in range(6):
+            acc -= 1.0 / y
+            y += 1.0
+        inv2 = 1.0 / (y * y)
+    # Bernoulli-number tail of the asymptotic series, truncated at y^-14;
+    # the first omitted term is below 1.6e-13 at y > 6.
     tail = inv2 * _horner(inv2, _DIGAMMA_SERIES)
-    # acc + log(x) - 0.5 / x + tail, in place on the shifted copy of x
-    acc += np.log(x)
-    acc -= np.divide(0.5, x, out=x)
+    # acc + log(y) - 0.5 / y + tail, in place on y
+    acc += np.log(y)
+    acc -= np.divide(0.5, y, out=y)
     return np.add(acc, tail, out=acc)
 
 
 def _trigamma_raw(x: np.ndarray) -> np.ndarray:
     """trigamma on a positive float64 array (no validation)."""
-    x, acc = _shift_up(x, _ASYMPTOTIC_MIN, lambda v: 1.0 / v**2)
-    inv = np.divide(1.0, x, out=x)
+    # psi'(x) = psi'(x + 6) + sum_{i<6} 1/(x + i)^2; (x + i)^2 overflows to a
+    # term of 0 for huge x, and its reciprocal to inf for tiny x.
+    acc = np.zeros_like(x)
+    y = x.copy()
+    with np.errstate(over="ignore"):
+        for _ in range(6):
+            acc += 1.0 / (y * y)
+            y += 1.0
+    inv = np.divide(1.0, y, out=y)
     # acc + inv * (1 + inv * (0.5 + inv * series(inv^2))), in place
     tail = _horner(inv * inv, _TRIGAMMA_SERIES)
     for c in (0.5, 1.0):
@@ -171,7 +161,8 @@ def lgamma(x):
 # A fit stops on the first step that moves no log alpha by more than
 # _TOLERANCE, or reports status "max_iter" after _MAX_ITER steps.  The
 # benchmark's LDMs take 5-21 steps (7-11 at N' = 9), near-one-hot LDMs 26,
-# and the fallback test input 267, 32 of them fixed-point.
+# and the fallback test input 494, 28 of them fixed-point (a count that
+# rounding noise moves by hundreds).
 _TOLERANCE = 1e-10
 _MAX_ITER = 1000
 
