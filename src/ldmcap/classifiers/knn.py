@@ -10,9 +10,10 @@ from .base import TrainedModel
 class KnnModel(TrainedModel):
     """Probabilities are the class fractions among the K nearest training rows.
 
-    Distance ties are broken toward the lower training-row index (a stable
-    argsort over the distance matrix gives exactly that ordering), so queries
-    that coincide with a stored row deterministically see that row first.
+    Distance ties are broken toward the lower training-row index, and NaN
+    distances count as farther than any other (the order of a stable argsort
+    over each row), so queries that coincide with a stored row
+    deterministically see that row first.
     """
 
     def __init__(self, features: np.ndarray, labels: np.ndarray, num_classes: int, k: int):
@@ -20,15 +21,22 @@ class KnnModel(TrainedModel):
             raise ValueError(f"k must be at least 1, got {k}")
         super().__init__(num_classes, features.shape[1])
         self._features = features
-        self._labels = labels
         self._k = min(int(k), features.shape[0])
         self._train_sq = np.einsum("ij,ij->i", features, features)
+        self._one_hot = (labels[:, None] == np.arange(num_classes)).astype(np.float64)
 
     def predict_proba_batch(self, X) -> np.ndarray:
         X = self._check_rows(X)
         q_sq = np.einsum("ij,ij->i", X, X)
         d2 = q_sq[:, None] + self._train_sq[None, :] - 2.0 * X @ self._features.T
-        order = np.argsort(d2, axis=1, kind="stable")[:, : self._k]
-        neighbor_labels = self._labels[order]
-        one_hot = neighbor_labels[:, :, None] == np.arange(self.num_classes)[None, None, :]
-        return one_hot.sum(axis=1) / self._k
+        # The K nearest without a sort: every row nearer than the K-th
+        # distance, then the first rows at that distance, in index order.
+        # [k - 1] copies the K-th column, so the partitioned matrix is freed
+        kth = np.partition(d2, self._k - 1, axis=1)[:, [self._k - 1]]
+        nan, nan_kth = np.isnan(d2), np.isnan(kth)
+        nearer = (d2 < kth) | (nan_kth & ~nan)
+        tied = (d2 == kth) | (nan_kth & nan)
+        missing = self._k - nearer.sum(axis=1, keepdims=True)
+        # int32 ranks hold half the memory of the default int64 ones
+        nearer |= tied & (np.cumsum(tied, axis=1, dtype=np.int32) <= missing)
+        return (nearer @ self._one_hot) / self._k

@@ -102,6 +102,50 @@ def test_knn_distance_ties_go_to_lower_train_index():
     assert np.allclose(model.predict_proba(np.array([1.0, 2.0])), [0.0, 1.0])
 
 
+def _knn_by_stable_sort(features, labels, num_classes, k, X):
+    """Class fractions among the first k rows of a stable argsort of the distances."""
+    d2 = (
+        np.einsum("ij,ij->i", X, X)[:, None]
+        + np.einsum("ij,ij->i", features, features)[None, :]
+        - 2.0 * X @ features.T
+    )
+    order = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return (labels[order][:, :, None] == np.arange(num_classes)).sum(axis=1) / k
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 10, 50, 150])
+def test_knn_picks_the_lower_of_duplicate_iris_rows(iris, k):
+    # rows 101 and 142 of iris are the same flower, so every query sees them
+    # at one distance; the selection must match a stable sort bit for bit
+    rng = np.random.default_rng(k)
+    queries = np.vstack([iris.features, iris.features + 0.05])
+    for _ in range(5):
+        labels = rng.integers(0, 3, size=iris.n_examples)
+        labels[101], labels[142] = 0, 1
+        probs = KnnModel(iris.features, labels, 3, k=k).predict_proba_batch(queries)
+        assert np.array_equal(probs, _knn_by_stable_sort(iris.features, labels, 3, k, queries))
+    if k == 1:
+        assert probs[142].tolist() == [1.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_knn_puts_nan_distances_last(k):
+    # the infinite training feature puts a NaN (0 * inf) among finite
+    # distances, and infinite or NaN queries see only NaN and inf; a stable
+    # sort puts NaN after everything and ties in index order
+    features = np.array([[0.0, 0.0], [np.inf, 0.0], [1.0, 0.0], [2.0, 0.0]])
+    labels = np.array([0, 1, 2, 0])
+    queries = np.array(
+        [[0.0, 1.0], [0.5, 0.0], [np.nan, 0.0], [np.inf, 0.0], [-np.inf, 1.0], [1e160, 0.0]]
+    )
+    with np.errstate(invalid="ignore", over="ignore"):
+        probs = KnnModel(features, labels, 3, k=k).predict_proba_batch(queries)
+        expected = _knn_by_stable_sort(features, labels, 3, k, queries)
+    assert np.array_equal(probs, expected)
+    if k == 3:  # rows 0, 2 and 3 are finite, row 1 is NaN
+        assert probs[0].tolist() == [2 / 3, 0.0, 1 / 3]
+
+
 def test_knn_k_clamped_to_training_size():
     model = KnnModel(*_xyc(_ds([[0.0], [1.0]], [0, 1])), k=100)
     assert np.allclose(model.predict_proba(np.array([0.4])), [0.5, 0.5])

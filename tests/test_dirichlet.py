@@ -62,6 +62,24 @@ def test_trigamma_matches_reference_over_fifteen_decades():
     assert np.max(np.abs(ours - ref) / ref) <= 1e-13
 
 
+def test_psi_differences_match_reference():
+    # psi(x + r) - psi(x) and psi'(x) - psi'(x + r), relative to their own
+    # size, down to r = 1e-16 x, where the two digammas agree to the last bit
+    worst = 0.0
+    for x in np.geomspace(1e-3, 1e15, 19):
+        for r in x * np.geomspace(1e-16, 1e3, 11):
+            d_psi, d_trigamma = dirichlet._differences(float(x), float(r))
+            x_mp, r_mp = mpmath.mpf(float(x)), mpmath.mpf(float(r))
+            ref_psi = mpmath.digamma(x_mp + r_mp) - mpmath.digamma(x_mp)
+            ref_trigamma = mpmath.psi(1, x_mp) - mpmath.psi(1, x_mp + r_mp)
+            worst = max(
+                worst,
+                float(abs(d_psi / ref_psi - 1)),
+                float(abs(d_trigamma / ref_trigamma - 1)),
+            )
+    assert worst <= 1e-13
+
+
 def test_lgamma_matches_reference():
     xs = np.geomspace(1e-2, 1e3, 60)
     ours = np.array([lgamma(x) for x in xs])
@@ -286,38 +304,37 @@ def _gradient_max_norm(samples, alpha):
     return float(np.max(np.abs(digamma(alpha.sum()) - digamma(alpha) + log_p_bar)))
 
 
-def test_fit_takes_a_fixed_point_step_where_the_newton_step_overflows(monkeypatch):
-    # the first component is 1e-30 of the second or less, so the Newton
-    # step's denominator 1/z + sum(1/q) cancels to zero; the fixed-point step
-    # stands in, and the fit still reaches the optimum
-    newton_step = dirichlet._newton_step
-    fallbacks = []
-
-    def spy(alpha, log_p_bar):
-        step = newton_step(alpha, log_p_bar)
-        fallbacks.append(step is None)
-        return step
-
-    inverse = dirichlet.inverse_digamma
-    fixed_point_steps = []
-
-    def fixed_point_spy(y):
-        fixed_point_steps.append(y)
-        return inverse(y)
-
-    monkeypatch.setattr(dirichlet, "_newton_step", spy)
-    monkeypatch.setattr(dirichlet, "inverse_digamma", fixed_point_spy)
+def test_fit_reaches_the_optimum_where_one_alpha_dwarfs_the_other(monkeypatch):
+    # alpha_2 / alpha_1 ends near 1e16, where psi(a0) - psi(alpha_2) and the
+    # Newton denominator 1/z + sum(alpha^2 / d) cancel to rounding noise
+    # unless taken from difference series; an ulp's change of the start must
+    # not change where, or whether, the fit stops
+    initial_alpha = dirichlet._initial_alpha
     samples = np.array([[1e-40, 1e-30], [1.0 - 2.0**-53, 1.0 - 2.0**-53]])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        report = fit_dirichlet(samples)
-    assert report.status == "optimum"
-    assert np.all(np.isfinite(report.alpha))
-    assert np.all(report.alpha > 0.0)
-    assert _gradient_max_norm(samples, report.alpha) <= 1e-9
-    assert any(fallbacks)
-    assert len(fallbacks) == report.iterations
-    assert len(fixed_point_steps) == sum(fallbacks)
+    alphas = []
+    for k in range(-20, 21):
+        monkeypatch.setattr(
+            dirichlet,
+            "_initial_alpha",
+            lambda *args, k=k: initial_alpha(*args) * (1.0 + k * 2.0**-52),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = fit_dirichlet(samples)
+        assert report.status == "optimum", k
+        assert np.all(np.isfinite(report.alpha)) and np.all(report.alpha > 0.0)
+        assert report.gradient_norm <= 1e-12
+        assert _gradient_max_norm(samples, report.alpha) <= 1e-9
+        alphas.append(report.alpha)
+    second = np.array([alpha[1] for alpha in alphas])
+    assert np.max(np.abs(second / second[20] - 1.0)) <= 1e-12
+
+
+def test_fit_of_a_non_finite_step_raises(monkeypatch):
+    monkeypatch.setattr(dirichlet, "_newton_step", lambda alpha, log_p_bar: alpha * np.nan)
+    samples = sample_dirichlet(np.array([2.0, 5.0]), 100, np.random.default_rng(0))
+    with pytest.raises(FitNumericalError, match="non-finite Newton step"):
+        fit_dirichlet(samples)
 
 
 def test_fit_without_an_optimum_in_floating_point_does_not_converge():
@@ -440,6 +457,14 @@ def test_fit_of_an_ldm_stops_at_a_zero_gradient(ldm_fits, case):
     samples, report = ldm_fits[case]
     assert report.status == "optimum"
     assert _gradient_max_norm(samples, report.alpha) <= 1e-9
+
+
+@pytest.mark.parametrize("case", _LDM_PANEL, ids=lambda c: f"{c[0]}-K{c[1]}-N{c[2]}")
+def test_fit_of_an_ldm_takes_few_steps(ldm_fits, case):
+    # started at the fixed point's shape, Newton needs 4-6 steps here, the
+    # near-one-hot LDMs included
+    _, report = ldm_fits[case]
+    assert report.iterations <= 7
 
 
 @pytest.mark.parametrize(
