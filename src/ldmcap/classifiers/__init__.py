@@ -109,6 +109,8 @@ def parse_spec(text: str) -> ClassifierSpec:
             key = key.strip()
             if not sep or not key:
                 raise ValueError(f"malformed spec parameter {item!r} in {text!r}")
+            if key in params:
+                raise ValueError(f"spec parameter {key!r} is given twice in {text!r}")
             try:
                 params[key] = int(raw)
             except ValueError:

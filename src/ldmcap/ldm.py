@@ -31,9 +31,13 @@ ENUMERATION_LIMIT = 10_000_000
 DEFAULT_EPSILON = 1e-10
 
 
-def _check_space(num_classes: int, holdout_size: int) -> int:
+def _check_classes(num_classes: int) -> None:
     if num_classes < 2:
         raise ValueError(f"num_classes must be at least 2, got {num_classes}")
+
+
+def _check_space(num_classes: int, holdout_size: int) -> int:
+    _check_classes(num_classes)
     if holdout_size < 1:
         raise ValueError(f"holdout_size must be at least 1, got {holdout_size}")
     size = num_classes**holdout_size  # exact int arithmetic; cannot overflow
@@ -49,6 +53,7 @@ def _physical_memory() -> int:
 
 def labeling_to_index(labeling, num_classes: int) -> int:
     """Lexicographic index of a labeling (big-endian base-C digits)."""
+    _check_classes(num_classes)
     index = 0
     length = 0
     for digit in labeling:
@@ -66,6 +71,7 @@ def labeling_to_index(labeling, num_classes: int) -> int:
 
 def index_to_labeling(index: int, num_classes: int, holdout_size: int) -> tuple[int, ...]:
     """Inverse of :func:`labeling_to_index` for a holdout of known size."""
+    _check_classes(num_classes)
     if holdout_size < 1:
         raise ValueError(f"holdout_size must be at least 1, got {holdout_size}")
     space = num_classes**holdout_size

@@ -270,13 +270,15 @@ def test_tree_rejects_nonpositive_max_features(iris):
     "call, named",
     [
         (lambda: parse_spec("knn:k"), "malformed spec parameter"),
+        (lambda: parse_spec("knn:k=1,k=7"), "parameter 'k' is given twice"),
         (lambda: KnnModel(*_xyc(BLOBS), k=1).predict_proba_batch(np.zeros((1, 3))),
          "rows with 2 features"),
         (lambda: KnnModel(*_xyc(BLOBS), k=1).predict_proba(np.zeros(3)), "vector of length 2"),
         (lambda: DecisionTreeModel(np.eye(3), np.array([0, 1, 0]), 2, max_features=2),
          "requires an rng"),
     ],
-    ids=["spec-without-value", "batch-width", "row-width", "subsampling-without-rng"],
+    ids=["spec-without-value", "spec-repeated-param", "batch-width", "row-width",
+         "subsampling-without-rng"],
 )
 def test_public_guards_name_the_bad_argument(call, named):
     with pytest.raises(ValueError, match=named):

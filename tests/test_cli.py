@@ -468,11 +468,12 @@ def test_matrix_larger_than_memory_exits_2_before_building(
              "--spec", "random_forest:max_depth=3,n=2"],
             "'random_forest:n=2,max_depth=3' and --spec 'random_forest:max_depth=3,n=2'",
         ),
+        (["record", "--spec", "knn:k=1,k=7", "--trials", "2"], "parameter 'k' is given twice"),
     ],
     ids=[
         "repeats-0", "k-0", "ldm-k-1", "compare-k-1", "record-k", "ldm-trials",
         "compare-scale", "holdout-negative", "trials-0", "compare-one-spec", "record-no-spec",
-        "colliding-stems", "reordered-params",
+        "colliding-stems", "reordered-params", "repeated-param",
     ],
 )
 def test_bad_input_exits_1_without_traceback(tmp_path, args, named):

@@ -113,6 +113,42 @@ def test_huge_arguments_do_not_overflow():
             assert digamma(inverse_digamma(y)) == pytest.approx(y)
 
 
+def _inverse_digamma_relative_error(y: float, x: float) -> float:
+    # Newton's steps in 40 digits from x, whose error is ~1e-14, reach psi^-1(y)
+    x_ref = x_mp = mpmath.mpf(x)
+    for _ in range(3):
+        x_ref -= (mpmath.digamma(x_ref) - y) / mpmath.psi(1, x_ref)
+    return float(abs(x_mp - x_ref) / x_ref)
+
+
+def test_inverse_digamma_matches_reference_over_its_whole_range():
+    lo, hi = digamma(np.array([np.finfo(np.float64).tiny, np.finfo(np.float64).max]))
+    ys = np.concatenate([
+        np.linspace(-5, 5, 101),  # 1.9: stopping on |psi(x) - y| <= 1e-13 leaves 8e-14
+        np.nextafter(-2.22, [-np.inf, np.inf]),  # the guess's branch point
+        -np.geomspace(10, -lo, 60),
+        [lo],
+        np.linspace(5, 690, 40),
+        np.linspace(690, hi, 80),  # exp(y) of the guess reaches the top double
+        [hi],
+    ])
+    xs = inverse_digamma(ys)
+    worst = max(_inverse_digamma_relative_error(y, x) for y, x in zip(ys, xs))
+    assert worst <= 3e-14
+    assert inverse_digamma(lo) == np.finfo(np.float64).tiny
+    assert all(inverse_digamma(float(y)) == x for y, x in zip(ys, xs))
+
+
+def test_inverse_digamma_warns_nowhere_in_its_range():
+    tiny, top = np.finfo(np.float64).tiny, np.finfo(np.float64).max
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for y in (-dirichlet.EULER_GAMMA, -1e300, digamma(tiny), digamma(top)):
+            x = inverse_digamma(y)
+            assert 0.0 < x < np.inf
+            assert digamma(x) == pytest.approx(y, rel=1e-15)
+
+
 def test_inverse_digamma_scalar_and_array_forms():
     y = digamma(3.7)
     assert abs(inverse_digamma(y) - 3.7) < 1e-10
@@ -128,13 +164,16 @@ def test_special_functions_keep_the_shape_of_nd_input():
     assert inverse_digamma(digamma(grid)).shape == grid.shape
     # an entry's value does not depend on the other entries of its array:
     # each equals its own scalar (or, for _trigamma_raw, one-entry) call
-    for f, call in (
-        (lgamma, lambda v: lgamma(float(v))),
-        (digamma, lambda v: digamma(float(v))),
-        (dirichlet._trigamma_raw, lambda v: dirichlet._trigamma_raw(np.array([v]))[0]),
+    for f, call, arg in (
+        (lgamma, lambda v: lgamma(float(v)), grid),
+        (digamma, lambda v: digamma(float(v)), grid),
+        (dirichlet._trigamma_raw, lambda v: dirichlet._trigamma_raw(np.array([v]))[0], grid),
+        (inverse_digamma, lambda v: inverse_digamma(float(v)), digamma(grid)),
     ):
-        per_element = np.array([[call(v) for v in row] for row in grid])
-        assert np.array_equal(f(grid), per_element)
+        per_element = np.array([[call(v) for v in row] for row in arg])
+        assert np.array_equal(f(arg), per_element)
+    ys = np.linspace(-5, 5, 1001)
+    assert np.array_equal(inverse_digamma(np.append(ys, -1e3))[:-1], inverse_digamma(ys))
     ref = np.array([[float(mpmath.loggamma(v)) for v in row] for row in grid])
     assert np.all(np.abs(lg - ref) <= 1e-15 * np.maximum(1.0, np.abs(ref)))
     for f in (lgamma, digamma, inverse_digamma):
@@ -183,9 +222,14 @@ def test_entropy_concentrated_is_very_negative():
     "call, named",
     [
         (lambda: inverse_digamma(np.nan), "finite"),
+        (lambda: inverse_digamma(709.79), "finite"),
+        (lambda: inverse_digamma(np.array([1.0, 800.0])), "finite"),
+        (lambda: inverse_digamma(np.inf), "finite"),
+        (lambda: inverse_digamma(-1e308), "finite"),
         (lambda: sample_dirichlet(np.ones(2), 0, np.random.default_rng(0)), "size"),
     ],
-    ids=["inverse-digamma-nan", "sample-size-0"],
+    ids=["inverse-digamma-nan", "inverse-digamma-709.79", "inverse-digamma-800",
+         "inverse-digamma-inf", "inverse-digamma-minus-1e308", "sample-size-0"],
 )
 def test_public_guards_name_the_bad_argument(call, named):
     with pytest.raises(ValueError, match=named):
@@ -278,7 +322,7 @@ def test_fit_identical_columns_diverges_without_crashing():
 
 
 @pytest.mark.parametrize("column", [[0.1, 0.2, 0.7], [0.15, 0.35, 0.5]])
-def test_fit_identical_non_uniform_columns_take_the_fixed_point_route(column):
+def test_fit_identical_non_uniform_columns_have_no_optimum(column):
     # identical columns that are not uniform still have no finite MLE; the
     # fit must recognise them by their zero spread, not by their values (for
     # the second column sum_j exp(mean log p_j) rounds to just below 1)

@@ -88,9 +88,14 @@ def test_index_to_labeling_rejects_out_of_range():
         (lambda ds: simplex_vector(_StubModel([[0.5, 0.5]]), np.zeros(1)), "holdout_features"),
         (lambda ds: simplex_vector(_StubModel([[1.0]]), _holdout(1)), "num_classes"),
         (lambda ds: index_to_labeling(0, 3, 0), "holdout_size"),
+        (lambda ds: index_to_labeling(0, 1, 3), "num_classes"),
+        (lambda ds: index_to_labeling(0, 0, 3), "num_classes"),
+        (lambda ds: index_to_labeling(3, -2, 3), "num_classes"),
+        (lambda ds: labeling_to_index((0, 0, 0), 1), "num_classes"),
     ],
     ids=["build-k-0", "build-holdout-0", "simplex-1d-holdout", "simplex-one-class",
-         "labeling-holdout-0"],
+         "labeling-holdout-0", "labeling-one-class", "labeling-no-class",
+         "labeling-negative-classes", "index-one-class"],
 )
 def test_public_guards_name_the_bad_argument(iris, call, named):
     with pytest.raises(ValueError, match=named):
