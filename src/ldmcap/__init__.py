@@ -2,7 +2,6 @@
 
 from .classifiers import ClassifierSpec, fit, ldm_spec, parse_spec
 from .dataset import (
-    HoldoutSplit,
     LabeledDataset,
     builtin_iris,
     load_csv,
@@ -48,7 +47,6 @@ __all__ = [
     "CsvParseError",
     "FitNumericalError",
     "FitReport",
-    "HoldoutSplit",
     "InvalidDatasetError",
     "LDMatrix",
     "LabeledDataset",

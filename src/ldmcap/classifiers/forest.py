@@ -6,9 +6,8 @@ the trees one after another onto the same node lists, so node ids are
 global, and the forest predicts as a tree does: one level-by-level walk over
 every (tree, row) pair, then the trees' leaf frequencies summed in tree
 order and divided by the tree count.  With the default ``max_features=1``
-each node draws its one feature with a single bounded integer draw and scans
-only that feature; a node of at most 48 rows, nine in ten of an unpruned
-tree's, is grown with its whole subtree on plain Python lists.
+each node draws its one feature with a single bounded integer draw and the
+split scan sorts only that feature's values.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ class RandomForestModel(DecisionTreeModel):
                 boot = rng.integers(0, n, size=n)
                 yield features[boot], labels[boot]
 
-        self._grow(bootstraps(), features.shape[1], num_classes, max_depth, max_features, rng)
+        self._grow(features, bootstraps(), num_classes, max_depth, max_features, rng)
 
     # Its own entry, not an inherited one: the benchmark's tracer wraps each
     # model class's own predict_proba_batch, so a forest's predictions are

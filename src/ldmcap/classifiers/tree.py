@@ -6,29 +6,18 @@ lower feature index, then the lower threshold, so trees are fully
 deterministic.  Leaves store training class frequencies and arise on purity,
 on hitting the depth cap, or when no candidate split improves the impurity.
 
-A node finds its split with one of two scans that agree to the bit.  Both
-sort each candidate feature's values, count the classes left of every cut
-and compute each cut's cost, (n_left * gini_left + n_right * gini_right) / n,
-allowing cuts only between distinct values; the first minimum in (feature,
-cut) order is the split, if it beats the node's impurity by more than 1e-12.
-Class counts are integers, so their sums of squares are exact, and both scans
-evaluate the cost with the same float operations in the same order.
-
-* ``_table_scan`` does it in one array pass over a (features x rows) table.
-* ``_small_scan`` does it in plain Python, updating the sums of squares one
-  row at a time.  A node whose table has at most ``_SMALL_SCAN_CELLS`` cells
-  takes it, because there the array pass's fixed cost of some twenty numpy
-  calls dominates: 90% of an unpruned forest's split searches on iris with
-  random labels.
-
-Which scan runs depends only on the size of the node's table.  Every node
-below a small node is small too, so a node turns its rows and class counts
-into lists when it becomes small, and its whole subtree is grown on plain
-Python lists (columns gathered from one ``tolist()`` of the features per
-tree) with no numpy call but the feature draw; larger nodes stay on arrays.
-There the impurity test adds the squared class fractions in order, as
-numpy's sum does for fewer than eight terms; from eight classes up numpy
-sums in unrolled blocks, so those nodes call ``_gini``.
+A tree is grown in plain Python: its features are taken as one list per
+column and its labels as one list, once per tree, and every node holds its
+rows and class counts as lists.  A node finds its split with one scan
+(``_split_scan``): it sorts each candidate feature's values with their
+labels and walks the cuts in order.  One row at a time it updates the left
+side's class counts, their sum of squares and their dot product with the
+node's class counts, all exact integers from which the right side's sum of
+squares follows, and it computes each cut's cost, (n_left * gini_left +
+n_right * gini_right) / n, allowing cuts only between distinct values.  The
+first minimum in (feature, cut) order is the split, if it beats the node's
+impurity (``_gini``) by more than 1e-12.  NaN cannot be sorted, so training
+features must be finite.
 
 With feature subsampling a node draws its features from ``rng`` as it is
 reached.  One feature of several, a forest's default, is drawn as
@@ -55,18 +44,15 @@ from operator import itemgetter
 
 import numpy as np
 
+from ..dataset import require_finite
 from .base import TrainedModel
 
 
-def _gini(counts: np.ndarray, total: int) -> float:
-    frac = counts / total
-    return 1.0 - float((frac * frac).sum())
-
-
-def _gini_of_list(counts: list, total: int) -> float:
-    """:func:`_gini` of a list of counts, to the bit."""
-    if len(counts) >= 8:  # numpy sums eight or more terms out of order
-        return _gini(np.array(counts), total)
+def _gini(counts: list, total: int) -> float:
+    """1 minus the sum of the squared class fractions, as numpy sums them."""
+    if len(counts) >= 8:  # numpy sums eight or more terms in unrolled blocks
+        frac = np.array(counts) / total
+        return 1.0 - float((frac * frac).sum())
     squares = 0.0
     for c in counts:
         frac = c / total
@@ -81,87 +67,45 @@ def _threshold_after(sv, i):
     return mid if mid < hi else lo
 
 
-def _table_scan(values, labels, counts):
-    """The first least-cost cut of a node, scanned in one array pass.
-
-    ``values`` is the node's (features x rows) table, ``labels`` its rows'
-    classes and ``counts`` its class counts.  Returns (cost, table row,
-    threshold, child class counts) or None when no two values differ.
-    """
-    n = values.shape[1]
-    sv = np.sort(values, axis=1)
-    # sides[0]: rows of each class left of each cut; sides[1]: right of it.
-    # Shape (2, classes, features, cut positions).
-    sides = np.empty((2, counts.size, values.shape[0], n - 1), dtype=np.intp)
-    ys = labels[values.argsort(axis=1)]
-    np.cumsum(ys[:, :-1] == np.arange(counts.size)[:, None, None], axis=2, out=sides[0])
-    np.subtract(counts[:, None, None], sides[0], out=sides[1])
-    # n_left[j] = j + 1 rows lie left of cut j, n_right[j] right of it
-    n_left = np.arange(1.0, n)
-    n_right = n_left[::-1]
-    squares = (sides * sides).sum(axis=1)
-    gini_left = 1.0 - squares[0] / n_left**2
-    gini_right = 1.0 - squares[1] / n_right**2
-    cost = (n_left * gini_left + n_right * gini_right) / n
-    cost[sv[:, 1:] <= sv[:, :-1]] = np.inf  # no cut between equal values
-    # first minimum: lowest feature, then lowest threshold
-    row, j = divmod(int(cost.argmin()), n - 1)
-    best = float(cost[row, j])
-    if best == np.inf:
-        return None
-    return best, row, _threshold_after(sv[row], j), sides[:, :, row, j].copy()
+_value = itemgetter(0)  # the sort key of a (value, class) pair
 
 
-def _small_scan(columns, labels, counts):
-    """:func:`_table_scan` in plain Python, for nodes of a few rows.
+def _split_scan(columns, labels, counts):
+    """The first least-cost cut of a node.
 
     Takes the node's columns (a sequence of values per drawn feature), its
-    rows' classes and its class counts (a list), and gives the child class
-    counts as two lists.  The sums of squared class counts are exact
-    integers kept up to date one row at a time, and each cut's cost is the
-    same float expression as the table's, so the result is the same.
+    rows' classes and its class counts (a list).  Returns (cost, column
+    index, threshold, [left class counts, right class counts]), or None when
+    no column holds two distinct values.  No cut falls between equal values,
+    so their order within the sort does not matter.
     """
     n = len(labels)
     sq_total = sum(c * c for c in counts)
     best_cost, best = np.inf, None
     for row, column in enumerate(columns):
-        pairs = sorted(zip(column, labels))
-        left, right = [0] * len(counts), counts.copy()
-        sq_left, sq_right = 0, sq_total
-        nl, nr = 0, n
+        pairs = sorted(zip(column, labels), key=_value)
+        left = [0] * len(counts)
+        sq_left = cross = 0  # sums over the classes of left^2 and of left * count
         lower = pairs[0][0]
-        for value, c in pairs:
+        for nl, (value, c) in enumerate(pairs):
             if value > lower:  # a cut between distinct values, nl rows left of it
+                nr = n - nl
+                sq_right = sq_total - 2 * cross + sq_left  # sum of (count - left)^2
                 cost = (nl * (1.0 - sq_left / (nl * nl))
                         + nr * (1.0 - sq_right / (nr * nr))) / n
                 if cost < best_cost:
                     best_cost = cost
-                    best = row, (lower, value), left.copy(), right.copy()
+                    best = row, (lower, value), left.copy()
             lower = value
-            # (k + 1)^2 - k^2 = 2k + 1 and k^2 - (k - 1)^2 = 2k - 1
             k = left[c]
-            sq_left += k + k + 1
+            sq_left += k + k + 1  # (k + 1)^2 - k^2
             left[c] = k + 1
-            k = right[c]
-            sq_right -= k + k - 1
-            right[c] = k - 1
-            nl += 1
-            nr -= 1
+            cross += counts[c]
     if best is None:
         return None
-    row, bounds, left, right = best
+    row, bounds, left = best
+    right = [t - l for t, l in zip(counts, left)]
     return best_cost, row, _threshold_after(bounds, 0), [left, right]
-
-
-# A node whose table has at most this many cells (rows x drawn features) is
-# scanned by _small_scan.  Timed per scan on iris with random labels (one
-# pinned CPU, Python 3.11, numpy 2.4), the plain-Python scan costs 0.2-0.3x
-# the array pass at 4-8 cells, 0.65-0.85x at 48 and as much at about 64, for
-# one, two or four features; whole forest and tree fits time the same within
-# noise at any threshold from 48 to 96.
-_SMALL_SCAN_CELLS = 48
-
-
 
 
 class DecisionTreeModel(TrainedModel):
@@ -174,41 +118,39 @@ class DecisionTreeModel(TrainedModel):
         max_features: int | None = None,
         rng: np.random.Generator | None = None,
     ):
-        self._grow([(features, labels)], features.shape[1], num_classes,
-                   max_depth, max_features, rng)
+        self._grow(features, [(features, labels)], num_classes, max_depth, max_features, rng)
 
-    def _grow(self, samples, d, num_classes, max_depth, max_features, rng):
+    def _grow(self, features, samples, num_classes, max_depth, max_features, rng):
         """Grow one tree on each (features, labels) sample of ``samples`` in
-        turn, all onto the same node lists.  With feature subsampling, each
-        node that looks for a split draws its features from ``rng`` as it is
-        reached; ``samples`` may draw from it too, between trees."""
+        turn, all onto the same node lists; every sample's rows are rows of
+        ``features``.  With feature subsampling, each node that looks for a
+        split draws its features from ``rng`` as it is reached; ``samples``
+        may draw from it too, between trees."""
         if max_depth is not None and max_depth < 1:
             raise ValueError(f"max_depth must be at least 1, got {max_depth}")
         if max_features is not None and max_features < 1:
             raise ValueError(f"max_features must be at least 1, got {max_features}")
+        d = features.shape[1]
         if max_features is not None and max_features < d and rng is None:
             raise ValueError("feature subsampling requires an rng")
+        require_finite(features)
         super().__init__(num_classes, d)
         n_sub = d if max_features is None else min(max_features, d)
-        small_rows = _SMALL_SCAN_CELLS // n_sub  # a node of at most this many rows is small
         all_features = range(d)
         feature, threshold, left, right, class_counts, roots = [], [], [], [], [], []
         depth_reached = 0
         for X, y in samples:
             roots.append(len(feature))
-            by_feature = np.ascontiguousarray(X.T)
-            columns = labels = None  # the lists small nodes gather from, made once
+            columns, labels = X.T.tolist(), y.tolist()
+            counts = np.bincount(y, minlength=num_classes).tolist()
             # Depth first, left before right, so node ids come out in preorder
             # and the feature draws happen in that order.  Each entry is (rows,
             # class counts, depth, the child list to record the node in, its
             # parent).
-            stack = [(np.arange(len(y)), np.bincount(y, minlength=num_classes), 0, None, 0)]
+            stack = [(range(len(labels)), counts, 0, None, 0)]
             while stack:
                 rows, counts, depth, children, parent = stack.pop()
                 n = len(rows)
-                small = n <= small_rows
-                if small and isinstance(rows, np.ndarray):
-                    rows, counts = rows.tolist(), counts.tolist()
                 node = len(feature)
                 if children is not None:
                     children[parent] = node
@@ -228,28 +170,16 @@ class DecisionTreeModel(TrainedModel):
                     feats = [int(rng.integers(d))]
                 else:
                     feats = np.sort(rng.choice(d, size=n_sub, replace=False)).tolist()
-                if small:
-                    if columns is None:
-                        columns, labels = by_feature.tolist(), y.tolist()
-                    take = itemgetter(*rows)
-                    values = [take(columns[f]) for f in feats]
-                    best = _small_scan(values, take(labels), counts)
-                    gini = _gini_of_list
-                else:
-                    values = by_feature[:, rows] if n_sub == d else by_feature[feats][:, rows]
-                    best = _table_scan(values, y[rows], counts)
-                    gini = _gini
-                if best is None or best[0] >= gini(counts, n) - 1e-12:
+                take = itemgetter(*rows)
+                values = [take(columns[f]) for f in feats]
+                best = _split_scan(values, take(labels), counts)
+                if best is None or best[0] >= _gini(counts, n) - 1e-12:
                     continue
                 _, row, t, (left_counts, right_counts) = best
                 feature[node], threshold[node] = feats[row], t
                 column = values[row]
-                if small:
-                    go_left = [r for r, v in zip(rows, column) if v <= t]
-                    go_right = [r for r, v in zip(rows, column) if v > t]
-                else:
-                    to_left = column <= t
-                    go_left, go_right = rows[to_left], rows[~to_left]
+                go_left = [r for r, v in zip(rows, column) if v <= t]
+                go_right = [r for r, v in zip(rows, column) if v > t]
                 stack.append((go_right, right_counts, depth + 1, right, node))
                 stack.append((go_left, left_counts, depth + 1, left, node))
         class_counts = np.array(class_counts)

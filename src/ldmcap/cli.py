@@ -152,8 +152,9 @@ _WARNINGS = {
 
 def _entropy_runs(
     spec: ClassifierSpec, ds: LabeledDataset, args: argparse.Namespace, out: Path | None = None
-) -> tuple[dict, list[float | None]]:
-    """The first repeat's fit payload, and every repeat's entropy.
+) -> tuple[dict, list[float | None], list[dict]]:
+    """The first repeat's fit payload, every repeat's entropy, and every
+    repeat's fit as its status, step count and gradient norm.
 
     A repeat whose fit has no optimum has entropy ``None``.  Each repeat's
     matrix is dropped once fitted, so none is alive while the next one is
@@ -161,7 +162,7 @@ def _entropy_runs(
     and PGM before it is dropped.  A spec with a fit that stopped short of an
     optimum is named on stderr, with the cause.
     """
-    first, entropies, statuses = None, [], []
+    first, entropies, fits = None, [], []
     for r in range(args.repeats):
         ldm = build_ldm(spec, ds, args.k, args.holdout, derive_seed(args.seed, "repeat", r))
         payload = fit_report_json(fit_dirichlet(ldm.matrix))
@@ -172,8 +173,9 @@ def _entropy_runs(
                 write_ldm_csv(ldm, out / f"{stem}.csv")
                 render_pgm(ldm, out / f"{stem}.pgm", args.scale)
         entropies.append(payload["entropy"])
-        statuses.append(payload["status"])
+        fits.append({key: payload[key] for key in ("status", "iterations", "gradient_norm")})
         del ldm
+    statuses = [fit["status"] for fit in fits]
     causes = [
         cause.format(statuses.count(status), args.repeats)
         for status, cause in _WARNINGS.items()
@@ -184,7 +186,7 @@ def _entropy_runs(
             f"ldmcap: warning: {spec.to_string()}: Dirichlet fit {'; '.join(causes)}",
             file=sys.stderr,
         )
-    return first, entropies
+    return first, entropies, fits
 
 
 def _entropy_mean(entropies: list[float | None]) -> float | None:
@@ -208,7 +210,7 @@ def cmd_ldm(args: argparse.Namespace, ds: LabeledDataset, specs: list[Classifier
             out: Path) -> None:
     print(f"{'spec':<40} {'entropy(mean)':>16} {'converged':>10}")
     for spec in specs:
-        first_report, entropies = _entropy_runs(spec, ds, args, out)
+        first_report, entropies, fits = _entropy_runs(spec, ds, args, out)
         payload = {
             "spec": spec.to_string(),
             "seed": args.seed,
@@ -218,6 +220,7 @@ def cmd_ldm(args: argparse.Namespace, ds: LabeledDataset, specs: list[Classifier
             **first_report,
             "entropies": entropies,
             "entropy_mean": _entropy_mean(entropies),
+            "fits": fits,
         }
         _write_json(out / f"{_artifact_stem(spec)}.json", payload)
         print(

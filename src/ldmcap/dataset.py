@@ -28,6 +28,15 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def require_finite(features: np.ndarray) -> None:
+    """Raise :class:`InvalidDatasetError` naming the first non-finite feature cell."""
+    if not np.isfinite(features).all():
+        row, column = np.argwhere(~np.isfinite(features))[0]
+        raise InvalidDatasetError(
+            f"features must be finite; row {row}, column {column} is {features[row, column]}"
+        )
+
+
 def _checked_labels(labels, n_examples: int, num_classes: int) -> np.ndarray:
     """``labels`` as a read-only int64 copy, once they are known to fit the dataset."""
     labs = np.asarray(labels, dtype=np.int64)
@@ -62,11 +71,7 @@ class LabeledDataset:
             raise InvalidDatasetError(
                 f"features must be a non-empty 2-D matrix, got shape {feats.shape}"
             )
-        if not np.isfinite(feats).all():
-            row, column = np.argwhere(~np.isfinite(feats))[0]
-            raise InvalidDatasetError(
-                f"features must be finite; row {row}, column {column} is {feats[row, column]}"
-            )
+        require_finite(feats)
         # k-NN distances, Gaussian variances and QDA covariances square the
         # features; where even their sum of squares overflows, those fits
         # give inf and NaN probabilities instead of an error

@@ -276,9 +276,17 @@ def test_tree_rejects_nonpositive_max_features(iris):
         (lambda: KnnModel(*_xyc(BLOBS), k=1).predict_proba(np.zeros(3)), "vector of length 2"),
         (lambda: DecisionTreeModel(np.eye(3), np.array([0, 1, 0]), 2, max_features=2),
          "requires an rng"),
+        # sorted() cannot order NaN: unchecked, this tree fits and then
+        # predicts [0, 1, 1, 1, 1] on its own training rows
+        (lambda: DecisionTreeModel(np.array([[0.0], [1.0], [np.nan], [2.0], [3.0]]),
+                                   np.array([0, 0, 1, 1, 1]), 2),
+         "row 2, column 0 is nan"),
+        (lambda: RandomForestModel(np.array([[0.0, 1.0], [1.0, np.nan], [2.0, 3.0]]),
+                                   np.array([0, 1, 1]), 2, 5, 1, None),
+         "row 1, column 1 is nan"),
     ],
     ids=["spec-without-value", "spec-repeated-param", "batch-width", "row-width",
-         "subsampling-without-rng"],
+         "subsampling-without-rng", "tree-nan-feature", "forest-nan-feature"],
 )
 def test_public_guards_name_the_bad_argument(call, named):
     with pytest.raises(ValueError, match=named):

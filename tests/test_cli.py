@@ -16,6 +16,7 @@ import ldmcap
 from ldmcap import cli
 from ldmcap.cli import main
 from ldmcap.errors import FitNumericalError
+from ldmcap.seeding import derive_seed
 
 
 def _files(path):
@@ -318,6 +319,25 @@ def test_unconverged_fit_is_named_on_stderr(tmp_path, capsys, command):
             entropy = {row["spec"]: row["ldm_entropy_mean"] for row in csv.DictReader(fh)}
         assert entropy["knn:k=500"] == "nan"
         assert np.isfinite(float(entropy["gaussian_nb"]))
+
+
+def test_ldm_json_records_every_repeats_fit(tmp_path):
+    out = tmp_path / "o"
+    assert main(["ldm", *_NO_OPTIMUM, "--repeats", "3", "--out", str(out)]) == 0
+    no_optimum = json.loads((out / "knn_k500.json").read_text())
+    assert no_optimum["fits"] == [
+        {"status": "no_optimum", "iterations": 0, "gradient_norm": None}] * 3
+    payload = json.loads((out / "gaussian_nb.json").read_text())
+    expected = []
+    for r in range(3):
+        ldm = ldmcap.build_ldm(ldmcap.parse_spec("gaussian_nb"), ldmcap.builtin_iris(), 5, 2,
+                               derive_seed(0, "repeat", r))
+        report = ldmcap.fit_report_json(ldmcap.fit_dirichlet(ldm.matrix))
+        expected.append({key: report[key] for key in ("status", "iterations", "gradient_norm")})
+        assert report["entropy"] == payload["entropies"][r]
+    assert payload["fits"] == expected
+    assert payload["fits"][0]["iterations"] == payload["iterations"]
+    assert {fit["status"] for fit in payload["fits"]} == {"optimum"}
 
 
 @pytest.mark.parametrize("command", ["ldm", "compare"])

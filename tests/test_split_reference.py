@@ -4,13 +4,15 @@ Each reference tries every feature and every cut between adjacent distinct
 values, in (feature, threshold) order, and keeps a candidate only when it is
 strictly better, so the first of equally good candidates wins.  The data are
 tie-heavy: iris columns rounded to integers, with random labels, so many
-cuts share a cost.  A tree grows a small node's subtree in plain Python and
-scans a larger node in one array pass; both scans are also checked against
-each other, whole trees and forests grown either way against each other, and
-the forest's one-feature draw against the ``Generator.choice`` it stands for.
+cuts share a cost.  The tree's split scan is also checked against the
+reference node by node, whole trees and forests against pinned digests of
+their node tables, and the forest's one-feature draw against the
+``Generator.choice`` it stands for.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -29,17 +31,15 @@ def _threshold(lo, hi):
     return mid if mid < hi else lo
 
 
-def gini_root_split(X, y, num_classes):
-    """(feature, threshold) of the least-cost Gini split, or None for a leaf.
-
-    The cost is (n_left * gini_left + n_right * gini_right) / n; a split must
-    beat the parent's impurity by more than 1e-12.
+def table_scan(columns, y, num_classes):
+    """(cost, column index, threshold, [left counts, right counts]) of the
+    first least-cost cut of a node's columns, or None when none has two
+    distinct values.  The cost is (n_left * gini_left + n_right * gini_right) / n.
     """
     n = len(y)
     counts = [y.count(c) for c in range(num_classes)]
     best = None
-    for f in range(len(X[0])):
-        column = [row[f] for row in X]
+    for f, column in enumerate(columns):
         for lo, hi in _cuts(column):
             left = [0] * num_classes
             for value, c in zip(column, y):
@@ -52,8 +52,18 @@ def gini_root_split(X, y, num_classes):
             gini_right = 1.0 - sum(c * c for c in right) / n_right**2
             cost = (n_left * gini_left + n_right * gini_right) / n
             if best is None or cost < best[0]:
-                best = (cost, f, _threshold(lo, hi))
-    parent = 1.0 - sum((c / n) ** 2 for c in counts)
+                best = (cost, f, _threshold(lo, hi), [left, right])
+    return best
+
+
+def gini_root_split(X, y, num_classes):
+    """(feature, threshold) of the least-cost Gini split, or None for a leaf.
+
+    A split must beat the parent's impurity by more than 1e-12.
+    """
+    n = len(y)
+    best = table_scan([list(column) for column in zip(*X)], y, num_classes)
+    parent = 1.0 - sum((y.count(c) / n) ** 2 for c in range(num_classes))
     if best is None or best[0] >= parent - 1e-12:
         return None
     return best[1], best[2]
@@ -122,23 +132,22 @@ def test_tree_root_matches_exhaustive_gini_search(seed, iris):
 @pytest.mark.parametrize("columns", ["all", "one"])
 @pytest.mark.parametrize("seed", range(25))
 def test_small_tree_root_matches_exhaustive_gini_search(seed, columns, iris):
-    # 2-12 rows of four features, or of one, fit the plain-Python scan
+    # 2-12 rows of four features, or of one
     rng = np.random.default_rng(1000 + seed)
     rows = rng.choice(iris.n_examples, size=int(rng.integers(2, 13)), replace=False)
     num_classes = int(rng.integers(2, 4))
     X = np.round(iris.features[rows])
     if columns == "one":
         X = X[:, [int(rng.integers(X.shape[1]))]]
-    assert X.size <= tree._SMALL_SCAN_CELLS
     _assert_root_matches_exhaustive_gini_search(X, rng.integers(0, num_classes, rows.size),
                                                 num_classes)
 
 
 def _node_table(rng):
-    """A node's (features x rows) table, its labels and class counts; the
-    table's cell count lies within a factor of two of the scan threshold."""
+    """A node's (features x rows) table of 2-96 cells, its labels and class
+    counts."""
     n_features = int(rng.integers(1, 5))
-    cells = int(rng.integers(2, 2 * tree._SMALL_SCAN_CELLS + 1))
+    cells = int(rng.integers(2, 97))
     n = max(2, cells // n_features)
     kind = rng.integers(4)
     if kind == 0:  # few distinct values, many repeats
@@ -156,65 +165,80 @@ def _node_table(rng):
 
 @pytest.mark.parametrize("seed", range(20))
 def test_small_scan_matches_table_scan(seed):
+    # the tree's split scan against the exhaustive reference, to the bit
     rng = np.random.default_rng(seed)
     for _ in range(25):
         values, labels, counts = _node_table(rng)
-        table = tree._table_scan(values, labels, counts)
-        small = tree._small_scan(values.tolist(), labels.tolist(), counts.tolist())
-        if table is None:
-            assert small is None
+        expected = table_scan(values.tolist(), labels.tolist(), counts.size)
+        found = tree._split_scan(values.tolist(), labels.tolist(), counts.tolist())
+        if expected is None:
+            assert found is None
             continue
-        cost, row, threshold, child_counts = small
-        assert (cost, row) == table[:2]
-        assert np.float64(threshold).tobytes() == np.float64(table[2]).tobytes()
-        assert np.array_equal(child_counts, table[3])
-
-
-def _grown_three_ways(grow, cells):
-    """``grow()`` with small nodes as the scan threshold puts them, with none
-    and with every node small (the whole tree on lists)."""
-    mixed = grow()
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(tree, "_SMALL_SCAN_CELLS", 0)
-        arrays = grow()
-        patch.setattr(tree, "_SMALL_SCAN_CELLS", cells)
-        return mixed, arrays, grow()
+        cost, row, threshold, child_counts = found
+        assert (cost, row) == expected[:2]
+        assert np.float64(threshold).tobytes() == np.float64(expected[2]).tobytes()
+        assert child_counts == expected[3]
 
 
 _TREE_ARRAYS = ("_feature", "_threshold", "_left", "_right", "_probs", "_depth", "_roots")
 
 
+def _digest(model, *arrays):
+    """sha256 of the model's node table and of ``arrays``: dtype, shape and bytes."""
+    digest = hashlib.sha256()
+    for value in [getattr(model, name) for name in _TREE_ARRAYS] + list(arrays):
+        value = np.asarray(value)
+        digest.update(f"{value.dtype.str}{value.shape}".encode())
+        digest.update(value.tobytes())
+    return digest.hexdigest()
+
+
+# Recorded from the grower that scanned nodes of more than 48 cells in one
+# numpy pass and smaller ones in plain Python; growing every node with the
+# one scan must give the same tables.  Keyed by (max_features, max_depth,
+# num_classes); nine classes make numpy sum the squared fractions in blocks.
+_TREE_DIGESTS = {
+    (None, None, 3): "2654e61295dcb4856d484297d9ab4daf801455b773510ce1e3f7d385f985dd52",
+    (None, 5, 3): "32dfb1a28593d9fc14aa6fd8d97392b3c0f43e28263651dc22b3dc53db3fc6a9",
+    (None, None, 9): "82914c7552e56cba255b1db376ea00f3d4e2cdcfddd49dc413310916e4d1c4c6",
+    (None, 5, 9): "c4cc2d6142ff2dcd0886e981266c20a24e8a16793945a3ee4ec96eec0ca00572",
+    (2, None, 3): "0ae76365ee581296dc7ee225df1fa0fa390d944cc856e113728f103f31f6c2e5",
+    (2, 5, 3): "029ce63b73f2beafacbb711ea0385e05bea65265fa4366b34c8f117f5dbeeb19",
+    (2, None, 9): "845427fab34844086d70fbeadcd6dbd9b97b19d28104b81c16c9f8c9bd1ce533",
+    (2, 5, 9): "d4a68d482bf8cbde2d1dcd3e1605c0a3a12bc62e2259f9380f6a5231b0ad297a",
+    (1, None, 3): "0ac4a2e4cfecc1c3ce51a56aa1cb7521c736a531c1023b4ca9408cf5b36e936a",
+    (1, 5, 3): "c4e7b050b0a5d939fea0902b74bc20eb9ea2a7d632e16357bdcc1d6ffeab5c8d",
+    (1, None, 9): "69e354543526e775e2c7a2b01df8750039961b265553165616f934d87e5d67d2",
+    (1, 5, 9): "b5f718160c7f961abea33071c117c7560c81b1951289ef9d7469aafff9ec8bca",
+}
+
+# The same for a ten-tree forest with one feature per node, its predictions on
+# the training rows included; keyed by (max_depth, num_classes).
+_FOREST_DIGESTS = {
+    (None, 3): "47b92e61613ebbc092a7162a6871c2f64cb69f760b05f0291b53eefa9554c653",
+    (5, 3): "70445084ddb880233c088596230e54f64b622eb6d2322388bd20ba8c6ca161eb",
+    (None, 9): "4969596fb4a4520ac8371753d5a757de922440053b80c542e2d8d68c3c6c5764",
+    (5, 9): "4b8cced885b6e4e38c9b9fe07c94fb8d7dedb91252237b6e777f0544d4f1a61a",
+}
+
+
 @pytest.mark.parametrize("max_features", [None, 2, 1])
 def test_tree_is_the_same_whichever_scan_takes_each_node(max_features, iris):
-    # nine classes: numpy sums nine squared fractions in blocks, not in order
     for max_depth, num_classes in [(None, 3), (5, 3), (None, 9), (5, 9)]:
         y = np.random.default_rng(3).integers(0, num_classes, iris.n_examples)
-
-        def grow():
-            return DecisionTreeModel(iris.features, y, num_classes, max_depth=max_depth,
-                                     max_features=max_features, rng=np.random.default_rng(8))
-
-        mixed, *others = _grown_three_ways(grow, iris.features.size)
-        for other in others:
-            for name in _TREE_ARRAYS:
-                assert np.array_equal(getattr(mixed, name), getattr(other, name))
+        model = DecisionTreeModel(iris.features, y, num_classes, max_depth=max_depth,
+                                  max_features=max_features, rng=np.random.default_rng(8))
+        assert _digest(model) == _TREE_DIGESTS[max_features, max_depth, num_classes]
 
 
 @pytest.mark.parametrize("num_classes", [3, 9])
 @pytest.mark.parametrize("max_depth", [None, 5])
 def test_forest_is_the_same_whichever_scan_takes_each_node(max_depth, num_classes, iris):
     y = np.random.default_rng(4).integers(0, num_classes, iris.n_examples)
-
-    def grow():
-        return RandomForestModel(iris.features, y, num_classes, 10, 1, max_depth,
-                                 np.random.default_rng(6))
-
-    mixed, *others = _grown_three_ways(grow, iris.n_examples)
-    for other in others:
-        for name in _TREE_ARRAYS:
-            assert np.array_equal(getattr(mixed, name), getattr(other, name))
-        assert np.array_equal(mixed.predict_proba_batch(iris.features),
-                              other.predict_proba_batch(iris.features))
+    model = RandomForestModel(iris.features, y, num_classes, 10, 1, max_depth,
+                              np.random.default_rng(6))
+    digest = _digest(model, model.predict_proba_batch(iris.features))
+    assert digest == _FOREST_DIGESTS[max_depth, num_classes]
 
 
 @pytest.mark.parametrize("num_classes", range(2, 11))
@@ -223,8 +247,9 @@ def test_gini_of_a_count_list_is_gini_to_the_bit(num_classes):
     for _ in range(2000):
         total = int(rng.integers(2, 200))
         counts = rng.multinomial(total, rng.dirichlet(np.ones(num_classes)))
-        expected = np.float64(tree._gini(counts, total)).tobytes()
-        assert np.float64(tree._gini_of_list(counts.tolist(), total)).tobytes() == expected
+        frac = counts / total
+        expected = np.float64(1.0 - float((frac * frac).sum())).tobytes()
+        assert np.float64(tree._gini(counts.tolist(), total)).tobytes() == expected
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 13, 1000])
