@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..dataset import _checked_labels, require_finite
 from .base import TrainedModel, log_softmax_rows
 from .tree import _threshold_after
 
@@ -81,6 +82,8 @@ class AdaBoostModel(TrainedModel):
     ):
         if rounds < 1:
             raise ValueError(f"rounds must be at least 1, got {rounds}")
+        labels = _checked_labels(labels, len(features), num_classes)
+        require_finite(features)
         n, d = features.shape
         super().__init__(num_classes, d)
         self._present = np.bincount(labels, minlength=num_classes) > 0

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..dataset import _checked_labels
 from .tree import DecisionTreeModel
 
 
@@ -42,6 +43,7 @@ class RandomForestModel(DecisionTreeModel):
         if rng is None:
             rng = np.random.default_rng(0)
         n = features.shape[0]
+        labels = _checked_labels(labels, n, num_classes)
 
         def bootstraps():
             for _ in range(n_estimators):

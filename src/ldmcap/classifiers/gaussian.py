@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..dataset import _checked_labels, require_finite
 from .base import TrainedModel, log_softmax_rows
 
 _LOG_TWO_PI = float(np.log(2.0 * np.pi))
@@ -33,6 +34,8 @@ class GaussianNbModel(TrainedModel):
     """
 
     def __init__(self, features: np.ndarray, labels: np.ndarray, num_classes: int):
+        labels = _checked_labels(labels, len(features), num_classes)
+        require_finite(features)
         d = features.shape[1]
         super().__init__(num_classes, d)
         self._present, self._log_prior = _class_log_prior(labels, num_classes)
@@ -66,6 +69,8 @@ class QdaModel(TrainedModel):
     """
 
     def __init__(self, features: np.ndarray, labels: np.ndarray, num_classes: int):
+        labels = _checked_labels(labels, len(features), num_classes)
+        require_finite(features)
         n, d = features.shape
         super().__init__(num_classes, d)
         self._present, self._log_prior = _class_log_prior(labels, num_classes)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..dataset import _checked_labels
 from .base import TrainedModel
 
 
@@ -19,6 +20,7 @@ class KnnModel(TrainedModel):
     def __init__(self, features: np.ndarray, labels: np.ndarray, num_classes: int, k: int):
         if k < 1:
             raise ValueError(f"k must be at least 1, got {k}")
+        labels = _checked_labels(labels, len(features), num_classes)
         super().__init__(num_classes, features.shape[1])
         self._features = features
         self._k = min(int(k), features.shape[0])

@@ -27,6 +27,8 @@ def _xyc(ds):
     return ds.features, ds.labels, ds.num_classes
 
 
+_FOUR_ROWS = np.array([[0.0], [1.0], [2.0], [3.0]])
+
 BLOBS = _ds(
     [[0.0, 0.0], [0.1, 0.1], [-0.1, 0.1], [5.0, 5.0], [5.1, 4.9], [4.9, 5.1]],
     [0, 0, 0, 1, 1, 1],
@@ -284,9 +286,39 @@ def test_tree_rejects_nonpositive_max_features(iris):
         (lambda: RandomForestModel(np.array([[0.0, 1.0], [1.0, np.nan], [2.0, 3.0]]),
                                    np.array([0, 1, 1]), 2, 5, 1, None),
          "row 1, column 1 is nan"),
+        # Directly built models check their labels as LabeledDataset does;
+        # unchecked, 1-NN answers [0, 0] for a class-3 neighbour
+        (lambda: KnnModel(_FOUR_ROWS, np.array([0, 0, 3, 1]), 2, k=1),
+         r"labels must lie in \[0, 2\), got range \[0, 3\]"),
+        (lambda: DecisionTreeModel(_FOUR_ROWS, np.array([0, 0, 3, 1]), 2),
+         r"labels must lie in \[0, 2\)"),
+        (lambda: RandomForestModel(_FOUR_ROWS, np.array([0, -1, 1, 1]), 2, 5, 1, None),
+         r"labels must lie in \[0, 2\), got range \[-1, 1\]"),
+        (lambda: AdaBoostModel(_FOUR_ROWS, np.array([0, 0, 3, 1]), 2, rounds=5),
+         r"labels must lie in \[0, 2\)"),
+        (lambda: GaussianNbModel(_FOUR_ROWS, np.array([0, 0, 3, 1]), 2),
+         r"labels must lie in \[0, 2\)"),
+        (lambda: QdaModel(_FOUR_ROWS, np.array([0, -1, 1, 1]), 2),
+         r"labels must lie in \[0, 2\)"),
+        (lambda: GaussianNbModel(_FOUR_ROWS, np.array([0, 1, 1]), 2),
+         "one entry per feature row"),
+        # unchecked, Gaussian NB answers all-NaN rows
+        (lambda: GaussianNbModel(np.array([[0.0], [1.0], [np.nan], [2.0]]),
+                                 np.array([0, 0, 1, 1]), 2),
+         "row 2, column 0 is nan"),
+        (lambda: QdaModel(np.array([[0.0], [1.0], [2.0], [np.inf]]),
+                          np.array([0, 0, 1, 1]), 2),
+         "row 3, column 0 is inf"),
+        (lambda: AdaBoostModel(np.array([[0.0, 1.0], [np.nan, 1.0], [2.0, 3.0]]),
+                               np.array([0, 1, 1]), 2, rounds=5),
+         "row 1, column 0 is nan"),
     ],
     ids=["spec-without-value", "spec-repeated-param", "batch-width", "row-width",
-         "subsampling-without-rng", "tree-nan-feature", "forest-nan-feature"],
+         "subsampling-without-rng", "tree-nan-feature", "forest-nan-feature",
+         "knn-label-range", "tree-label-range", "forest-negative-label",
+         "adaboost-label-range", "gaussian-nb-label-range", "qda-negative-label",
+         "gaussian-nb-label-count", "gaussian-nb-nan-feature", "qda-inf-feature",
+         "adaboost-nan-feature"],
 )
 def test_public_guards_name_the_bad_argument(call, named):
     with pytest.raises(ValueError, match=named):

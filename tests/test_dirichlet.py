@@ -315,7 +315,7 @@ def _assert_no_optimum(report):
     assert payload["final_delta"] is None
 
 
-def test_fit_identical_columns_diverges_without_crashing():
+def test_fit_identical_uniform_columns_have_no_optimum():
     # zero-variance input has no finite MLE; the report must say so at once
     # instead of raising or running the likelihood up towards a point mass
     _assert_no_optimum(fit_dirichlet(np.full((4, 50), 0.25)))

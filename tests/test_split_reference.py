@@ -1,13 +1,14 @@
-"""The split scans against one-cut-at-a-time pure-Python references.
+"""The tree's split scan and AdaBoost's stumps against one-cut-at-a-time
+pure-Python references.
 
 Each reference tries every feature and every cut between adjacent distinct
 values, in (feature, threshold) order, and keeps a candidate only when it is
 strictly better, so the first of equally good candidates wins.  The data are
 tie-heavy: iris columns rounded to integers, with random labels, so many
-cuts share a cost.  The tree's split scan is also checked against the
-reference node by node, whole trees and forests against pinned digests of
-their node tables, and the forest's one-feature draw against the
-``Generator.choice`` it stands for.
+cuts share a cost.  The tree's split scan, with its impurity gate, is also
+checked against the gated reference node by node, whole trees and forests
+against pinned digests of their node tables, and the forest's one-feature
+draw against the ``Generator.choice`` it stands for.
 """
 
 from __future__ import annotations
@@ -56,17 +57,21 @@ def table_scan(columns, y, num_classes):
     return best
 
 
-def gini_root_split(X, y, num_classes):
-    """(feature, threshold) of the least-cost Gini split, or None for a leaf.
-
-    A split must beat the parent's impurity by more than 1e-12.
-    """
+def gated_table_scan(columns, y, num_classes):
+    """``table_scan``'s cut if it beats the parent's impurity, 1 minus the
+    sum of the squared class fractions, by more than 1e-12; else None."""
     n = len(y)
-    best = table_scan([list(column) for column in zip(*X)], y, num_classes)
+    best = table_scan(columns, y, num_classes)
     parent = 1.0 - sum((y.count(c) / n) ** 2 for c in range(num_classes))
     if best is None or best[0] >= parent - 1e-12:
         return None
-    return best[1], best[2]
+    return best
+
+
+def gini_root_split(X, y, num_classes):
+    """(feature, threshold) of the least-cost Gini split, or None for a leaf."""
+    best = gated_table_scan([list(column) for column in zip(*X)], y, num_classes)
+    return None if best is None else best[1:3]
 
 
 def samme_first_stump(X, y, num_classes):
@@ -165,11 +170,12 @@ def _node_table(rng):
 
 @pytest.mark.parametrize("seed", range(20))
 def test_small_scan_matches_table_scan(seed):
-    # the tree's split scan against the exhaustive reference, to the bit
+    # the tree's split scan, impurity gate included, against the exhaustive
+    # gated reference, to the bit
     rng = np.random.default_rng(seed)
     for _ in range(25):
         values, labels, counts = _node_table(rng)
-        expected = table_scan(values.tolist(), labels.tolist(), counts.size)
+        expected = gated_table_scan(values.tolist(), labels.tolist(), counts.size)
         found = tree._split_scan(values.tolist(), labels.tolist(), counts.tolist())
         if expected is None:
             assert found is None
@@ -178,6 +184,24 @@ def test_small_scan_matches_table_scan(seed):
         assert (cost, row) == expected[:2]
         assert np.float64(threshold).tobytes() == np.float64(expected[2]).tobytes()
         assert child_counts == expected[3]
+
+
+@pytest.mark.parametrize("moved_to", [None, 1, 2])
+def test_gate_passes_the_least_gain_and_no_zero_gain(moved_to):
+    # 500 values of one feature, each holding the class mix [0, 1, 1, 2, 2, 2]:
+    # every cut gains exactly 0, so the root is a leaf.  Moving the middle
+    # value's class-0 row to another class leaves the middle cut as the best,
+    # with an exact gain of 2/9 * 1e-6; the 1e-12 gate must pass it, where a
+    # margin of 1e-6 would not.
+    X = np.repeat(np.arange(500.0), 6)[:, None]
+    y = np.tile([0, 1, 1, 2, 2, 2], 500)
+    if moved_to is not None:
+        y[1500] = moved_to
+    model = DecisionTreeModel(X, y, 3, max_depth=1)
+    if moved_to is None:
+        assert model._left[0] == 0  # the root is a leaf
+    else:
+        assert (int(model._feature[0]), float(model._threshold[0])) == (0, 249.5)
 
 
 _TREE_ARRAYS = ("_feature", "_threshold", "_left", "_right", "_probs", "_depth", "_roots")
@@ -194,9 +218,10 @@ def _digest(model, *arrays):
 
 
 # Recorded from the grower that scanned nodes of more than 48 cells in one
-# numpy pass and smaller ones in plain Python; growing every node with the
-# one scan must give the same tables.  Keyed by (max_features, max_depth,
-# num_classes); nine classes make numpy sum the squared fractions in blocks.
+# numpy pass and smaller ones in plain Python, and that gated each split on
+# a Gini impurity numpy summed in blocks for eight or more classes; the one
+# scan with its own integer gate must give the same tables on every CPU.
+# Keyed by (max_features, max_depth, num_classes).
 _TREE_DIGESTS = {
     (None, None, 3): "2654e61295dcb4856d484297d9ab4daf801455b773510ce1e3f7d385f985dd52",
     (None, 5, 3): "32dfb1a28593d9fc14aa6fd8d97392b3c0f43e28263651dc22b3dc53db3fc6a9",
@@ -239,17 +264,6 @@ def test_forest_is_the_same_whichever_scan_takes_each_node(max_depth, num_classe
                               np.random.default_rng(6))
     digest = _digest(model, model.predict_proba_batch(iris.features))
     assert digest == _FOREST_DIGESTS[max_depth, num_classes]
-
-
-@pytest.mark.parametrize("num_classes", range(2, 11))
-def test_gini_of_a_count_list_is_gini_to_the_bit(num_classes):
-    rng = np.random.default_rng(num_classes)
-    for _ in range(2000):
-        total = int(rng.integers(2, 200))
-        counts = rng.multinomial(total, rng.dirichlet(np.ones(num_classes)))
-        frac = counts / total
-        expected = np.float64(1.0 - float((frac * frac).sum())).tobytes()
-        assert np.float64(tree._gini(counts.tolist(), total)).tobytes() == expected
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 13, 1000])
