@@ -31,8 +31,9 @@ from .tree import DecisionTreeModel
 class Family:
     """How to train one classifier family and which hyperparameters it takes.
 
-    ``build(features, labels, num_classes, params, rng)`` trains a model from
-    fully resolved ``params``.  ``params`` maps every accepted hyperparameter
+    ``build(train, params, rng)`` trains a model on the
+    :class:`~ldmcap.dataset.LabeledDataset` ``train`` from fully resolved
+    ``params``.  ``params`` maps every accepted hyperparameter
     to its everyday default, ``None`` meaning unset; ``ldm`` holds the values
     matrix-building runs overlay on those defaults.
     """
@@ -43,24 +44,22 @@ class Family:
 
 
 FAMILIES: dict[str, Family] = {
-    "knn": Family(lambda X, y, c, p, rng: KnnModel(X, y, c, p["k"]), {"k": 5}),
-    "gaussian_nb": Family(lambda X, y, c, p, rng: GaussianNbModel(X, y, c)),
+    "knn": Family(lambda train, p, rng: KnnModel(train, p["k"]), {"k": 5}),
+    "gaussian_nb": Family(lambda train, p, rng: GaussianNbModel(train)),
     "decision_tree": Family(
-        lambda X, y, c, p, rng: DecisionTreeModel(X, y, c, p["max_depth"]),
+        lambda train, p, rng: DecisionTreeModel(train, p["max_depth"]),
         {"max_depth": None},
         ldm={"max_depth": 5},
     ),
     "random_forest": Family(
-        lambda X, y, c, p, rng: RandomForestModel(
-            X, y, c, p["n"], p["max_features"], p["max_depth"], rng
+        lambda train, p, rng: RandomForestModel(
+            train, p["n"], p["max_features"], p["max_depth"], rng
         ),
         {"n": 10, "max_features": 1, "max_depth": None},
         ldm={"max_depth": 5},
     ),
-    "qda": Family(lambda X, y, c, p, rng: QdaModel(X, y, c)),
-    "adaboost": Family(
-        lambda X, y, c, p, rng: AdaBoostModel(X, y, c, p["rounds"]), {"rounds": 50}
-    ),
+    "qda": Family(lambda train, p, rng: QdaModel(train)),
+    "adaboost": Family(lambda train, p, rng: AdaBoostModel(train, p["rounds"]), {"rounds": 50}),
 }
 
 
@@ -137,7 +136,7 @@ def fit(
     """
     family = FAMILIES[spec.family]
     params = {**family.params, **spec.params}
-    return family.build(train.features, train.labels, train.num_classes, params, rng)
+    return family.build(train, params, rng)
 
 
 __all__ = [

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..dataset import _checked_labels, require_finite
+from ..dataset import LabeledDataset
 from .base import TrainedModel, log_softmax_rows
 from .tree import _threshold_after
 
@@ -77,15 +77,12 @@ class AdaBoostModel(TrainedModel):
     a uniform distribution over the classes present in training.
     """
 
-    def __init__(
-        self, features: np.ndarray, labels: np.ndarray, num_classes: int, rounds: int
-    ):
+    def __init__(self, train: LabeledDataset, rounds: int):
         if rounds < 1:
             raise ValueError(f"rounds must be at least 1, got {rounds}")
-        labels = _checked_labels(labels, len(features), num_classes)
-        require_finite(features)
-        n, d = features.shape
-        super().__init__(num_classes, d)
+        super().__init__(train)
+        features, labels, num_classes = train.features, train.labels, train.num_classes
+        n = train.n_examples
         self._present = np.bincount(labels, minlength=num_classes) > 0
         self._stumps: list[tuple[int, float, int, int, float]] = []
         scan = _StumpScan(features, labels, num_classes)

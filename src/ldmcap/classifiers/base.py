@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..dataset import LabeledDataset
+
 
 class TrainedModel:
-    """A fitted classifier exposing per-class probabilities.
+    """A fitted classifier exposing per-class probabilities, trained on a
+    :class:`~ldmcap.dataset.LabeledDataset` and trusting its checks.
 
     Subclasses implement ``predict_proba_batch`` over a matrix of rows; the
     scalar ``predict_proba``/``predict`` contracts derive from it.  Probability
@@ -15,9 +18,11 @@ class TrainedModel:
     otherwise), are non-negative, and sum to 1 within float tolerance.
     """
 
-    def __init__(self, num_classes: int, n_features: int):
-        self.num_classes = int(num_classes)
-        self.n_features = int(n_features)
+    def __init__(self, train: LabeledDataset):
+        if not isinstance(train, LabeledDataset):
+            raise TypeError(f"models train on a LabeledDataset, got {type(train).__name__}")
+        self.num_classes = train.num_classes
+        self.n_features = train.n_features
 
     def _check_rows(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)

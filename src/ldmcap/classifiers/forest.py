@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..dataset import _checked_labels
+from ..dataset import LabeledDataset
 from .tree import DecisionTreeModel
 
 
@@ -30,9 +30,7 @@ class RandomForestModel(DecisionTreeModel):
 
     def __init__(
         self,
-        features: np.ndarray,
-        labels: np.ndarray,
-        num_classes: int,
+        train: LabeledDataset,
         n_estimators: int,
         max_features: int | None,
         max_depth: int | None,
@@ -42,15 +40,13 @@ class RandomForestModel(DecisionTreeModel):
             raise ValueError(f"n_estimators must be at least 1, got {n_estimators}")
         if rng is None:
             rng = np.random.default_rng(0)
-        n = features.shape[0]
-        labels = _checked_labels(labels, n, num_classes)
 
         def bootstraps():
             for _ in range(n_estimators):
-                boot = rng.integers(0, n, size=n)
-                yield features[boot], labels[boot]
+                boot = rng.integers(0, train.n_examples, size=train.n_examples)
+                yield train.features[boot], train.labels[boot]
 
-        self._grow(features, bootstraps(), num_classes, max_depth, max_features, rng)
+        self._grow(train, bootstraps(), max_depth, max_features, rng)
 
     # Its own entry, not an inherited one: the benchmark's tracer wraps each
     # model class's own predict_proba_batch, so a forest's predictions are

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..dataset import _checked_labels, require_finite
+from ..dataset import LabeledDataset
 from .base import TrainedModel, log_softmax_rows
 
 _LOG_TWO_PI = float(np.log(2.0 * np.pi))
@@ -33,16 +33,14 @@ class GaussianNbModel(TrainedModel):
     classes cannot produce a zero variance.
     """
 
-    def __init__(self, features: np.ndarray, labels: np.ndarray, num_classes: int):
-        labels = _checked_labels(labels, len(features), num_classes)
-        require_finite(features)
-        d = features.shape[1]
-        super().__init__(num_classes, d)
+    def __init__(self, train: LabeledDataset):
+        super().__init__(train)
+        features, labels, num_classes = train.features, train.labels, train.num_classes
         self._present, self._log_prior = _class_log_prior(labels, num_classes)
 
         smoothing = max(1e-9 * float(features.var(axis=0).max()), 1e-12)
-        self._means = np.zeros((num_classes, d))
-        self._vars = np.ones((num_classes, d))
+        self._means = np.zeros((num_classes, self.n_features))
+        self._vars = np.ones((num_classes, self.n_features))
         for c in np.flatnonzero(self._present):
             rows = features[labels == c]
             self._means[c] = rows.mean(axis=0)
@@ -68,11 +66,10 @@ class QdaModel(TrainedModel):
     factorization always succeeds under randomized labels.
     """
 
-    def __init__(self, features: np.ndarray, labels: np.ndarray, num_classes: int):
-        labels = _checked_labels(labels, len(features), num_classes)
-        require_finite(features)
+    def __init__(self, train: LabeledDataset):
+        super().__init__(train)
+        features, labels, num_classes = train.features, train.labels, train.num_classes
         n, d = features.shape
-        super().__init__(num_classes, d)
         self._present, self._log_prior = _class_log_prior(labels, num_classes)
 
         pooled = features - features.mean(axis=0)

@@ -4,28 +4,27 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..dataset import _checked_labels
+from ..dataset import LabeledDataset
 from .base import TrainedModel
 
 
 class KnnModel(TrainedModel):
     """Probabilities are the class fractions among the K nearest training rows.
 
-    Distance ties are broken toward the lower training-row index, and NaN
-    distances count as farther than any other (the order of a stable argsort
-    over each row), so queries that coincide with a stored row
-    deterministically see that row first.
+    Distance ties are broken toward the lower training-row index, and the
+    NaN distances of non-finite query rows count as farther than any other
+    (the order of a stable argsort over each row), so queries that coincide
+    with a stored row deterministically see that row first.
     """
 
-    def __init__(self, features: np.ndarray, labels: np.ndarray, num_classes: int, k: int):
+    def __init__(self, train: LabeledDataset, k: int):
         if k < 1:
             raise ValueError(f"k must be at least 1, got {k}")
-        labels = _checked_labels(labels, len(features), num_classes)
-        super().__init__(num_classes, features.shape[1])
-        self._features = features
-        self._k = min(int(k), features.shape[0])
+        super().__init__(train)
+        self._features = features = train.features
+        self._k = min(int(k), train.n_examples)
         self._train_sq = np.einsum("ij,ij->i", features, features)
-        self._one_hot = (labels[:, None] == np.arange(num_classes)).astype(np.float64)
+        self._one_hot = (train.labels[:, None] == np.arange(self.num_classes)).astype(np.float64)
 
     def predict_proba_batch(self, X) -> np.ndarray:
         X = self._check_rows(X)

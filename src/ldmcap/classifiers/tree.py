@@ -14,7 +14,8 @@ candidate feature's values with their labels and walks the cuts between
 distinct values, keeping exact integer class sums.  The scan also owns the
 gate a split must pass, beating the node's impurity by more than 1e-12, and
 decides it from those sums, so no numpy reduction takes part in a split.
-NaN cannot be sorted, so training features must be finite.
+NaN cannot be sorted; the :class:`~ldmcap.dataset.LabeledDataset` a tree
+trains on, and a forest's bootstraps of it, hold finite features only.
 
 With feature subsampling a node draws its features from ``rng`` as it is
 reached.  One feature of several, a forest's default, is drawn as
@@ -41,7 +42,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from ..dataset import _checked_labels, require_finite
+from ..dataset import LabeledDataset
 from .base import TrainedModel
 
 
@@ -101,31 +102,27 @@ def _split_scan(columns, labels, counts):
 class DecisionTreeModel(TrainedModel):
     def __init__(
         self,
-        features: np.ndarray,
-        labels: np.ndarray,
-        num_classes: int,
+        train: LabeledDataset,
         max_depth: int | None = None,
         max_features: int | None = None,
         rng: np.random.Generator | None = None,
     ):
-        labels = _checked_labels(labels, len(features), num_classes)
-        self._grow(features, [(features, labels)], num_classes, max_depth, max_features, rng)
+        self._grow(train, [(train.features, train.labels)], max_depth, max_features, rng)
 
-    def _grow(self, features, samples, num_classes, max_depth, max_features, rng):
+    def _grow(self, train, samples, max_depth, max_features, rng):
         """Grow one tree on each (features, labels) sample of ``samples`` in
         turn, all onto the same node lists; every sample's rows are rows of
-        ``features``.  With feature subsampling, each node that looks for a
+        ``train``.  With feature subsampling, each node that looks for a
         split draws its features from ``rng`` as it is reached; ``samples``
         may draw from it too, between trees."""
+        super().__init__(train)
         if max_depth is not None and max_depth < 1:
             raise ValueError(f"max_depth must be at least 1, got {max_depth}")
         if max_features is not None and max_features < 1:
             raise ValueError(f"max_features must be at least 1, got {max_features}")
-        d = features.shape[1]
+        d, num_classes = self.n_features, self.num_classes
         if max_features is not None and max_features < d and rng is None:
             raise ValueError("feature subsampling requires an rng")
-        require_finite(features)
-        super().__init__(num_classes, d)
         n_sub = d if max_features is None else min(max_features, d)
         all_features = range(d)
         feature, threshold, left, right, class_counts, roots = [], [], [], [], [], []

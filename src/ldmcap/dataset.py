@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -28,15 +29,6 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def require_finite(features: np.ndarray) -> None:
-    """Raise :class:`InvalidDatasetError` naming the first non-finite feature cell."""
-    if not np.isfinite(features).all():
-        row, column = np.argwhere(~np.isfinite(features))[0]
-        raise InvalidDatasetError(
-            f"features must be finite; row {row}, column {column} is {features[row, column]}"
-        )
-
-
 def _checked_labels(labels, n_examples: int, num_classes: int) -> np.ndarray:
     """``labels`` as a read-only int64 copy, once they are known to fit the dataset."""
     labs = np.asarray(labels, dtype=np.int64)
@@ -44,8 +36,6 @@ def _checked_labels(labels, n_examples: int, num_classes: int) -> np.ndarray:
         raise InvalidDatasetError(
             f"labels must be 1-D with one entry per feature row, got shape {labs.shape}"
         )
-    if num_classes < 2:
-        raise InvalidDatasetError(f"num_classes must be at least 2, got {num_classes}")
     if labs.size and (labs.min() < 0 or labs.max() >= num_classes):
         raise InvalidDatasetError(
             f"labels must lie in [0, {num_classes}), got range [{labs.min()}, {labs.max()}]"
@@ -58,7 +48,8 @@ class LabeledDataset:
     """An N x d matrix of finite features with integer class labels in [0, num_classes).
 
     Instances are immutable: the arrays are defensive read-only copies, and a
-    relabeled dataset shares its parent's features.
+    relabeled dataset shares its parent's features.  Classifiers train only
+    on these, so their training data is checked here and nowhere else.
     """
 
     features: np.ndarray
@@ -66,12 +57,19 @@ class LabeledDataset:
     num_classes: int
 
     def __post_init__(self):
-        feats = np.asarray(self.features, dtype=np.float64)
+        try:
+            feats = np.asarray(self.features, dtype=np.float64)
+        except (TypeError, ValueError) as exc:  # ragged rows or non-numbers
+            raise InvalidDatasetError(f"features must be a numeric matrix: {exc}") from None
         if feats.ndim != 2 or feats.shape[0] < 1 or feats.shape[1] < 1:
             raise InvalidDatasetError(
                 f"features must be a non-empty 2-D matrix, got shape {feats.shape}"
             )
-        require_finite(feats)
+        if not np.isfinite(feats).all():
+            row, column = np.argwhere(~np.isfinite(feats))[0]
+            raise InvalidDatasetError(
+                f"features must be finite; row {row}, column {column} is {feats[row, column]}"
+            )
         # k-NN distances, Gaussian variances and QDA covariances square the
         # features; where even their sum of squares overflows, those fits
         # give inf and NaN probabilities instead of an error
@@ -83,9 +81,18 @@ class LabeledDataset:
                 "features are too large to square: their sum of squares overflows; "
                 f"the largest, row {row}, column {column}, is {feats[row, column]}"
             )
-        labels = _checked_labels(self.labels, len(feats), self.num_classes)
+        try:
+            num_classes = operator.index(self.num_classes)
+        except TypeError:
+            raise InvalidDatasetError(
+                f"num_classes must be an integer, got {self.num_classes!r}"
+            ) from None
+        if num_classes < 2:
+            raise InvalidDatasetError(f"num_classes must be at least 2, got {num_classes}")
+        labels = _checked_labels(self.labels, len(feats), num_classes)
         object.__setattr__(self, "features", _readonly(feats))
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "num_classes", num_classes)
 
     @property
     def n_examples(self) -> int:

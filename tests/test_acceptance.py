@@ -170,10 +170,13 @@ def test_06_recorder_orderings_on_iris(iris):
 
 
 class _FixedOutputModel(TrainedModel):
-    """Predicts a fixed class distribution per holdout point, in holdout order."""
+    """Predicts a fixed class distribution per holdout point, in holdout order.
+
+    It trains on nothing, so it sets the class and feature counts itself.
+    """
 
     def __init__(self, probabilities: np.ndarray, n_features: int):
-        super().__init__(probabilities.shape[1], n_features)
+        self.num_classes, self.n_features = probabilities.shape[1], n_features
         self._probabilities = probabilities
 
     def predict_proba_batch(self, X) -> np.ndarray:

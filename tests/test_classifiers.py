@@ -14,6 +14,7 @@ from ldmcap.classifiers import (
     RandomForestModel,
 )
 from ldmcap.dataset import LabeledDataset
+from ldmcap.errors import InvalidDatasetError
 
 
 def _ds(features, labels, num_classes=None):
@@ -21,10 +22,6 @@ def _ds(features, labels, num_classes=None):
     if num_classes is None:
         num_classes = int(labels.max()) + 1
     return LabeledDataset(np.asarray(features, dtype=float), labels, num_classes)
-
-
-def _xyc(ds):
-    return ds.features, ds.labels, ds.num_classes
 
 
 _FOUR_ROWS = np.array([[0.0], [1.0], [2.0], [3.0]])
@@ -75,7 +72,7 @@ def test_absent_class_gets_no_mass(family):
 
 
 def test_predict_breaks_argmax_ties_toward_lower_class():
-    model = KnnModel(*_xyc(_ds([[0.0], [1.0]], [1, 0])), k=2)
+    model = KnnModel(_ds([[0.0], [1.0]], [1, 0]), k=2)
     # both neighbours tie at 0.5/0.5 -> argmax must return class 0
     assert model.predict(np.array([0.5])) == 0
 
@@ -86,13 +83,13 @@ def test_predict_breaks_argmax_ties_toward_lower_class():
 
 
 def test_knn_votes_are_neighbour_fractions():
-    model = KnnModel(*_xyc(_ds([[0.0], [1.0], [2.0], [10.0]], [0, 0, 1, 1])), k=3)
+    model = KnnModel(_ds([[0.0], [1.0], [2.0], [10.0]], [0, 0, 1, 1]), k=3)
     probs = model.predict_proba(np.array([0.9]))
     assert np.allclose(probs, [2 / 3, 1 / 3])
 
 
 def test_knn_k1_memorizes_training_points(iris):
-    model = KnnModel(*_xyc(iris), k=1)
+    model = KnnModel(iris, k=1)
     preds = model.predict_batch(iris.features)
     assert np.array_equal(preds, iris.labels)
 
@@ -100,7 +97,7 @@ def test_knn_k1_memorizes_training_points(iris):
 def test_knn_distance_ties_go_to_lower_train_index():
     # two training rows at identical locations with different labels: the
     # k=1 neighbour must be the earlier row
-    model = KnnModel(*_xyc(_ds([[1.0, 2.0], [1.0, 2.0], [9.0, 9.0]], [1, 0, 0])), k=1)
+    model = KnnModel(_ds([[1.0, 2.0], [1.0, 2.0], [9.0, 9.0]], [1, 0, 0]), k=1)
     assert np.allclose(model.predict_proba(np.array([1.0, 2.0])), [0.0, 1.0])
 
 
@@ -124,7 +121,7 @@ def test_knn_picks_the_lower_of_duplicate_iris_rows(iris, k):
     for _ in range(5):
         labels = rng.integers(0, 3, size=iris.n_examples)
         labels[101], labels[142] = 0, 1
-        probs = KnnModel(iris.features, labels, 3, k=k).predict_proba_batch(queries)
+        probs = KnnModel(iris.with_labels(labels), k=k).predict_proba_batch(queries)
         assert np.array_equal(probs, _knn_by_stable_sort(iris.features, labels, 3, k, queries))
     if k == 1:
         assert probs[142].tolist() == [1.0, 0.0, 0.0]
@@ -132,30 +129,31 @@ def test_knn_picks_the_lower_of_duplicate_iris_rows(iris, k):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_knn_puts_nan_distances_last(k):
-    # the infinite training feature puts a NaN (0 * inf) among finite
-    # distances, and infinite or NaN queries see only NaN and inf; a stable
-    # sort puts NaN after everything and ties in index order
-    features = np.array([[0.0, 0.0], [np.inf, 0.0], [1.0, 0.0], [2.0, 0.0]])
-    labels = np.array([0, 1, 2, 0])
+    # training rows are finite, so only queries give NaN: the NaN and +inf
+    # queries see only NaN (inf - inf, and 0 * inf at the origin row), the
+    # -inf one NaN at the origin row and inf elsewhere, and 1e160 only inf
+    # (its square overflows); a stable sort puts NaN after everything and
+    # ties in index order
+    train = _ds([[0.0, 0.0], [5.0, 0.0], [1.0, 0.0], [2.0, 0.0]], [0, 1, 2, 0])
     queries = np.array(
         [[0.0, 1.0], [0.5, 0.0], [np.nan, 0.0], [np.inf, 0.0], [-np.inf, 1.0], [1e160, 0.0]]
     )
     with np.errstate(invalid="ignore", over="ignore"):
-        probs = KnnModel(features, labels, 3, k=k).predict_proba_batch(queries)
-        expected = _knn_by_stable_sort(features, labels, 3, k, queries)
+        probs = KnnModel(train, k=k).predict_proba_batch(queries)
+        expected = _knn_by_stable_sort(train.features, train.labels, 3, k, queries)
     assert np.array_equal(probs, expected)
-    if k == 3:  # rows 0, 2 and 3 are finite, row 1 is NaN
+    if k == 3:  # rows 0, 2 and 3 are nearest, row 1 is farthest
         assert probs[0].tolist() == [2 / 3, 0.0, 1 / 3]
 
 
 def test_knn_k_clamped_to_training_size():
-    model = KnnModel(*_xyc(_ds([[0.0], [1.0]], [0, 1])), k=100)
+    model = KnnModel(_ds([[0.0], [1.0]], [0, 1]), k=100)
     assert np.allclose(model.predict_proba(np.array([0.4])), [0.5, 0.5])
 
 
 def test_knn_rejects_nonpositive_k(iris):
     with pytest.raises(ValueError):
-        KnnModel(*_xyc(iris), k=0)
+        KnnModel(iris, k=0)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +163,7 @@ def test_knn_rejects_nonpositive_k(iris):
 
 def test_gaussian_nb_matches_hand_rolled_two_gaussians():
     ds = _ds([[0.0], [2.0], [10.0], [12.0]], [0, 0, 1, 1])
-    model = GaussianNbModel(*_xyc(ds))
+    model = GaussianNbModel(ds)
     probs = model.predict_proba(np.array([1.0]))
 
     def log_pdf(x, mu, var):
@@ -182,7 +180,7 @@ def test_gaussian_nb_matches_hand_rolled_two_gaussians():
 
 def test_gaussian_nb_survives_zero_variance_feature():
     ds = _ds([[1.0, 0.0], [1.0, 0.1], [1.0, 5.0], [1.0, 5.1]], [0, 0, 1, 1])
-    model = GaussianNbModel(*_xyc(ds))
+    model = GaussianNbModel(ds)
     probs = model.predict_proba_batch(ds.features)
     assert np.all(np.isfinite(probs))
     assert np.array_equal(model.predict_batch(ds.features), ds.labels)
@@ -190,7 +188,7 @@ def test_gaussian_nb_survives_zero_variance_feature():
 
 def test_gaussian_nb_extreme_outlier_does_not_underflow_to_nan():
     ds = _ds([[0.0], [1.0], [100.0], [101.0]], [0, 0, 1, 1])
-    model = GaussianNbModel(*_xyc(ds))
+    model = GaussianNbModel(ds)
     probs = model.predict_proba(np.array([1e6]))
     assert np.all(np.isfinite(probs))
     assert abs(probs.sum() - 1.0) < 1e-9
@@ -202,7 +200,7 @@ def test_gaussian_nb_extreme_outlier_does_not_underflow_to_nan():
 
 
 def test_tree_single_split_learns_threshold():
-    model = DecisionTreeModel(*_xyc(_ds([[1.0], [2.0], [8.0], [9.0]], [0, 0, 1, 1])))
+    model = DecisionTreeModel(_ds([[1.0], [2.0], [8.0], [9.0]], [0, 0, 1, 1]))
     assert model.predict(np.array([0.0])) == 0
     assert model.predict(np.array([4.9])) == 0  # below midpoint 5.0
     assert model.predict(np.array([5.1])) == 1
@@ -210,7 +208,7 @@ def test_tree_single_split_learns_threshold():
 
 
 @pytest.mark.parametrize(
-    "build", [DecisionTreeModel, lambda *xyc: AdaBoostModel(*xyc, rounds=5)],
+    "build", [DecisionTreeModel, lambda ds: AdaBoostModel(ds, rounds=5)],
     ids=["decision_tree", "adaboost"],
 )
 def test_split_between_adjacent_floats_keeps_both_rows_apart(build):
@@ -218,11 +216,11 @@ def test_split_between_adjacent_floats_keeps_both_rows_apart(build):
     # must fall back to the left value for the split to separate the rows
     ds = _ds([[np.nextafter(1.0, 0.0)], [1.0]], [0, 1])
     assert 0.5 * (ds.features[0, 0] + ds.features[1, 0]) == 1.0
-    assert np.array_equal(build(*_xyc(ds)).predict_batch(ds.features), [0, 1])
+    assert np.array_equal(build(ds).predict_batch(ds.features), [0, 1])
 
 
 def test_tree_unpruned_memorizes_iris(iris):
-    model = DecisionTreeModel(*_xyc(iris), max_depth=None)
+    model = DecisionTreeModel(iris, max_depth=None)
     preds = model.predict_batch(iris.features)
     # iris has exactly one duplicated feature row, and both copies share a
     # label, so an unpruned tree reproduces the training labels exactly
@@ -232,14 +230,14 @@ def test_tree_unpruned_memorizes_iris(iris):
 def test_tree_depth_cap_enforced():
     rng = np.random.default_rng(0)
     ds = _ds(rng.random((64, 3)), rng.integers(0, 2, 64))
-    stump = DecisionTreeModel(*_xyc(ds), max_depth=1)
+    stump = DecisionTreeModel(ds, max_depth=1)
     # a depth-1 tree yields at most two distinct probability rows
     rows = {tuple(r) for r in stump.predict_proba_batch(ds.features).round(12)}
     assert len(rows) <= 2
 
 
 def test_tree_identical_features_conflicting_labels_yield_split_mass():
-    model = DecisionTreeModel(*_xyc(_ds([[1.0], [1.0]], [0, 1])))
+    model = DecisionTreeModel(_ds([[1.0], [1.0]], [0, 1]))
     assert np.allclose(model.predict_proba(np.array([1.0])), [0.5, 0.5])
 
 
@@ -247,81 +245,98 @@ def test_tree_prefers_lower_feature_on_equal_gain():
     # both features separate the classes perfectly; the split must use
     # feature 0 so a probe differing only in feature 0 flips the prediction
     ds = _ds([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]], [0, 0, 1, 1])
-    model = DecisionTreeModel(*_xyc(ds))
+    model = DecisionTreeModel(ds)
     assert model.predict(np.array([0.0, 1.0])) == 0
     assert model.predict(np.array([1.0, 0.0])) == 1
 
 
 def test_tree_leaf_probabilities_are_class_fractions():
-    model = DecisionTreeModel(*_xyc(_ds([[0.0], [0.0], [0.0], [5.0]], [0, 0, 1, 1])))
+    model = DecisionTreeModel(_ds([[0.0], [0.0], [0.0], [5.0]], [0, 0, 1, 1]))
     assert np.allclose(model.predict_proba(np.array([0.0])), [2 / 3, 1 / 3])
     assert np.allclose(model.predict_proba(np.array([5.0])), [0.0, 1.0])
 
 
 def test_tree_rejects_nonpositive_depth(iris):
     with pytest.raises(ValueError):
-        DecisionTreeModel(*_xyc(iris), max_depth=0)
+        DecisionTreeModel(iris, max_depth=0)
 
 
 def test_tree_rejects_nonpositive_max_features(iris):
     with pytest.raises(ValueError, match="max_features"):
-        DecisionTreeModel(*_xyc(iris), max_features=0, rng=np.random.default_rng(0))
+        DecisionTreeModel(iris, max_features=0, rng=np.random.default_rng(0))
+
+
+_HUGE = [[1e200, 0.0], [-1e200, 1.0], [1e200, 2.0], [3.0, 4.0], [5.0, 1.0], [2.0, 2.0]]
 
 
 @pytest.mark.parametrize(
-    "call, named",
+    "call, error, named",
     [
-        (lambda: parse_spec("knn:k"), "malformed spec parameter"),
-        (lambda: parse_spec("knn:k=1,k=7"), "parameter 'k' is given twice"),
-        (lambda: KnnModel(*_xyc(BLOBS), k=1).predict_proba_batch(np.zeros((1, 3))),
+        (lambda: parse_spec("knn:k"), ValueError, "malformed spec parameter"),
+        (lambda: parse_spec("knn:k=1,k=7"), ValueError, "parameter 'k' is given twice"),
+        (lambda: KnnModel(BLOBS, k=1).predict_proba_batch(np.zeros((1, 3))), ValueError,
          "rows with 2 features"),
-        (lambda: KnnModel(*_xyc(BLOBS), k=1).predict_proba(np.zeros(3)), "vector of length 2"),
-        (lambda: DecisionTreeModel(np.eye(3), np.array([0, 1, 0]), 2, max_features=2),
+        (lambda: KnnModel(BLOBS, k=1).predict_proba(np.zeros(3)), ValueError,
+         "vector of length 2"),
+        (lambda: DecisionTreeModel(_ds(np.eye(3), [0, 1, 0]), max_features=2), ValueError,
          "requires an rng"),
-        # sorted() cannot order NaN: unchecked, this tree fits and then
-        # predicts [0, 1, 1, 1, 1] on its own training rows
-        (lambda: DecisionTreeModel(np.array([[0.0], [1.0], [np.nan], [2.0], [3.0]]),
-                                   np.array([0, 0, 1, 1, 1]), 2),
-         "row 2, column 0 is nan"),
-        (lambda: RandomForestModel(np.array([[0.0, 1.0], [1.0, np.nan], [2.0, 3.0]]),
-                                   np.array([0, 1, 1]), 2, 5, 1, None),
-         "row 1, column 1 is nan"),
-        # Directly built models check their labels as LabeledDataset does;
-        # unchecked, 1-NN answers [0, 0] for a class-3 neighbour
-        (lambda: KnnModel(_FOUR_ROWS, np.array([0, 0, 3, 1]), 2, k=1),
-         r"labels must lie in \[0, 2\), got range \[0, 3\]"),
-        (lambda: DecisionTreeModel(_FOUR_ROWS, np.array([0, 0, 3, 1]), 2),
-         r"labels must lie in \[0, 2\)"),
-        (lambda: RandomForestModel(_FOUR_ROWS, np.array([0, -1, 1, 1]), 2, 5, 1, None),
-         r"labels must lie in \[0, 2\), got range \[-1, 1\]"),
-        (lambda: AdaBoostModel(_FOUR_ROWS, np.array([0, 0, 3, 1]), 2, rounds=5),
-         r"labels must lie in \[0, 2\)"),
-        (lambda: GaussianNbModel(_FOUR_ROWS, np.array([0, 0, 3, 1]), 2),
-         r"labels must lie in \[0, 2\)"),
-        (lambda: QdaModel(_FOUR_ROWS, np.array([0, -1, 1, 1]), 2),
-         r"labels must lie in \[0, 2\)"),
-        (lambda: GaussianNbModel(_FOUR_ROWS, np.array([0, 1, 1]), 2),
-         "one entry per feature row"),
-        # unchecked, Gaussian NB answers all-NaN rows
-        (lambda: GaussianNbModel(np.array([[0.0], [1.0], [np.nan], [2.0]]),
-                                 np.array([0, 0, 1, 1]), 2),
-         "row 2, column 0 is nan"),
-        (lambda: QdaModel(np.array([[0.0], [1.0], [2.0], [np.inf]]),
-                          np.array([0, 0, 1, 1]), 2),
-         "row 3, column 0 is inf"),
-        (lambda: AdaBoostModel(np.array([[0.0, 1.0], [np.nan, 1.0], [2.0, 3.0]]),
-                               np.array([0, 1, 1]), 2, rounds=5),
-         "row 1, column 0 is nan"),
+        (lambda: KnnModel(_FOUR_ROWS, k=1), TypeError, "models train on a LabeledDataset"),
+        # Models train only on a LabeledDataset, so its checks are the ones
+        # every model's training data gets.  sorted() cannot order NaN:
+        # unchecked, this tree would fit and then predict [0, 1, 1, 1, 1] on
+        # its own training rows
+        (lambda: DecisionTreeModel(_ds([[0.0], [1.0], [np.nan], [2.0], [3.0]], [0, 0, 1, 1, 1])),
+         InvalidDatasetError, "row 2, column 0 is nan"),
+        (lambda: RandomForestModel(_ds([[0.0, 1.0], [1.0, np.nan], [2.0, 3.0]], [0, 1, 1]),
+                                   5, 1, None),
+         InvalidDatasetError, "row 1, column 1 is nan"),
+        # unchecked, 1-NN would answer [0, 0] for a class-3 neighbour
+        (lambda: KnnModel(_ds(_FOUR_ROWS, [0, 0, 3, 1], 2), k=1),
+         InvalidDatasetError, r"labels must lie in \[0, 2\), got range \[0, 3\]"),
+        (lambda: DecisionTreeModel(_ds(_FOUR_ROWS, [0, 0, 3, 1], 2)),
+         InvalidDatasetError, r"labels must lie in \[0, 2\)"),
+        (lambda: RandomForestModel(_ds(_FOUR_ROWS, [0, -1, 1, 1], 2), 5, 1, None),
+         InvalidDatasetError, r"labels must lie in \[0, 2\), got range \[-1, 1\]"),
+        (lambda: AdaBoostModel(_ds(_FOUR_ROWS, [0, 0, 3, 1], 2), rounds=5),
+         InvalidDatasetError, r"labels must lie in \[0, 2\)"),
+        (lambda: GaussianNbModel(_ds(_FOUR_ROWS, [0, 0, 3, 1], 2)),
+         InvalidDatasetError, r"labels must lie in \[0, 2\)"),
+        (lambda: QdaModel(_ds(_FOUR_ROWS, [0, -1, 1, 1], 2)),
+         InvalidDatasetError, r"labels must lie in \[0, 2\)"),
+        (lambda: GaussianNbModel(_ds(_FOUR_ROWS, [0, 1, 1], 2)),
+         InvalidDatasetError, "one entry per feature row"),
+        # unchecked, Gaussian NB would answer all-NaN rows
+        (lambda: GaussianNbModel(_ds([[0.0], [1.0], [np.nan], [2.0]], [0, 0, 1, 1])),
+         InvalidDatasetError, "row 2, column 0 is nan"),
+        (lambda: QdaModel(_ds([[0.0], [1.0], [2.0], [np.inf]], [0, 0, 1, 1])),
+         InvalidDatasetError, "row 3, column 0 is inf"),
+        (lambda: AdaBoostModel(_ds([[0.0, 1.0], [np.nan, 1.0], [2.0, 3.0]], [0, 1, 1]),
+                               rounds=5),
+         InvalidDatasetError, "row 1, column 0 is nan"),
+        # the squares overflow: unchecked, Gaussian NB would answer NaN for
+        # every row, QDA for three, and k-NN would misorder the neighbours
+        (lambda: GaussianNbModel(_ds(_HUGE, [0, 0, 0, 1, 1, 1])),
+         InvalidDatasetError, "too large to square"),
+        (lambda: QdaModel(_ds(_HUGE, [0, 0, 0, 1, 1, 1])),
+         InvalidDatasetError, "too large to square"),
+        (lambda: KnnModel(_ds(_HUGE, [0, 0, 0, 1, 1, 1]), k=1),
+         InvalidDatasetError, "too large to square"),
+        (lambda: KnnModel(LabeledDataset([[0.0, 1.0], [2.0], [3.0, 4.0]], [0, 1, 1], 2), k=1),
+         InvalidDatasetError, "features must be a numeric matrix"),
+        (lambda: QdaModel(LabeledDataset([0.0, 1.0, 2.0, 3.0], [0, 0, 1, 1], 2)),
+         InvalidDatasetError, r"non-empty 2-D matrix, got shape \(4,\)"),
     ],
     ids=["spec-without-value", "spec-repeated-param", "batch-width", "row-width",
-         "subsampling-without-rng", "tree-nan-feature", "forest-nan-feature",
-         "knn-label-range", "tree-label-range", "forest-negative-label",
-         "adaboost-label-range", "gaussian-nb-label-range", "qda-negative-label",
-         "gaussian-nb-label-count", "gaussian-nb-nan-feature", "qda-inf-feature",
-         "adaboost-nan-feature"],
+         "subsampling-without-rng", "array-not-dataset", "tree-nan-feature",
+         "forest-nan-feature", "knn-label-range", "tree-label-range",
+         "forest-negative-label", "adaboost-label-range", "gaussian-nb-label-range",
+         "qda-negative-label", "gaussian-nb-label-count", "gaussian-nb-nan-feature",
+         "qda-inf-feature", "adaboost-nan-feature", "gaussian-nb-overflow-feature",
+         "qda-overflow-feature", "knn-overflow-feature", "ragged-list-features",
+         "1d-features"],
 )
-def test_public_guards_name_the_bad_argument(call, named):
-    with pytest.raises(ValueError, match=named):
+def test_public_guards_name_the_bad_argument(call, error, named):
+    with pytest.raises(error, match=named):
         call()
 
 
@@ -334,15 +349,15 @@ def test_forest_probabilities_average_member_trees():
     rng = np.random.default_rng(4)
     ds = _ds(rng.random((40, 3)), rng.integers(0, 3, 40), num_classes=3)
     # shallow trees leave mixed leaves, whose sums depend on their order
-    model = RandomForestModel(*_xyc(ds), n_estimators=10, max_features=3,
+    model = RandomForestModel(ds, n_estimators=10, max_features=3,
                               max_depth=2, rng=np.random.default_rng(11))
     # the member trees again, replaying the generator: each bootstrap, then its tree
     rng = np.random.default_rng(11)
-    X, y, _ = _xyc(ds)
     total = np.zeros((ds.features.shape[0], 3))
     for _ in range(10):
-        boot = rng.integers(0, len(y), size=len(y))
-        tree = DecisionTreeModel(X[boot], y[boot], 3, max_depth=2, max_features=3, rng=rng)
+        boot = rng.integers(0, ds.n_examples, size=ds.n_examples)
+        sample = LabeledDataset(ds.features[boot], ds.labels[boot], 3)
+        tree = DecisionTreeModel(sample, max_depth=2, max_features=3, rng=rng)
         total += tree.predict_proba_batch(ds.features)
     assert np.array_equal(model.predict_proba_batch(ds.features), total / 10)
 
@@ -360,7 +375,7 @@ def test_forest_is_deterministic_given_rng_seed():
 def test_forest_without_rng_draws_from_default_rng_0():
     rng = np.random.default_rng(4)
     ds = _ds(rng.random((30, 2)), rng.integers(0, 3, 30), num_classes=3)
-    args = (*_xyc(ds), 5, 1, None)
+    args = (ds, 5, 1, None)
     a = RandomForestModel(*args)
     b = RandomForestModel(*args, rng=np.random.default_rng(0))
     assert np.array_equal(
@@ -371,9 +386,9 @@ def test_forest_without_rng_draws_from_default_rng_0():
 def test_forest_bootstrap_changes_the_tree():
     rng = np.random.default_rng(8)
     ds = _ds(rng.random((50, 2)), rng.integers(0, 2, 50))
-    forest = RandomForestModel(*_xyc(ds), n_estimators=1, max_features=2,
+    forest = RandomForestModel(ds, n_estimators=1, max_features=2,
                                max_depth=None, rng=np.random.default_rng(3))
-    plain = DecisionTreeModel(*_xyc(ds))
+    plain = DecisionTreeModel(ds)
     pf = forest.predict_proba_batch(ds.features)
     pt = plain.predict_proba_batch(ds.features)
     # bootstrap resampling virtually guarantees a different tree
@@ -382,7 +397,7 @@ def test_forest_bootstrap_changes_the_tree():
 
 def test_forest_rejects_nonpositive_estimators(iris):
     with pytest.raises(ValueError):
-        RandomForestModel(*_xyc(iris), n_estimators=0, max_features=1, max_depth=None)
+        RandomForestModel(iris, n_estimators=0, max_features=1, max_depth=None)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +411,7 @@ def test_qda_recovers_unequal_covariances(rng):
     wide = rng.normal(0.0, 3.0, (n, 2))
     features = np.vstack([tight, wide])
     labels = np.array([0] * n + [1] * n)
-    model = QdaModel(features, labels, 2)
+    model = QdaModel(LabeledDataset(features, labels, 2))
     # near the shared mean the tight class dominates on density
     assert model.predict(np.array([0.05, -0.05])) == 0
     # far out only the wide class is plausible
@@ -405,7 +420,7 @@ def test_qda_recovers_unequal_covariances(rng):
 
 def test_qda_matches_closed_form_univariate_gaussian():
     ds = _ds([[0.0], [2.0], [10.0], [14.0]], [0, 0, 1, 1])
-    model = QdaModel(*_xyc(ds))
+    model = QdaModel(ds)
     x = 4.0
     mus = [1.0, 12.0]
     var = [1.0, 4.0]  # MLE variances
@@ -427,7 +442,7 @@ def test_qda_singular_class_covariance_is_regularized():
         [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [5.0, 0.0], [6.0, 1.0], [7.0, 3.0]],
         [0, 0, 0, 1, 1, 1],
     )
-    model = QdaModel(*_xyc(ds))
+    model = QdaModel(ds)
     probs = model.predict_proba_batch(ds.features)
     assert np.all(np.isfinite(probs))
     assert np.array_equal(model.predict_batch(ds.features), ds.labels)
@@ -435,7 +450,7 @@ def test_qda_singular_class_covariance_is_regularized():
 
 def test_qda_single_member_class_does_not_crash():
     ds = _ds([[0.0, 0.0], [5.0, 5.0], [5.1, 4.9], [4.9, 5.1]], [0, 1, 1, 1])
-    model = QdaModel(*_xyc(ds))
+    model = QdaModel(ds)
     probs = model.predict_proba_batch(ds.features)
     assert np.all(np.isfinite(probs))
 
@@ -446,13 +461,13 @@ def test_qda_single_member_class_does_not_crash():
 
 
 def test_adaboost_separable_data_is_learned():
-    model = AdaBoostModel(*_xyc(BLOBS), rounds=10)
+    model = AdaBoostModel(BLOBS, rounds=10)
     assert np.array_equal(model.predict_batch(BLOBS.features), BLOBS.labels)
 
 
 def test_adaboost_three_class_thresholds():
     ds = _ds([[0.0], [1.0], [10.0], [11.0], [20.0], [21.0]], [0, 0, 1, 1, 2, 2])
-    model = AdaBoostModel(*_xyc(ds), rounds=50)
+    model = AdaBoostModel(ds, rounds=50)
     assert np.array_equal(model.predict_batch(ds.features), ds.labels)
 
 
@@ -460,7 +475,7 @@ def test_adaboost_identical_features_fall_back_to_even_vote():
     # no stump can beat chance on constant features; probabilities must stay
     # finite, sum to one, and stay symmetric between the classes present
     ds = _ds([[1.0], [1.0], [1.0], [1.0]], [0, 1, 0, 1])
-    model = AdaBoostModel(*_xyc(ds), rounds=5)
+    model = AdaBoostModel(ds, rounds=5)
     probs = model.predict_proba(np.array([1.0]))
     assert np.all(np.isfinite(probs))
     assert abs(probs.sum() - 1.0) < 1e-9
@@ -470,7 +485,7 @@ def test_adaboost_identical_features_fall_back_to_even_vote():
 def test_adaboost_constant_features_keep_one_majority_stump():
     # the stump votes the majority class on both sides of feature 0; its
     # error 1/3 keeps it, and the reweighted classes then tie at chance
-    model = AdaBoostModel(np.ones((6, 2)), np.array([0, 0, 0, 0, 1, 2]), 3, rounds=5)
+    model = AdaBoostModel(_ds(np.ones((6, 2)), [0, 0, 0, 0, 1, 2]), rounds=5)
     assert len(model._stumps) == 1
     assert model._stumps[0][4] == pytest.approx(np.log(4.0))
     probs = model.predict_proba_batch(np.array([[1.0, 1.0], [np.nan, -5.0]]))
@@ -479,7 +494,7 @@ def test_adaboost_constant_features_keep_one_majority_stump():
 
 def test_adaboost_absent_class_gets_no_mass_when_stumps_are_kept():
     # labels 0/1 of 3 classes, no perfect stump: all three rounds keep a stump
-    model = AdaBoostModel(np.arange(6.0)[:, None], np.array([0, 0, 1, 0, 1, 1]), 3, rounds=3)
+    model = AdaBoostModel(_ds(np.arange(6.0)[:, None], [0, 0, 1, 0, 1, 1], 3), rounds=3)
     assert len(model._stumps) == 3
     probs = model.predict_proba_batch(np.arange(6.0)[:, None])
     assert np.all(probs[:, 2] == 0.0)
@@ -489,7 +504,7 @@ def test_adaboost_absent_class_gets_no_mass_when_stumps_are_kept():
 
 def test_adaboost_rejects_nonpositive_rounds(iris):
     with pytest.raises(ValueError):
-        AdaBoostModel(*_xyc(iris), rounds=0)
+        AdaBoostModel(iris, rounds=0)
 
 
 # ---------------------------------------------------------------------------
@@ -527,9 +542,9 @@ def test_parse_spec_rejects_unknown_family_and_params():
 def test_fit_uses_family_defaults(iris):
     knn = fit(ClassifierSpec("knn"), iris)
     assert np.array_equal(knn.predict_proba_batch(iris.features),
-                          KnnModel(*_xyc(iris), k=5).predict_proba_batch(iris.features))
+                          KnnModel(iris, k=5).predict_proba_batch(iris.features))
     forest = fit(ClassifierSpec("random_forest"), iris, np.random.default_rng(3))
-    expected = RandomForestModel(*_xyc(iris), 10, 1, None, np.random.default_rng(3))
+    expected = RandomForestModel(iris, 10, 1, None, np.random.default_rng(3))
     for name in ("_feature", "_threshold", "_left", "_right", "_probs", "_depth", "_roots"):
         assert np.array_equal(getattr(forest, name), getattr(expected, name))
 

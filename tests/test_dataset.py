@@ -156,6 +156,15 @@ def test_dataset_validation_rejects_degenerate_shapes():
         LabeledDataset(np.ones((3, 2)), np.array([0, 1]), num_classes=2)
 
 
+@pytest.mark.parametrize("num_classes", [3.5, 3.0, "3", None])
+def test_dataset_rejects_a_non_integer_class_count(num_classes, iris):
+    # 3.5 would give k-NN probability rows of four entries under num_classes 3
+    with pytest.raises(InvalidDatasetError, match="num_classes must be an integer, got"):
+        LabeledDataset(iris.features, iris.labels, num_classes)
+    ds = LabeledDataset(iris.features, iris.labels, np.int64(3))
+    assert type(ds.num_classes) is int and ds.num_classes == 3
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_dataset_rejects_non_finite_features_naming_row_and_column(value):
     # load_csv names the file row instead (see the non-numeric cell test)

@@ -27,12 +27,14 @@ from ldmcap.seeding import make_rng
 
 
 class _StubModel(TrainedModel):
-    """Returns a fixed probability row per holdout point, in order."""
+    """Returns a fixed probability row per holdout point, in order.
+
+    It trains on nothing, so it sets the class and feature counts itself.
+    """
 
     def __init__(self, rows):
-        rows = np.asarray(rows, dtype=np.float64)
-        super().__init__(num_classes=rows.shape[1], n_features=1)
-        self._rows = rows
+        self._rows = np.asarray(rows, dtype=np.float64)
+        self.num_classes, self.n_features = self._rows.shape[1], 1
 
     def predict_proba_batch(self, X) -> np.ndarray:
         X = np.asarray(X)

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from ldmcap.classifiers import AdaBoostModel, DecisionTreeModel, RandomForestModel, tree
+from ldmcap.dataset import LabeledDataset
 
 
 def _cuts(column):
@@ -121,7 +122,7 @@ def _tie_heavy(seed, iris):
 
 
 def _assert_root_matches_exhaustive_gini_search(X, y, num_classes):
-    model = DecisionTreeModel(X, y, num_classes, max_depth=1)
+    model = DecisionTreeModel(LabeledDataset(X, y, num_classes), max_depth=1)
     expected = gini_root_split(X.tolist(), y.tolist(), num_classes)
     if expected is None:
         assert model._left[0] == 0  # the root is a leaf
@@ -197,7 +198,7 @@ def test_gate_passes_the_least_gain_and_no_zero_gain(moved_to):
     y = np.tile([0, 1, 1, 2, 2, 2], 500)
     if moved_to is not None:
         y[1500] = moved_to
-    model = DecisionTreeModel(X, y, 3, max_depth=1)
+    model = DecisionTreeModel(LabeledDataset(X, y, 3), max_depth=1)
     if moved_to is None:
         assert model._left[0] == 0  # the root is a leaf
     else:
@@ -248,19 +249,20 @@ _FOREST_DIGESTS = {
 
 
 @pytest.mark.parametrize("max_features", [None, 2, 1])
-def test_tree_is_the_same_whichever_scan_takes_each_node(max_features, iris):
+def test_tree_matches_its_pinned_digest(max_features, iris):
     for max_depth, num_classes in [(None, 3), (5, 3), (None, 9), (5, 9)]:
         y = np.random.default_rng(3).integers(0, num_classes, iris.n_examples)
-        model = DecisionTreeModel(iris.features, y, num_classes, max_depth=max_depth,
-                                  max_features=max_features, rng=np.random.default_rng(8))
+        model = DecisionTreeModel(LabeledDataset(iris.features, y, num_classes),
+                                  max_depth=max_depth, max_features=max_features,
+                                  rng=np.random.default_rng(8))
         assert _digest(model) == _TREE_DIGESTS[max_features, max_depth, num_classes]
 
 
 @pytest.mark.parametrize("num_classes", [3, 9])
 @pytest.mark.parametrize("max_depth", [None, 5])
-def test_forest_is_the_same_whichever_scan_takes_each_node(max_depth, num_classes, iris):
+def test_forest_matches_its_pinned_digest(max_depth, num_classes, iris):
     y = np.random.default_rng(4).integers(0, num_classes, iris.n_examples)
-    model = RandomForestModel(iris.features, y, num_classes, 10, 1, max_depth,
+    model = RandomForestModel(LabeledDataset(iris.features, y, num_classes), 10, 1, max_depth,
                               np.random.default_rng(6))
     digest = _digest(model, model.predict_proba_batch(iris.features))
     assert digest == _FOREST_DIGESTS[max_depth, num_classes]
@@ -284,7 +286,7 @@ def test_one_feature_draw_is_the_choice_it_replaces(d):
 @pytest.mark.parametrize("seed", range(50))
 def test_adaboost_first_stump_matches_exhaustive_samme_search(seed, iris):
     X, y, num_classes = _tie_heavy(seed, iris)
-    model = AdaBoostModel(X, y, num_classes, rounds=1)
+    model = AdaBoostModel(LabeledDataset(X, y, num_classes), rounds=1)
     err, *stump = samme_first_stump(X.tolist(), y.tolist(), num_classes)
     if err >= 1.0 - 1.0 / num_classes - 1e-10:
         assert model._stumps == []  # no better than chance: nothing kept
@@ -295,10 +297,10 @@ def test_adaboost_first_stump_matches_exhaustive_samme_search(seed, iris):
 @pytest.mark.parametrize(
     "build",
     [
-        lambda X, y: DecisionTreeModel(X, y, 3),
-        lambda X, y: DecisionTreeModel(X, y, 3, max_depth=3),
-        lambda X, y: RandomForestModel(X, y, 3, 5, 1, None, np.random.default_rng(2)),
-        lambda X, y: RandomForestModel(X, y, 3, 5, 2, 3, np.random.default_rng(2)),
+        lambda train: DecisionTreeModel(train),
+        lambda train: DecisionTreeModel(train, max_depth=3),
+        lambda train: RandomForestModel(train, 5, 1, None, np.random.default_rng(2)),
+        lambda train: RandomForestModel(train, 5, 2, 3, np.random.default_rng(2)),
     ],
     ids=["unpruned", "depth3", "forest", "forest-depth3"],
 )
@@ -306,7 +308,7 @@ def test_batch_prediction_matches_row_by_row(build, iris):
     # rows reach leaves at different depths; walking them together must not
     # move any row past its leaf
     X = iris.features
-    model = build(X, np.random.default_rng(9).integers(0, 3, X.shape[0]))
+    model = build(LabeledDataset(X, np.random.default_rng(9).integers(0, 3, X.shape[0]), 3))
     batch = model.predict_proba_batch(X)
     assert np.array_equal(batch, np.array([model.predict_proba(x) for x in X]))
 
@@ -317,14 +319,14 @@ def test_adaboost_never_cuts_a_constant_column(iris):
         np.full(iris.n_examples, 2.0), iris.features[:, 0],
         np.full(iris.n_examples, -1.0), np.round(iris.features[:, 2]),
     ])
-    model = AdaBoostModel(X, rng.integers(0, 3, iris.n_examples), 3, rounds=30)
+    model = AdaBoostModel(LabeledDataset(X, rng.integers(0, 3, iris.n_examples), 3), rounds=30)
     assert len(model._stumps) > 1
     assert {f for f, *_ in model._stumps} <= {1, 3}
 
 
 def test_subsampled_tree_on_constant_columns_is_one_leaf():
     y = np.array([0, 1, 1, 2, 2, 2, 1, 0])
-    model = DecisionTreeModel(np.ones((y.size, 3)), y, 3, max_features=1,
+    model = DecisionTreeModel(LabeledDataset(np.ones((y.size, 3)), y, 3), max_features=1,
                               rng=np.random.default_rng(0))
     assert model._left.size == 1
     probe = np.array([[1.0, 1.0, 1.0], [0.0, 5.0, -3.0]])
