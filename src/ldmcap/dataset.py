@@ -31,16 +31,20 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 
 def _checked_labels(labels, n_examples: int, num_classes: int) -> np.ndarray:
     """``labels`` as a read-only int64 copy, once they are known to fit the dataset."""
-    labs = np.asarray(labels, dtype=np.int64)
+    labs = np.asarray(labels)
     if labs.ndim != 1 or labs.shape[0] != n_examples:
         raise InvalidDatasetError(
             f"labels must be 1-D with one entry per feature row, got shape {labs.shape}"
         )
-    if labs.size and (labs.min() < 0 or labs.max() >= num_classes):
+    if labs.dtype.kind not in "iu":  # a cast would truncate floats and parse strings
+        raise InvalidDatasetError(
+            f"labels must be integers, got dtype {labs.dtype}: {labs[:3].tolist()}"
+        )
+    if labs.min() < 0 or labs.max() >= num_classes:
         raise InvalidDatasetError(
             f"labels must lie in [0, {num_classes}), got range [{labs.min()}, {labs.max()}]"
         )
-    return _readonly(labs)
+    return _readonly(labs.astype(np.int64, copy=False))
 
 
 @dataclass(frozen=True)

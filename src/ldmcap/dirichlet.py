@@ -26,10 +26,10 @@ operations, so their accuracy contracts are owned by this module;
 (and returns a Python float) or an array of any shape (and returns an array
 of that shape).
 
-``digamma`` and its derivative ``trigamma`` share one recurrence,
-``f(x) = f(x + 6) + sum_{i<6} term(x + i)``: six passes over every entry,
-whatever its value, take it above 6, where an asymptotic series
-(``_horner``) is evaluated (Bernardo, *Algorithm AS 103*, 1976).
+``digamma`` and its derivative ``trigamma`` come from one shifted pass
+(``_psi_raw``) through ``f(x) = f(x + 6) + sum_{i<6} term(x + i)``: six steps
+take every entry, whatever its value, above 6, where each function's
+asymptotic series (``_horner``) is evaluated (Bernardo, *AS 103*, 1976).
 
 * ``digamma``: de Moivre asymptotic series (term ``-1/x``); over 4,000
   points of 1e-8..1e8 its largest error was 2.0e-14 of max(1, |psi(x)|).
@@ -84,46 +84,33 @@ def _horner(z: np.ndarray, coeffs) -> np.ndarray:
     return np.add(acc, coeffs[0], out=acc)
 
 
-def _digamma_raw(x: np.ndarray) -> np.ndarray:
-    """digamma on a positive float64 array (no validation)."""
-    # psi(x) = psi(x + 6) - sum_{i<6} 1/(x + i), then the series at y = x + 6.
-    # 1/x overflows for subnormal x, and y * y past 1.3e154; the 0 that 1/y^2
-    # then yields in place of a subnormal is far below the series' truncation
-    # error.
-    acc = np.zeros_like(x)
-    y = x.copy()
-    with np.errstate(over="ignore"):
-        for _ in range(6):
-            acc -= 1.0 / y
-            y += 1.0
-        inv2 = 1.0 / (y * y)
-    # Bernoulli-number tail of the asymptotic series, truncated at y^-14;
-    # the first omitted term is below 1.6e-13 at y > 6.
-    tail = inv2 * _horner(inv2, _DIGAMMA_SERIES)
-    # acc + log(y) - 0.5 / y + tail, in place on y
-    acc += np.log(y)
-    acc -= np.divide(0.5, y, out=y)
-    return np.add(acc, tail, out=acc)
-
-
-def _trigamma_raw(x: np.ndarray) -> np.ndarray:
-    """trigamma on a positive float64 array (no validation)."""
-    # psi'(x) = psi'(x + 6) + sum_{i<6} 1/(x + i)^2; (x + i)^2 overflows to a
-    # term of 0 for huge x, and its reciprocal to inf (or 1/0) for tiny x.
-    acc = np.zeros_like(x)
+def _psi_raw(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """digamma and trigamma on a positive float64 array (no validation), in one pass."""
+    # psi(x) = psi(x + 6) - sum_{i<6} 1/(x + i), psi'(x) = psi'(x + 6) + sum_{i<6}
+    # 1/(x + i)^2, then the series at y = x + 6.  1/x overflows for subnormal x,
+    # (x + i)^2 to a term of 0 for huge x (its reciprocal to inf, or 1/0, for
+    # tiny x), and y * y past 1.3e154: the 0 that 1/y^2 then yields in place of
+    # a subnormal is far below the series' truncation error.
+    psi, tri = np.zeros_like(x), np.zeros_like(x)
     y = x.copy()
     with np.errstate(over="ignore", divide="ignore"):
         for _ in range(6):
-            acc += 1.0 / (y * y)
+            psi -= 1.0 / y
+            tri += 1.0 / (y * y)
             y += 1.0
+        inv2 = 1.0 / (y * y)
+    # psi + log(y) - 0.5 / y + Bernoulli tail to y^-14 (next term < 1.6e-13 at y > 6)
+    psi += np.log(y)
+    psi -= 0.5 / y
+    psi += inv2 * _horner(inv2, _DIGAMMA_SERIES)
+    # tri + inv * (1 + inv * (0.5 + inv * series(inv^2))), in place on y
     inv = np.divide(1.0, y, out=y)
-    # acc + inv * (1 + inv * (0.5 + inv * series(inv^2))), in place
     tail = _horner(inv * inv, _TRIGAMMA_SERIES)
     for c in (0.5, 1.0):
         tail *= inv
         tail += c
     tail *= inv
-    return np.add(acc, tail, out=acc)
+    return psi, np.add(tri, tail, out=tri)
 
 
 def _powers(lead, series) -> tuple:
@@ -171,7 +158,7 @@ def _differences(x: float, r: float) -> tuple[float, float]:
 
 def digamma(x):
     """psi(x) = d/dx log Gamma(x) for x > 0.  Accepts scalars or arrays."""
-    return _like_input(_digamma_raw(_as_positive_array(x, "digamma")), x)
+    return _like_input(_psi_raw(_as_positive_array(x, "digamma"))[0], x)
 
 
 def _inverse_digamma_guess(y: np.ndarray) -> np.ndarray:
@@ -180,7 +167,7 @@ def _inverse_digamma_guess(y: np.ndarray) -> np.ndarray:
 
 
 # psi of the smallest and largest normal doubles: the y whose psi^-1(y) is one.
-_INVERSE_DIGAMMA_RANGE = _digamma_raw(np.array([np.finfo(float).tiny, np.finfo(float).max]))
+_INVERSE_DIGAMMA_RANGE = _psi_raw(np.array([np.finfo(float).tiny, np.finfo(float).max]))[0]
 
 
 def inverse_digamma(y):
@@ -192,7 +179,8 @@ def inverse_digamma(y):
     # psi is concave: after the first step, iterates lie below the root and rise.
     x = _inverse_digamma_guess(y_arr)
     for _ in range(6):
-        x -= (_digamma_raw(x) - y_arr) / _trigamma_raw(x)
+        psi, tri = _psi_raw(x)
+        x -= (psi - y_arr) / tri
     return _like_input(x, y)
 
 
@@ -248,18 +236,19 @@ def _gradient(alpha, log_p_bar):
 
     The dominant component j (the largest alpha) takes psi(a0) - psi(alpha_j)
     from ``_differences`` in the sum r of the other alphas, where the two
-    digammas would cancel once alpha_j dwarfs r.  Returns the gradient, j and
-    psi'(alpha_j) - psi'(a0).
+    digammas would cancel once alpha_j dwarfs r.  Returns the gradient, j,
+    psi'(alpha_j) - psi'(a0), psi'(alpha) and psi'(a0).
     """
     j = int(np.argmax(alpha))
     x = float(alpha[j])
     r = float(alpha[:j].sum() + alpha[j + 1 :].sum())  # not a0 - alpha_j, which cancels
     d_psi, d_trigamma = _differences(x, r)
-    g = _digamma_raw(alpha)
-    np.subtract(_digamma_raw(np.array([alpha.sum()]))[0], g, out=g)
+    g, trigamma = _psi_raw(alpha)
+    psi0, trigamma0 = _psi_raw(np.array([alpha.sum()]))
+    np.subtract(psi0[0], g, out=g)
     g += log_p_bar
     g[j] = d_psi + log_p_bar[j]
-    return g, j, d_trigamma
+    return g, j, d_trigamma, trigamma, trigamma0[0]
 
 
 def _newton_step(alpha, log_p_bar):
@@ -273,17 +262,16 @@ def _newton_step(alpha, log_p_bar):
     the dominant component's alpha_j^2 / d_j cancel when alpha_j dwarfs the
     rest, so their sum is taken as ``(min(u_j, 0) - alpha_j^2 (psi'(alpha_j)
     - psi'(a0))) / (z d_j)``, with the trigamma difference from
-    ``_differences``.
+    ``_differences``.  psi'(alpha) and psi'(a0) come from ``_gradient``'s
+    shifted pass, alongside psi: a step evaluates no special function itself.
     """
     # u, alpha^2 and d are computed in place, so that a step holds few vectors
-    u, j, d_trigamma = _gradient(alpha, log_p_bar)
+    u, j, d_trigamma, d, z = _gradient(alpha, log_p_bar)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         u *= alpha
         square = alpha * alpha
-        d = _trigamma_raw(alpha)
         d *= square
         np.subtract(np.minimum(u, 0.0), d, out=d)
-        z = _trigamma_raw(np.array([alpha.sum()]))[0]
         lead = (min(u[j], 0.0) - square[j] * d_trigamma) / (z * d[j])
         b = np.sum(alpha * u / d)
         np.divide(square, d, out=square)
@@ -313,7 +301,7 @@ def _initial_alpha(p, means, log_p_bar):
     if not np.isfinite(a0):
         a0 = 1.0
     a0 = min(max(a0, 1.0), 1e6)
-    return _inverse_digamma_guess(_digamma_raw(np.array([a0]))[0] + log_p_bar)
+    return _inverse_digamma_guess(_psi_raw(np.array([a0]))[0][0] + log_p_bar)
 
 
 def fit_dirichlet(samples) -> FitReport:

@@ -13,6 +13,7 @@ Labelings are indexed lexicographically, big-endian in base C: labeling
 
 from __future__ import annotations
 
+import operator
 import os
 from pathlib import Path
 
@@ -29,6 +30,14 @@ ENUMERATION_LIMIT = 10_000_000
 #: Smoothing added to every simplex entry before renormalizing, so that
 #: downstream log-likelihoods never see an exact zero.
 DEFAULT_EPSILON = 1e-10
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int, through ``operator.index``: no truncation, no parsing."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _check_classes(num_classes: int) -> None:
@@ -57,7 +66,7 @@ def labeling_to_index(labeling, num_classes: int) -> int:
     index = 0
     length = 0
     for digit in labeling:
-        digit = int(digit)
+        digit = _integer(digit, "labeling digit")
         if not 0 <= digit < num_classes:
             raise ValueError(
                 f"labeling digit {digit} out of range for {num_classes} classes"
@@ -75,6 +84,7 @@ def index_to_labeling(index: int, num_classes: int, holdout_size: int) -> tuple[
     if holdout_size < 1:
         raise ValueError(f"holdout_size must be at least 1, got {holdout_size}")
     space = num_classes**holdout_size
+    index = _integer(index, "index")
     if not 0 <= index < space:
         raise ValueError(f"index {index} out of range [0, {space})")
     digits = []

@@ -305,6 +305,16 @@ _HUGE = [[1e200, 0.0], [-1e200, 1.0], [1e200, 2.0], [3.0, 4.0], [5.0, 1.0], [2.0
          InvalidDatasetError, r"labels must lie in \[0, 2\)"),
         (lambda: GaussianNbModel(_ds(_FOUR_ROWS, [0, 1, 1], 2)),
          InvalidDatasetError, "one entry per feature row"),
+        # a cast to int64 would truncate these to [0, 1, 0] and [1, 0, 1],
+        # parse the strings, and raise a bare OverflowError on 2**70
+        (lambda: KnnModel(_ds(np.eye(3), [0.9, 1.7, 0.2], 2), k=1),
+         InvalidDatasetError, r"labels must be integers, got dtype float64: \[0\.9, 1\.7, 0\.2\]"),
+        (lambda: GaussianNbModel(_ds(np.eye(3), [0, 1, 0], 2).with_labels([1.99, 0.5, 1.0])),
+         InvalidDatasetError, "labels must be integers, got dtype float64"),
+        (lambda: DecisionTreeModel(_ds(np.eye(3), ["0", "1", "0"], 2)),
+         InvalidDatasetError, "labels must be integers, got dtype <U1"),
+        (lambda: QdaModel(_ds(_FOUR_ROWS, [0, 2**70, 1, 1], 2)),
+         InvalidDatasetError, r"labels must be integers, got dtype object: \[0, 1180591620717"),
         # unchecked, Gaussian NB would answer all-NaN rows
         (lambda: GaussianNbModel(_ds([[0.0], [1.0], [np.nan], [2.0]], [0, 0, 1, 1])),
          InvalidDatasetError, "row 2, column 0 is nan"),
@@ -330,7 +340,9 @@ _HUGE = [[1e200, 0.0], [-1e200, 1.0], [1e200, 2.0], [3.0, 4.0], [5.0, 1.0], [2.0
          "subsampling-without-rng", "array-not-dataset", "tree-nan-feature",
          "forest-nan-feature", "knn-label-range", "tree-label-range",
          "forest-negative-label", "adaboost-label-range", "gaussian-nb-label-range",
-         "qda-negative-label", "gaussian-nb-label-count", "gaussian-nb-nan-feature",
+         "qda-negative-label", "gaussian-nb-label-count", "knn-float-labels",
+         "gaussian-nb-float-relabel", "tree-string-labels", "qda-huge-label",
+         "gaussian-nb-nan-feature",
          "qda-inf-feature", "adaboost-nan-feature", "gaussian-nb-overflow-feature",
          "qda-overflow-feature", "knn-overflow-feature", "ragged-list-features",
          "1d-features"],

@@ -57,7 +57,7 @@ def test_digamma_rejects_nonpositive():
 def test_trigamma_matches_reference_over_fifteen_decades():
     # the Newton step's Hessian; x = 6 is where the series takes over
     xs = np.append(np.geomspace(1e-3, 1e12, 76), 6.0)
-    ours = dirichlet._trigamma_raw(xs)
+    ours = dirichlet._psi_raw(xs)[1]
     ref = np.array([float(mpmath.psi(1, x)) for x in xs])
     assert np.max(np.abs(ours - ref) / ref) <= 1e-13
 
@@ -163,11 +163,12 @@ def test_special_functions_keep_the_shape_of_nd_input():
     assert digamma(grid).shape == grid.shape
     assert inverse_digamma(digamma(grid)).shape == grid.shape
     # an entry's value does not depend on the other entries of its array:
-    # each equals its own scalar (or, for _trigamma_raw, one-entry) call
+    # each equals its own scalar (or, for _psi_raw's trigamma, one-entry) call
     for f, call, arg in (
         (lgamma, lambda v: lgamma(float(v)), grid),
         (digamma, lambda v: digamma(float(v)), grid),
-        (dirichlet._trigamma_raw, lambda v: dirichlet._trigamma_raw(np.array([v]))[0], grid),
+        (lambda a: dirichlet._psi_raw(a)[1], lambda v: dirichlet._psi_raw(np.array([v]))[1][0],
+         grid),
         (inverse_digamma, lambda v: inverse_digamma(float(v)), digamma(grid)),
     ):
         per_element = np.array([[call(v) for v in row] for row in arg])

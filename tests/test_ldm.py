@@ -94,10 +94,18 @@ def test_index_to_labeling_rejects_out_of_range():
         (lambda ds: index_to_labeling(0, 0, 3), "num_classes"),
         (lambda ds: index_to_labeling(3, -2, 3), "num_classes"),
         (lambda ds: labeling_to_index((0, 0, 0), 1), "num_classes"),
+        # int() would truncate these to the labeling (0, 1), index 1, or parse
+        # them to (1, 2), index 5; and divmod would split 4.9 into float digits
+        (lambda ds: labeling_to_index([0.9, 1.7], 3),
+         r"labeling digit must be an integer, got 0\.9"),
+        (lambda ds: labeling_to_index(["1", "2"], 3),
+         "labeling digit must be an integer, got '1'"),
+        (lambda ds: index_to_labeling(4.9, 3, 2), r"index must be an integer, got 4\.9"),
     ],
     ids=["build-k-0", "build-holdout-0", "simplex-1d-holdout", "simplex-one-class",
          "labeling-holdout-0", "labeling-one-class", "labeling-no-class",
-         "labeling-negative-classes", "index-one-class"],
+         "labeling-negative-classes", "index-one-class", "index-float-digits",
+         "index-string-digits", "labeling-float-index"],
 )
 def test_public_guards_name_the_bad_argument(iris, call, named):
     with pytest.raises(ValueError, match=named):

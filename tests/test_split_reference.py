@@ -170,7 +170,7 @@ def _node_table(rng):
 
 
 @pytest.mark.parametrize("seed", range(20))
-def test_small_scan_matches_table_scan(seed):
+def test_split_scan_matches_table_scan(seed):
     # the tree's split scan, impurity gate included, against the exhaustive
     # gated reference, to the bit
     rng = np.random.default_rng(seed)
