@@ -8,14 +8,16 @@ on hitting the depth cap, or when no candidate split improves the impurity.
 
 A tree is grown in plain Python: its features are taken as one list per
 column and its labels as one list, once per tree, and every node holds its
-rows and class counts as lists.  A node's split is the first least-cost cut
-in (feature, cut) order of one scan (``_split_scan``), which sorts each
-candidate feature's values with their labels and walks the cuts between
-distinct values, keeping exact integer class sums.  The scan also owns the
-gate a split must pass, beating the node's impurity by more than 1e-12, and
-decides it from those sums, so no numpy reduction takes part in a split.
-NaN cannot be sorted; the :class:`~ldmcap.dataset.LabeledDataset` a tree
-trains on, and a forest's bootstraps of it, hold finite features only.
+row ids and class counts as lists.  A node's split is the first least-cost
+cut in (feature, cut) order of one scan (``_split_scan``), which sorts the
+node's rows by each candidate feature, walks the cuts between distinct
+values keeping exact integer class sums, and hands the children the two
+slices of the winning order (SPRINT's list split), so a split gathers and
+re-partitions nothing.  The scan also owns the gate a split must pass, a
+gain over the node's impurity of more than 1e-12, and decides it from those
+sums, so no numpy reduction takes part in a split.  NaN cannot be sorted;
+the :class:`~ldmcap.dataset.LabeledDataset` a tree trains on, and a forest's
+bootstraps of it, hold finite features only.
 
 With feature subsampling a node draws its features from ``rng`` as it is
 reached.  One feature of several, a forest's default, is drawn as
@@ -27,18 +29,17 @@ gives, at a quarter of the cost.
 One stack loop grows every tree, depth first and left before right, onto
 one node table: arrays indexed by node id holding the split feature and
 threshold, the left and right child, and the node's training class
-frequencies.  A tree is the table with one root; a forest
-(:mod:`.forest`) grows its trees one after another onto the same table, so
-node ids are global and ``_roots`` lists where each tree starts.  A leaf is
-its own child on both sides, so prediction steps every (root, row) pair
-down one level per pass until the deepest leaf, and a forest costs the
-numpy calls of one tree.  AdaBoost's stumps share the threshold rule
-(``_threshold_after``).
+frequencies.  A tree is the table with one root; a forest (:mod:`.forest`)
+grows its trees one after another onto the same table, so node ids are
+global and ``_roots`` lists where each tree starts.  A leaf is its own child
+on both sides, so prediction steps every (root, row) pair down one level per
+pass until the deepest leaf, and a forest costs the numpy calls of one tree.
+AdaBoost's stumps share the threshold rule (``_threshold_after``).
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
+from operator import itemgetter, mul, sub
 
 import numpy as np
 
@@ -53,32 +54,36 @@ def _threshold_after(sv, i):
     return mid if mid < hi else lo
 
 
-_value = itemgetter(0)  # the sort key of a (value, class) pair
-
-
-def _split_scan(columns, labels, counts):
+def _split_scan(rows, feats, columns, labels, counts):
     """The first least-cost cut of a node, if it beats the node's impurity.
 
-    Takes the node's columns (a sequence of values per drawn feature), its
-    rows' classes and its class counts (a list).  Returns (cost, column
-    index, threshold, [left class counts, right class counts]), or None when
-    no cut costs less than the gate 1 - S / n^2 - 1e-12, S the sum of the
-    squared class counts.  No cut falls between equal values, so their order
-    within the sort does not matter.  A cut's exact gain over the node, with
-    sl, sr its sides' sums of squares, is (n * (sl * nr + sr * nl) - S * nl *
-    nr) / (n^2 * nl * nr): 0 or at least 1 / (n^2 * nl * nr), 7.9e-9 on 150
-    rows.  Rounding can move a cut across the gate only when that gain lies
-    within about 1e-16 of 1e-12, which takes a node of over 1,400 rows.
+    Takes the node's row ids, the features to consider, the tree's columns
+    and labels (lists indexed by row id) and the node's class counts.  Each
+    feature sorts the rows by value once.  Returns (cost, feature, threshold,
+    [left counts, right counts], [left rows, right rows]), or None when no
+    cut costs less than the gate 1 - S / n^2 - 1e-12, S the sum of the squared
+    class counts.  A cut between values lo < hi gets a threshold t with lo <=
+    t < hi, so the children's rows, the sorted rows on either side of the
+    cut, are exactly those with v <= t and v > t.  The order of ``rows`` and
+    of ties is free: no cut falls between equal values, a cut's cost depends
+    only on integer class sums, and its threshold only on lo and hi.  A cut's
+    exact gain over the node, with sl, sr its sides' sums of squares, is (n *
+    (sl * nr + sr * nl) - S * nl * nr) / (n^2 * nl * nr): 0 or at least 1 /
+    (n^2 * nl * nr), 7.9e-9 on 150 rows.  Rounding can move a cut across the
+    gate only when that gain lies within about 1e-16 of 1e-12, which takes a
+    node of over 1,400 rows.
     """
-    n = len(labels)
-    sq_total = sum(c * c for c in counts)
+    n = len(rows)
+    sq_total = sum(map(mul, counts, counts))
     best_cost, best = 1.0 - sq_total / (n * n) - 1e-12, None
-    for row, column in enumerate(columns):
-        pairs = sorted(zip(column, labels), key=_value)
+    for f in feats:
+        column = columns[f]
+        order = sorted(rows, key=column.__getitem__)
+        take = itemgetter(*order)
         left = [0] * len(counts)
-        sq_left = cross = 0  # sums over the classes of left^2 and of left * count
-        lower = pairs[0][0]
-        for nl, (value, c) in enumerate(pairs):
+        sq_left = cross = nl = 0  # sums over the classes of left^2 and of left * count
+        lower = column[order[0]]
+        for value, c in zip(take(column), take(labels)):
             if value > lower:  # a cut between distinct values, nl rows left of it
                 nr = n - nl
                 sq_right = sq_total - 2 * cross + sq_left  # sum of (count - left)^2
@@ -86,17 +91,18 @@ def _split_scan(columns, labels, counts):
                         + nr * (1.0 - sq_right / (nr * nr))) / n
                 if cost < best_cost:
                     best_cost = cost
-                    best = row, (lower, value), left.copy()
+                    best = f, order, nl, (lower, value), left.copy()
             lower = value
             k = left[c]
             sq_left += k + k + 1  # (k + 1)^2 - k^2
             left[c] = k + 1
             cross += counts[c]
+            nl += 1
     if best is None:
         return None
-    row, bounds, left = best
-    right = [t - l for t, l in zip(counts, left)]
-    return best_cost, row, _threshold_after(bounds, 0), [left, right]
+    f, order, nl, bounds, left = best
+    right = list(map(sub, counts, left))
+    return best_cost, f, _threshold_after(bounds, 0), [left, right], [order[:nl], order[nl:]]
 
 
 class DecisionTreeModel(TrainedModel):
@@ -131,10 +137,9 @@ class DecisionTreeModel(TrainedModel):
             roots.append(len(feature))
             columns, labels = X.T.tolist(), y.tolist()
             counts = np.bincount(y, minlength=num_classes).tolist()
-            # Depth first, left before right, so node ids come out in preorder
-            # and the feature draws happen in that order.  Each entry is (rows,
-            # class counts, depth, the child list to record the node in, its
-            # parent).
+            # Depth first, left before right, so node ids come out in preorder and
+            # the feature draws happen in that order.  Each entry is (rows, class
+            # counts, depth, the child list to record the node in, its parent).
             stack = [(range(len(labels)), counts, 0, None, 0)]
             while stack:
                 rows, counts, depth, children, parent = stack.pop()
@@ -142,8 +147,7 @@ class DecisionTreeModel(TrainedModel):
                 node = len(feature)
                 if children is not None:
                     children[parent] = node
-                # a leaf is its own child; a split sets its feature, threshold
-                # and children below
+                # a leaf is its own child; a split sets feature, threshold and children below
                 feature.append(0)
                 threshold.append(0.0)
                 left.append(node)
@@ -158,18 +162,13 @@ class DecisionTreeModel(TrainedModel):
                     feats = [int(rng.integers(d))]
                 else:
                     feats = sorted(rng.choice(d, size=n_sub, replace=False).tolist())
-                take = itemgetter(*rows)
-                values = [take(columns[f]) for f in feats]
-                best = _split_scan(values, take(labels), counts)
+                best = _split_scan(rows, feats, columns, labels, counts)
                 if best is None:
                     continue
-                _, row, t, (left_counts, right_counts) = best
-                feature[node], threshold[node] = feats[row], t
-                column = values[row]
-                go_left = [r for r, v in zip(rows, column) if v <= t]
-                go_right = [r for r, v in zip(rows, column) if v > t]
-                stack.append((go_right, right_counts, depth + 1, right, node))
-                stack.append((go_left, left_counts, depth + 1, left, node))
+                (_, feature[node], threshold[node], (left_counts, right_counts),
+                 (left_rows, right_rows)) = best
+                stack.append((right_rows, right_counts, depth + 1, right, node))
+                stack.append((left_rows, left_counts, depth + 1, left, node))
         class_counts = np.array(class_counts)
         self._feature = np.array(feature, dtype=np.intp)
         self._threshold = np.array(threshold)

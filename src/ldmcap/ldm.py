@@ -40,15 +40,22 @@ def _integer(value, name: str) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
-def _check_classes(num_classes: int) -> None:
+def _check_classes(num_classes: int) -> int:
+    num_classes = _integer(num_classes, "num_classes")
     if num_classes < 2:
         raise ValueError(f"num_classes must be at least 2, got {num_classes}")
+    return num_classes
+
+
+def _check_holdout(holdout_size: int) -> int:
+    holdout_size = _integer(holdout_size, "holdout_size")
+    if holdout_size < 1:
+        raise ValueError(f"holdout_size must be at least 1, got {holdout_size}")
+    return holdout_size
 
 
 def _check_space(num_classes: int, holdout_size: int) -> int:
-    _check_classes(num_classes)
-    if holdout_size < 1:
-        raise ValueError(f"holdout_size must be at least 1, got {holdout_size}")
+    num_classes, holdout_size = _check_classes(num_classes), _check_holdout(holdout_size)
     size = num_classes**holdout_size  # exact int arithmetic; cannot overflow
     if size > ENUMERATION_LIMIT:
         raise CapacityLimitError(num_classes, holdout_size, ENUMERATION_LIMIT)
@@ -62,7 +69,7 @@ def _physical_memory() -> int:
 
 def labeling_to_index(labeling, num_classes: int) -> int:
     """Lexicographic index of a labeling (big-endian base-C digits)."""
-    _check_classes(num_classes)
+    num_classes = _check_classes(num_classes)
     index = 0
     length = 0
     for digit in labeling:
@@ -80,9 +87,7 @@ def labeling_to_index(labeling, num_classes: int) -> int:
 
 def index_to_labeling(index: int, num_classes: int, holdout_size: int) -> tuple[int, ...]:
     """Inverse of :func:`labeling_to_index` for a holdout of known size."""
-    _check_classes(num_classes)
-    if holdout_size < 1:
-        raise ValueError(f"holdout_size must be at least 1, got {holdout_size}")
+    num_classes, holdout_size = _check_classes(num_classes), _check_holdout(holdout_size)
     space = num_classes**holdout_size
     index = _integer(index, "index")
     if not 0 <= index < space:
@@ -201,6 +206,7 @@ def build_ldm(
     ``MemoryLimitError`` before allocating when the float64 matrix and the
     Dirichlet fit's log copy of it would together exceed physical memory.
     """
+    k_columns = _integer(k_columns, "k_columns")
     if k_columns < 1:
         raise ValueError(f"k_columns must be at least 1, got {k_columns}")
     size = _check_space(ds.num_classes, holdout_size)

@@ -101,11 +101,23 @@ def test_index_to_labeling_rejects_out_of_range():
         (lambda ds: labeling_to_index(["1", "2"], 3),
          "labeling digit must be an integer, got '1'"),
         (lambda ds: index_to_labeling(4.9, 3, 2), r"index must be an integer, got 4\.9"),
+        # a float class count would give the index 4.5 or the digits (1.0, 0.5),
+        # and a float size or column count a bare TypeError from range
+        (lambda ds: labeling_to_index([0, 1, 2], 2.5),
+         r"num_classes must be an integer, got 2\.5"),
+        (lambda ds: index_to_labeling(3, 2.5, 2), r"num_classes must be an integer, got 2\.5"),
+        (lambda ds: index_to_labeling(3, 3, 2.0), r"holdout_size must be an integer, got 2\.0"),
+        (lambda ds: build_ldm(ClassifierSpec("knn"), ds, holdout_size=2.0),
+         r"holdout_size must be an integer, got 2\.0"),
+        (lambda ds: build_ldm(ClassifierSpec("knn"), ds, k_columns=2.0),
+         r"k_columns must be an integer, got 2\.0"),
     ],
     ids=["build-k-0", "build-holdout-0", "simplex-1d-holdout", "simplex-one-class",
          "labeling-holdout-0", "labeling-one-class", "labeling-no-class",
          "labeling-negative-classes", "index-one-class", "index-float-digits",
-         "index-string-digits", "labeling-float-index"],
+         "index-string-digits", "labeling-float-index", "index-float-classes",
+         "labeling-float-classes", "labeling-float-holdout", "build-float-holdout",
+         "build-float-k"],
 )
 def test_public_guards_name_the_bad_argument(iris, call, named):
     with pytest.raises(ValueError, match=named):

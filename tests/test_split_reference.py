@@ -172,19 +172,26 @@ def _node_table(rng):
 @pytest.mark.parametrize("seed", range(20))
 def test_split_scan_matches_table_scan(seed):
     # the tree's split scan, impurity gate included, against the exhaustive
-    # gated reference, to the bit
-    rng = np.random.default_rng(seed)
+    # gated reference, to the bit; the node's rows come in a shuffled order,
+    # and its children must be exactly the rows on either side of the threshold
+    rng, shuffle = np.random.default_rng(seed), np.random.default_rng(100 + seed)
     for _ in range(25):
         values, labels, counts = _node_table(rng)
-        expected = gated_table_scan(values.tolist(), labels.tolist(), counts.size)
-        found = tree._split_scan(values.tolist(), labels.tolist(), counts.tolist())
+        columns = values.tolist()
+        expected = gated_table_scan(columns, labels.tolist(), counts.size)
+        rows = shuffle.permutation(labels.size).tolist()
+        found = tree._split_scan(rows, range(len(columns)), columns, labels.tolist(),
+                                 counts.tolist())
         if expected is None:
             assert found is None
             continue
-        cost, row, threshold, child_counts = found
-        assert (cost, row) == expected[:2]
+        cost, feature, threshold, child_counts, (left_rows, right_rows) = found
+        assert (cost, feature) == expected[:2]
         assert np.float64(threshold).tobytes() == np.float64(expected[2]).tobytes()
         assert child_counts == expected[3]
+        column = columns[feature]
+        assert sorted(left_rows) == [r for r in range(labels.size) if column[r] <= threshold]
+        assert sorted(right_rows) == [r for r in range(labels.size) if column[r] > threshold]
 
 
 @pytest.mark.parametrize("moved_to", [None, 1, 2])
@@ -266,6 +273,29 @@ def test_forest_matches_its_pinned_digest(max_depth, num_classes, iris):
                               np.random.default_rng(6))
     digest = _digest(model, model.predict_proba_batch(iris.features))
     assert digest == _FOREST_DIGESTS[max_depth, num_classes]
+
+
+def _signed_zeros(iris):
+    rng = np.random.default_rng(11)
+    return rng.choice([-0.0, 0.0, -5e-324, 5e-324, 1e-310], size=(iris.n_examples, 1))
+
+
+@pytest.mark.parametrize("max_depth", [None, 5])
+@pytest.mark.parametrize(
+    "features",
+    [lambda iris: iris.features, lambda iris: np.round(iris.features), _signed_zeros],
+    ids=["iris", "rounded", "signed-zeros"],
+)
+def test_tree_ignores_the_order_of_its_rows(features, max_depth, iris):
+    # the split scan hands each child its rows in the order of the parent's
+    # sort, so the tree must not depend on the order its rows come in
+    X = features(iris)
+    y = np.random.default_rng(5).integers(0, 3, X.shape[0])
+    shuffled = np.random.default_rng(7).permutation(X.shape[0])
+    model = DecisionTreeModel(LabeledDataset(X, y, 3), max_depth=max_depth)
+    permuted = DecisionTreeModel(LabeledDataset(X[shuffled], y[shuffled], 3), max_depth=max_depth)
+    assert model._left.size > 1
+    assert _digest(permuted) == _digest(model)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 13, 1000])
