@@ -19,6 +19,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from ..dataset import LabeledDataset
+from ..errors import integer
 from .adaboost import AdaBoostModel
 from .base import TrainedModel
 from .forest import RandomForestModel
@@ -83,9 +84,7 @@ class ClassifierSpec:
                     f"{self.family} does not accept parameter {key!r}"
                     + (f"; allowed: {sorted(allowed)}" if allowed else "")
                 )
-            value = given[key] = int(value)
-            if value < 1:
-                raise ValueError(f"{self.family}:{key} must be >= 1, got {value}")
+            given[key] = integer(value, f"{self.family}:{key}", 1)
         # Stored in the table's order, so the text form ignores the user's order.
         clean = {key: given[key] for key in allowed if key in given}
         object.__setattr__(self, "params", clean)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..dataset import LabeledDataset
+from ..errors import integer
 from .base import TrainedModel, log_softmax_rows
 from .tree import _threshold_after
 
@@ -78,8 +79,7 @@ class AdaBoostModel(TrainedModel):
     """
 
     def __init__(self, train: LabeledDataset, rounds: int):
-        if rounds < 1:
-            raise ValueError(f"rounds must be at least 1, got {rounds}")
+        rounds = integer(rounds, "rounds", 1)
         super().__init__(train)
         features, labels, num_classes = train.features, train.labels, train.num_classes
         n = train.n_examples

@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..dataset import LabeledDataset
+from ..errors import integer
 from .tree import DecisionTreeModel
 
 
@@ -36,8 +37,7 @@ class RandomForestModel(DecisionTreeModel):
         max_depth: int | None,
         rng: np.random.Generator | None = None,
     ):
-        if n_estimators < 1:
-            raise ValueError(f"n_estimators must be at least 1, got {n_estimators}")
+        n_estimators = integer(n_estimators, "n_estimators", 1)
         if rng is None:
             rng = np.random.default_rng(0)
 

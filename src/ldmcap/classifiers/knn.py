@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..dataset import LabeledDataset
+from ..errors import integer
 from .base import TrainedModel
 
 
@@ -18,11 +19,10 @@ class KnnModel(TrainedModel):
     """
 
     def __init__(self, train: LabeledDataset, k: int):
-        if k < 1:
-            raise ValueError(f"k must be at least 1, got {k}")
+        k = integer(k, "k", 1)
         super().__init__(train)
         self._features = features = train.features
-        self._k = min(int(k), train.n_examples)
+        self._k = min(k, train.n_examples)
         self._train_sq = np.einsum("ij,ij->i", features, features)
         self._one_hot = (train.labels[:, None] == np.arange(self.num_classes)).astype(np.float64)
 

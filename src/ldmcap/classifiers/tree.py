@@ -44,6 +44,7 @@ from operator import itemgetter, mul, sub
 import numpy as np
 
 from ..dataset import LabeledDataset
+from ..errors import integer
 from .base import TrainedModel
 
 
@@ -122,10 +123,10 @@ class DecisionTreeModel(TrainedModel):
         split draws its features from ``rng`` as it is reached; ``samples``
         may draw from it too, between trees."""
         super().__init__(train)
-        if max_depth is not None and max_depth < 1:
-            raise ValueError(f"max_depth must be at least 1, got {max_depth}")
-        if max_features is not None and max_features < 1:
-            raise ValueError(f"max_features must be at least 1, got {max_features}")
+        if max_depth is not None:
+            max_depth = integer(max_depth, "max_depth", 1)
+        if max_features is not None:
+            max_features = integer(max_features, "max_features", 1)
         d, num_classes = self.n_features, self.num_classes
         if max_features is not None and max_features < d and rng is None:
             raise ValueError("feature subsampling requires an rng")

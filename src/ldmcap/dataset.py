@@ -13,14 +13,13 @@ from __future__ import annotations
 import csv
 import io
 import math
-import operator
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from .errors import CsvParseError, InvalidDatasetError
+from .errors import CsvParseError, InvalidDatasetError, integer
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -85,14 +84,7 @@ class LabeledDataset:
                 "features are too large to square: their sum of squares overflows; "
                 f"the largest, row {row}, column {column}, is {feats[row, column]}"
             )
-        try:
-            num_classes = operator.index(self.num_classes)
-        except TypeError:
-            raise InvalidDatasetError(
-                f"num_classes must be an integer, got {self.num_classes!r}"
-            ) from None
-        if num_classes < 2:
-            raise InvalidDatasetError(f"num_classes must be at least 2, got {num_classes}")
+        num_classes = integer(self.num_classes, "num_classes", 2, InvalidDatasetError)
         labels = _checked_labels(self.labels, len(feats), num_classes)
         object.__setattr__(self, "features", _readonly(feats))
         object.__setattr__(self, "labels", labels)
@@ -179,7 +171,7 @@ def load_csv(path: str | Path, label_column: int = -1) -> LabeledDataset:
     if ncols < 2:
         raise CsvParseError(f"{path}: row 1 has {ncols} column(s); need features plus a label")
     try:
-        label_idx = range(ncols)[label_column]
+        label_idx = range(ncols)[integer(label_column, "label_column")]
     except IndexError:
         raise CsvParseError(
             f"{path}: label column {label_column} out of range for {ncols} columns"
@@ -246,6 +238,7 @@ def split_train_holdout(
     rows are kept sorted by original index.
     """
     n = ds.n_examples
+    holdout_size = integer(holdout_size, "holdout_size")
     if not 1 <= holdout_size < n:
         raise ValueError(
             f"holdout_size must be in [1, {n - 1}] for {n} examples, got {holdout_size}"

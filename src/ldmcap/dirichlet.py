@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitNumericalError
+from .errors import FitNumericalError, integer
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -401,9 +401,7 @@ def sample_dirichlet(alpha, size: int, rng: np.random.Generator) -> np.ndarray:
     normalized by their sum.
     """
     arr = _as_positive_array(alpha, "sample_dirichlet")
-    if size < 1:
-        raise ValueError(f"size must be positive, got {size}")
-    g = rng.gamma(shape=arr[:, None], scale=1.0, size=(arr.size, size))
+    g = rng.gamma(shape=arr[:, None], scale=1.0, size=(arr.size, integer(size, "size", 1)))
     return g / g.sum(axis=0)
 
 

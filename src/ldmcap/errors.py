@@ -1,6 +1,22 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one integer check."""
 
 from __future__ import annotations
+
+import operator
+
+
+def integer(value, name: str, minimum: int | None = None, error: type = ValueError) -> int:
+    """``value`` through ``operator.index`` (no truncation, no parsing), at least ``minimum``.
+
+    Every count, size and seed argument is checked here; ``error`` names ``name``.
+    """
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
+    if minimum is not None and value < minimum:
+        raise error(f"{name} must be at least {minimum}, got {value}")
+    return value
 
 
 class CsvParseError(ValueError):

@@ -13,7 +13,6 @@ Labelings are indexed lexicographically, big-endian in base C: labeling
 
 from __future__ import annotations
 
-import operator
 import os
 from pathlib import Path
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from .classifiers import ClassifierSpec, TrainedModel, fit, ldm_spec
 from .dataset import LabeledDataset, permute_labels, split_train_holdout
-from .errors import CapacityLimitError, MemoryLimitError
+from .errors import CapacityLimitError, MemoryLimitError, integer
 from .seeding import derive_seed, make_rng
 
 #: Hard cap on the number of enumerable labelings C**N'.
@@ -32,30 +31,9 @@ ENUMERATION_LIMIT = 10_000_000
 DEFAULT_EPSILON = 1e-10
 
 
-def _integer(value, name: str) -> int:
-    """``value`` as an int, through ``operator.index``: no truncation, no parsing."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
-def _check_classes(num_classes: int) -> int:
-    num_classes = _integer(num_classes, "num_classes")
-    if num_classes < 2:
-        raise ValueError(f"num_classes must be at least 2, got {num_classes}")
-    return num_classes
-
-
-def _check_holdout(holdout_size: int) -> int:
-    holdout_size = _integer(holdout_size, "holdout_size")
-    if holdout_size < 1:
-        raise ValueError(f"holdout_size must be at least 1, got {holdout_size}")
-    return holdout_size
-
-
 def _check_space(num_classes: int, holdout_size: int) -> int:
-    num_classes, holdout_size = _check_classes(num_classes), _check_holdout(holdout_size)
+    num_classes = integer(num_classes, "num_classes", 2)
+    holdout_size = integer(holdout_size, "holdout_size", 1)
     size = num_classes**holdout_size  # exact int arithmetic; cannot overflow
     if size > ENUMERATION_LIMIT:
         raise CapacityLimitError(num_classes, holdout_size, ENUMERATION_LIMIT)
@@ -69,11 +47,11 @@ def _physical_memory() -> int:
 
 def labeling_to_index(labeling, num_classes: int) -> int:
     """Lexicographic index of a labeling (big-endian base-C digits)."""
-    num_classes = _check_classes(num_classes)
+    num_classes = integer(num_classes, "num_classes", 2)
     index = 0
     length = 0
     for digit in labeling:
-        digit = _integer(digit, "labeling digit")
+        digit = integer(digit, "labeling digit")
         if not 0 <= digit < num_classes:
             raise ValueError(
                 f"labeling digit {digit} out of range for {num_classes} classes"
@@ -87,9 +65,10 @@ def labeling_to_index(labeling, num_classes: int) -> int:
 
 def index_to_labeling(index: int, num_classes: int, holdout_size: int) -> tuple[int, ...]:
     """Inverse of :func:`labeling_to_index` for a holdout of known size."""
-    num_classes, holdout_size = _check_classes(num_classes), _check_holdout(holdout_size)
+    num_classes = integer(num_classes, "num_classes", 2)
+    holdout_size = integer(holdout_size, "holdout_size", 1)
     space = num_classes**holdout_size
-    index = _integer(index, "index")
+    index = integer(index, "index")
     if not 0 <= index < space:
         raise ValueError(f"index {index} out of range [0, {space})")
     digits = []
@@ -127,14 +106,13 @@ class LDMatrix:
     """
 
     def __init__(self, matrix, num_classes: int, holdout_size: int, column_seeds):
-        matrix = _simplex(matrix, num_classes, holdout_size)
-        seeds = tuple(int(s) for s in column_seeds)
+        self.num_classes = integer(num_classes, "num_classes")
+        self.holdout_size = integer(holdout_size, "holdout_size")
+        matrix = _simplex(matrix, self.num_classes, self.holdout_size)
+        seeds = tuple(integer(s, "column seed") for s in column_seeds)
         if matrix.ndim != 2 or len(seeds) != matrix.shape[1]:
             raise ValueError(f"got {len(seeds)} seeds for a matrix of shape {matrix.shape}")
-        self._matrix = matrix
-        self.num_classes = int(num_classes)
-        self.holdout_size = int(holdout_size)
-        self.column_seeds = seeds
+        self._matrix, self.column_seeds = matrix, seeds
 
     @property
     def k_columns(self) -> int:
@@ -185,7 +163,7 @@ def ldm_column(
     seed, so columns can be computed in any order — or concurrently — without
     changing the result.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(integer(seed, "seed"))
     model = fit(spec, permute_labels(train, rng), rng)
     return simplex_vector(model, holdout_features)
 
@@ -206,9 +184,7 @@ def build_ldm(
     ``MemoryLimitError`` before allocating when the float64 matrix and the
     Dirichlet fit's log copy of it would together exceed physical memory.
     """
-    k_columns = _integer(k_columns, "k_columns")
-    if k_columns < 1:
-        raise ValueError(f"k_columns must be at least 1, got {k_columns}")
+    k_columns = integer(k_columns, "k_columns", 1)
     size = _check_space(ds.num_classes, holdout_size)
     needed = 2 * size * k_columns * 8
     available = _physical_memory()

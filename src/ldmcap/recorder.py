@@ -15,6 +15,7 @@ import numpy as np
 
 from .classifiers import ClassifierSpec, fit
 from .dataset import LabeledDataset, random_labels
+from .errors import integer
 from .seeding import make_rng
 
 _Z_95 = 1.96  # two-sided 95% normal quantile
@@ -44,9 +45,7 @@ class CapacityEstimate:
 
 def chance_baseline(dataset_size: int, num_classes: int) -> float:
     """Expected labels recovered by guessing: N / C."""
-    if dataset_size < 1 or num_classes < 2:
-        raise ValueError("need dataset_size >= 1 and num_classes >= 2")
-    return dataset_size / num_classes
+    return integer(dataset_size, "dataset_size", 1) / integer(num_classes, "num_classes", 2)
 
 
 def record_trial(spec: ClassifierSpec, ds: LabeledDataset, rng: np.random.Generator) -> int:
@@ -70,8 +69,7 @@ def estimate_capacity(
     normal approximation mean +- 1.96 * std / sqrt(trials), clamped into
     [0, N]; the per-trial counts ride along for export.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    trials = integer(trials, "trials", 1)
     counts = np.array(
         [
             record_trial(spec, ds, make_rng(master_seed, "trial", t))

@@ -12,6 +12,8 @@ import hashlib
 
 import numpy as np
 
+from .errors import integer
+
 
 def derive_seed(master_seed: int, *tags: object) -> int:
     """Derive a 64-bit child seed from ``master_seed`` and a role tag path.
@@ -20,7 +22,7 @@ def derive_seed(master_seed: int, *tags: object) -> int:
     the string form of each tag, so ``derive_seed(7, "column", 3)`` is stable
     across processes, platforms, and runs.
     """
-    text = "|".join(str(part) for part in (master_seed, *tags))
+    text = "|".join(str(part) for part in (integer(master_seed, "master_seed"), *tags))
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
 

@@ -335,6 +335,23 @@ _HUGE = [[1e200, 0.0], [-1e200, 1.0], [1e200, 2.0], [3.0, 4.0], [5.0, 1.0], [2.0
          InvalidDatasetError, "features must be a numeric matrix"),
         (lambda: QdaModel(LabeledDataset([0.0, 1.0, 2.0, 3.0], [0, 0, 1, 1], 2)),
          InvalidDatasetError, r"non-empty 2-D matrix, got shape \(4,\)"),
+        # int() truncated 2.7 to knn:k=2 and parsed "3"; a float depth grew a
+        # deeper tree, and a float count reached range() as a bare TypeError
+        (lambda: ClassifierSpec("knn", {"k": 2.7}), ValueError,
+         r"knn:k must be an integer, got 2\.7"),
+        (lambda: ClassifierSpec("knn", {"k": "3"}), ValueError,
+         "knn:k must be an integer, got '3'"),
+        (lambda: ClassifierSpec("knn", {"k": 0}), ValueError, "knn:k must be at least 1, got 0"),
+        (lambda: ClassifierSpec("decision_tree", {"max_depth": None}), ValueError,
+         "decision_tree:max_depth must be an integer, got None"),
+        (lambda: KnnModel(BLOBS, 2.5), ValueError, r"k must be an integer, got 2\.5"),
+        (lambda: DecisionTreeModel(BLOBS, 2.5), ValueError,
+         r"max_depth must be an integer, got 2\.5"),
+        (lambda: DecisionTreeModel(BLOBS, max_features=1.5, rng=np.random.default_rng(0)),
+         ValueError, r"max_features must be an integer, got 1\.5"),
+        (lambda: RandomForestModel(BLOBS, 2.5, 1, None, np.random.default_rng(0)), ValueError,
+         r"n_estimators must be an integer, got 2\.5"),
+        (lambda: AdaBoostModel(BLOBS, 2.5), ValueError, r"rounds must be an integer, got 2\.5"),
     ],
     ids=["spec-without-value", "spec-repeated-param", "batch-width", "row-width",
          "subsampling-without-rng", "array-not-dataset", "tree-nan-feature",
@@ -345,7 +362,9 @@ _HUGE = [[1e200, 0.0], [-1e200, 1.0], [1e200, 2.0], [3.0, 4.0], [5.0, 1.0], [2.0
          "gaussian-nb-nan-feature",
          "qda-inf-feature", "adaboost-nan-feature", "gaussian-nb-overflow-feature",
          "qda-overflow-feature", "knn-overflow-feature", "ragged-list-features",
-         "1d-features"],
+         "1d-features", "spec-float-k", "spec-string-k", "spec-k-0", "spec-none-depth",
+         "knn-float-k", "tree-float-depth", "tree-float-max-features", "forest-float-n",
+         "adaboost-float-rounds"],
 )
 def test_public_guards_name_the_bad_argument(call, error, named):
     with pytest.raises(error, match=named):

@@ -126,6 +126,8 @@ def test_load_csv_label_column_out_of_range(tmp_path):
     path = _write(tmp_path, "1.0,2.0,a\n3.0,4.0,b\n")
     with pytest.raises(CsvParseError, match="label column"):
         load_csv(path, label_column=5)
+    with pytest.raises(ValueError, match=r"label_column must be an integer, got 1\.5"):
+        load_csv(path, label_column=1.5)
 
 
 def test_builtin_iris_shape_and_balance(iris):

@@ -228,9 +228,12 @@ def test_entropy_concentrated_is_very_negative():
         (lambda: inverse_digamma(np.inf), "finite"),
         (lambda: inverse_digamma(-1e308), "finite"),
         (lambda: sample_dirichlet(np.ones(2), 0, np.random.default_rng(0)), "size"),
+        (lambda: sample_dirichlet(np.ones(2), 2.0, np.random.default_rng(0)),
+         r"size must be an integer, got 2\.0"),
     ],
     ids=["inverse-digamma-nan", "inverse-digamma-709.79", "inverse-digamma-800",
-         "inverse-digamma-inf", "inverse-digamma-minus-1e308", "sample-size-0"],
+         "inverse-digamma-inf", "inverse-digamma-minus-1e308", "sample-size-0",
+         "sample-float-size"],
 )
 def test_public_guards_name_the_bad_argument(call, named):
     with pytest.raises(ValueError, match=named):

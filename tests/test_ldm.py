@@ -13,14 +13,18 @@ from ldmcap import (
     LDMatrix,
     MemoryLimitError,
     build_ldm,
+    chance_baseline,
+    estimate_capacity,
     index_to_labeling,
     labeling_to_index,
     ldm_column,
     ldm_spec,
+    sample_dirichlet,
     simplex_vector,
     write_ldm_csv,
 )
 from ldmcap import ldm as ldm_module
+from ldmcap.classifiers import AdaBoostModel, DecisionTreeModel, KnnModel, RandomForestModel
 from ldmcap.classifiers.base import TrainedModel
 from ldmcap.dataset import split_train_holdout
 from ldmcap.seeding import make_rng
@@ -111,17 +115,62 @@ def test_index_to_labeling_rejects_out_of_range():
          r"holdout_size must be an integer, got 2\.0"),
         (lambda ds: build_ldm(ClassifierSpec("knn"), ds, k_columns=2.0),
          r"k_columns must be an integer, got 2\.0"),
+        # int() truncated the seed 1.7 to 1 and took the class count 2.0; a
+        # float master seed was hashed as its text "1.5", and the recorder's
+        # checks compared a string with 1 or divided by 2.5
+        (lambda ds: LDMatrix(np.full((4, 1), 0.25), 2, 2, [1.7]),
+         r"column seed must be an integer, got 1\.7"),
+        (lambda ds: LDMatrix(np.full((4, 1), 0.25), 2.0, 2, [1]),
+         r"num_classes must be an integer, got 2\.0"),
+        (lambda ds: build_ldm(ClassifierSpec("knn"), ds, 2, 2, master_seed=1.5),
+         r"master_seed must be an integer, got 1\.5"),
+        (lambda ds: ldm_column(ClassifierSpec("knn"), ds, ds.features[:2], seed=1.5),
+         r"seed must be an integer, got 1\.5"),
+        (lambda ds: split_train_holdout(ds, 2.0, np.random.default_rng(0)),
+         r"holdout_size must be an integer, got 2\.0"),
+        (lambda ds: chance_baseline(150, 2.5), r"num_classes must be an integer, got 2\.5"),
+        (lambda ds: chance_baseline(0, 3), "dataset_size must be at least 1, got 0"),
+        (lambda ds: estimate_capacity(ClassifierSpec("knn"), ds, trials="3"),
+         "trials must be an integer, got '3'"),
+        (lambda ds: estimate_capacity(ClassifierSpec("knn"), ds, 1, master_seed=1.5),
+         r"master_seed must be an integer, got 1\.5"),
     ],
     ids=["build-k-0", "build-holdout-0", "simplex-1d-holdout", "simplex-one-class",
          "labeling-holdout-0", "labeling-one-class", "labeling-no-class",
          "labeling-negative-classes", "index-one-class", "index-float-digits",
          "index-string-digits", "labeling-float-index", "index-float-classes",
          "labeling-float-classes", "labeling-float-holdout", "build-float-holdout",
-         "build-float-k"],
+         "build-float-k", "matrix-float-seed", "matrix-float-classes", "build-float-seed",
+         "column-float-seed", "split-float-holdout", "chance-float-classes",
+         "chance-empty-dataset", "recorder-string-trials", "recorder-float-seed"],
 )
 def test_public_guards_name_the_bad_argument(iris, call, named):
     with pytest.raises(ValueError, match=named):
         call(iris)
+
+
+def test_numpy_integers_count_as_the_python_ints_they_equal(iris):
+    i = np.int64
+    spec = ClassifierSpec("knn", {"k": i(3)})
+    assert spec.params == {"k": 3} and type(spec.params["k"]) is int
+    ints = build_ldm(spec, iris, k_columns=3, holdout_size=2, master_seed=7)
+    numpy = build_ldm(spec, iris, k_columns=i(3), holdout_size=np.uint8(2), master_seed=i(7))
+    assert numpy.matrix.tobytes() == ints.matrix.tobytes()
+    assert numpy.column_seeds == ints.column_seeds
+    seeds = np.array(ints.column_seeds, dtype=np.uint64)
+    assert LDMatrix(ints.matrix, i(3), i(2), seeds).column_seeds == ints.column_seeds
+    assert chance_baseline(i(150), i(3)) == 50.0
+    assert (estimate_capacity(spec, iris, trials=i(3), master_seed=i(7)).counts
+            == estimate_capacity(spec, iris, trials=3, master_seed=7).counts)
+    for build in (
+        lambda n: KnnModel(iris, n(3)),
+        lambda n: DecisionTreeModel(iris, n(2), n(2), np.random.default_rng(0)),
+        lambda n: RandomForestModel(iris, n(2), n(1), n(3), np.random.default_rng(0)),
+        lambda n: AdaBoostModel(iris, n(2)),
+    ):
+        assert np.array_equal(build(i).predict_proba_batch(iris.features),
+                              build(int).predict_proba_batch(iris.features))
+    assert sample_dirichlet(np.ones(2), i(3), np.random.default_rng(0)).shape == (2, 3)
 
 
 # ---------------------------------------------------------------------------
