@@ -398,11 +398,22 @@ def sample_dirichlet(alpha, size: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``size`` Dirichlet samples as the columns of an m x size matrix.
 
     Uses the Gamma construction: independent Gamma(alpha_j, 1) draws
-    normalized by their sum.
+    normalized by their sum, which is independent of the proportions.  So a
+    column whose sum is 0 or subnormal (small alphas underflow every draw) is
+    drawn again in log space, as log Gamma(alpha_j + 1) + log(U_j) / alpha_j
+    normalized by log-sum-exp; every other column is the plain quotient.
     """
     arr = _as_positive_array(alpha, "sample_dirichlet")
     g = rng.gamma(shape=arr[:, None], scale=1.0, size=(arr.size, integer(size, "size", 1)))
-    return g / g.sum(axis=0)
+    total = g.sum(axis=0)
+    tiny = np.flatnonzero(total < np.finfo(np.float64).tiny)
+    if tiny.size:
+        shape = (arr.size, tiny.size)
+        log_g = np.log(rng.gamma(arr[:, None] + 1.0, 1.0, shape))
+        log_g += np.log1p(-rng.random(shape)) / arr[:, None]  # log U, U in (0, 1]
+        g[:, tiny] = np.exp(log_g - log_g.max(axis=0))
+        total[tiny] = g[:, tiny].sum(axis=0)
+    return g / total
 
 
 def fit_report_json(report: FitReport) -> dict:

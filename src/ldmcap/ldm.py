@@ -139,8 +139,8 @@ def simplex_vector(
     holdout = np.asarray(holdout_features, dtype=np.float64)
     if holdout.ndim != 2 or holdout.shape[0] < 1:
         raise ValueError(f"holdout_features must be a non-empty matrix, got {holdout.shape}")
-    if epsilon < 0.0:
-        raise ValueError(f"epsilon must be non-negative, got {epsilon}")
+    if not 0.0 <= epsilon < np.inf:  # NaN fails both
+        raise ValueError(f"epsilon must be non-negative and finite, got {epsilon}")
     _check_space(model.num_classes, holdout.shape[0])
     rows = model.predict_proba_batch(holdout)
     raw = rows[0]

@@ -259,6 +259,21 @@ def test_sample_dirichlet_columns_on_simplex(rng):
     assert np.allclose(draws.sum(axis=0), 1.0, atol=1e-12)
 
 
+def test_sample_dirichlet_small_alphas_give_simplex_columns():
+    # every Gamma draw of 239 of these columns underflows to 0, and 0 / 0 is NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        draws = sample_dirichlet(np.array([1e-3, 1e-3]), 1000, np.random.default_rng(0))
+    assert not np.isnan(draws).any()
+    assert np.all(draws >= 0)
+    assert np.allclose(draws.sum(axis=0), 1.0, atol=1e-12)
+    # only the columns whose sum is 0 or subnormal are drawn again
+    gammas = np.random.default_rng(0).gamma(np.full((2, 1), 1e-3), 1.0, (2, 1000))
+    normal = gammas.sum(axis=0) >= np.finfo(np.float64).tiny
+    assert 0 < normal.sum() < 1000 - 200
+    assert np.array_equal(draws[:, normal], gammas[:, normal] / gammas[:, normal].sum(axis=0))
+
+
 def test_sample_dirichlet_mean_matches_alpha(rng):
     alpha = np.array([2.0, 5.0])
     draws = sample_dirichlet(alpha, 20_000, rng)

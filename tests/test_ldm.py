@@ -229,8 +229,10 @@ def test_simplex_smoothing_removes_zeros_but_keeps_the_peak():
 
 def test_simplex_vector_rejects_negative_epsilon():
     model = _StubModel([[0.5, 0.5]])
-    with pytest.raises(ValueError):
-        simplex_vector(model, _holdout(1), epsilon=-1e-3)
+    # NaN and inf passed `epsilon < 0`, warned, and then failed the probs check
+    for epsilon in (-1e-3, np.nan, np.inf):
+        with pytest.raises(ValueError, match="epsilon must be non-negative and finite"):
+            simplex_vector(model, _holdout(1), epsilon=epsilon)
 
 
 def test_simplex_vector_validation():
