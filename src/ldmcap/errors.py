@@ -5,10 +5,11 @@ from __future__ import annotations
 import operator
 
 
-def integer(value, name: str, minimum: int | None = None, error: type = ValueError) -> int:
+def integer(value, name: str, minimum: int | None = None, error=ValueError) -> int:
     """``value`` through ``operator.index`` (no truncation, no parsing), at least ``minimum``.
 
-    Every count, size and seed argument is checked here; ``error`` names ``name``.
+    Every count, size and seed argument is checked here; a failure raises
+    ``error`` (a ``ValueError`` type) with a message naming ``name``.
     """
     try:
         value = operator.index(value)

@@ -335,8 +335,9 @@ _HUGE = [[1e200, 0.0], [-1e200, 1.0], [1e200, 2.0], [3.0, 4.0], [5.0, 1.0], [2.0
          InvalidDatasetError, "features must be a numeric matrix"),
         (lambda: QdaModel(LabeledDataset([0.0, 1.0, 2.0, 3.0], [0, 0, 1, 1], 2)),
          InvalidDatasetError, r"non-empty 2-D matrix, got shape \(4,\)"),
-        # int() truncated 2.7 to knn:k=2 and parsed "3"; a float depth grew a
-        # deeper tree, and a float count reached range() as a bare TypeError
+        # int() would truncate 2.7 to knn:k=2 and parse "3", a float depth
+        # would grow a deeper tree, and a float count reach range() as a bare
+        # TypeError
         (lambda: ClassifierSpec("knn", {"k": 2.7}), ValueError,
          r"knn:k must be an integer, got 2\.7"),
         (lambda: ClassifierSpec("knn", {"k": "3"}), ValueError,

@@ -260,7 +260,7 @@ def test_sample_dirichlet_columns_on_simplex(rng):
 
 
 def test_sample_dirichlet_small_alphas_give_simplex_columns():
-    # every Gamma draw of 239 of these columns underflows to 0, and 0 / 0 is NaN
+    # every Gamma draw of 239 of these columns underflows to 0, where 0 / 0 is NaN
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         draws = sample_dirichlet(np.array([1e-3, 1e-3]), 1000, np.random.default_rng(0))

@@ -115,9 +115,9 @@ def test_index_to_labeling_rejects_out_of_range():
          r"holdout_size must be an integer, got 2\.0"),
         (lambda ds: build_ldm(ClassifierSpec("knn"), ds, k_columns=2.0),
          r"k_columns must be an integer, got 2\.0"),
-        # int() truncated the seed 1.7 to 1 and took the class count 2.0; a
-        # float master seed was hashed as its text "1.5", and the recorder's
-        # checks compared a string with 1 or divided by 2.5
+        # int() would truncate the seed 1.7 to 1 and take the class count 2.0,
+        # a float master seed would be hashed as its text "1.5", and the
+        # recorder would compare a string with 1 or divide by 2.5
         (lambda ds: LDMatrix(np.full((4, 1), 0.25), 2, 2, [1.7]),
          r"column seed must be an integer, got 1\.7"),
         (lambda ds: LDMatrix(np.full((4, 1), 0.25), 2.0, 2, [1]),
@@ -229,7 +229,7 @@ def test_simplex_smoothing_removes_zeros_but_keeps_the_peak():
 
 def test_simplex_vector_rejects_negative_epsilon():
     model = _StubModel([[0.5, 0.5]])
-    # NaN and inf passed `epsilon < 0`, warned, and then failed the probs check
+    # NaN and inf pass `epsilon < 0`, and would warn and then fail the probs check
     for epsilon in (-1e-3, np.nan, np.inf):
         with pytest.raises(ValueError, match="epsilon must be non-negative and finite"):
             simplex_vector(model, _holdout(1), epsilon=epsilon)
