@@ -1,5 +1,6 @@
 """The tree's split scan and AdaBoost's stumps against one-cut-at-a-time
-pure-Python references.
+pure-Python references, and whole AdaBoost fits against a plain SAMME
+reference.
 
 Each reference tries every feature and every cut between adjacent distinct
 values, in (feature, threshold) order, and keeps a candidate only when it is
@@ -19,6 +20,7 @@ import numpy as np
 import pytest
 
 from ldmcap.classifiers import AdaBoostModel, DecisionTreeModel, RandomForestModel, tree
+from ldmcap.classifiers.base import log_softmax_rows
 from ldmcap.dataset import LabeledDataset
 
 
@@ -324,6 +326,128 @@ def test_adaboost_first_stump_matches_exhaustive_samme_search(seed, iris):
         assert list(model._stumps[0][:4]) == stump
 
 
+def samme_reference(X, y, num_classes, rounds):
+    """SAMME's stumps (feature, threshold, c_left, c_right, alpha) over
+    ``rounds`` rounds, each round scanning one cumsum of every class's weight
+    over every feature's sorted rows.
+
+    A cut's correct weight is the largest class weight below it plus the
+    largest above it; positions where the sorted value does not change are
+    -inf.  Within a feature the first maximum wins, across features the first
+    minimum of 1 - correct.  With no cut anywhere the stump is feature 0 with
+    the weighted-majority class on both sides.
+    """
+    n, d = X.shape
+    orders = np.argsort(X, axis=0, kind="stable").T
+    sorted_values = np.take_along_axis(X.T, orders, axis=1)
+    no_cut = sorted_values[:, 1:] <= sorted_values[:, :-1]
+    weights = np.full(n, 1.0 / n)
+    stumps = []
+    for _ in range(rounds):
+        total = np.bincount(y, weights, minlength=num_classes)
+        if no_cut.all():
+            c = int(np.argmax(total))
+            err, f, threshold, c_left, c_right = 1.0 - float(total[c]), 0, 0.0, c, c
+        else:
+            below = np.array([
+                [np.cumsum(np.where(y[order] == c, weights[order], 0.0))[:-1] for order in orders]
+                for c in range(num_classes)
+            ])
+            above = total[:, None, None] - below
+            correct = below.max(axis=0) + above.max(axis=0)
+            correct[no_cut] = -np.inf
+            cut = correct.argmax(axis=1)
+            errors = 1.0 - correct[np.arange(d), cut]
+            f = int(errors.argmin())
+            j = int(cut[f])
+            err = float(errors[f])
+            threshold = _threshold(float(sorted_values[f, j]), float(sorted_values[f, j + 1]))
+            c_left, c_right = int(np.argmax(below[:, f, j])), int(np.argmax(above[:, f, j]))
+        if err >= 1.0 - 1.0 / num_classes - 1e-10:
+            break
+        clipped = max(err, 1e-10)
+        alpha = float(np.log((1.0 - clipped) / clipped) + np.log(num_classes - 1))
+        stumps.append((f, threshold, c_left, c_right, alpha))
+        if err <= 1e-10:
+            break
+        pred = np.where(X[:, f] <= threshold, c_left, c_right)
+        weights = weights * np.exp(alpha * (pred != y))
+        weights /= weights.sum()
+    return stumps
+
+
+def samme_reference_proba(stumps, present, X):
+    """Softmax of the vote scores, each stump voting by one mask per side."""
+    scores = np.zeros((X.shape[0], present.size))
+    scores[:, ~present] = -np.inf
+    for f, threshold, c_left, c_right, alpha in stumps:
+        left = X[:, f] <= threshold
+        scores[left, c_left] += alpha
+        scores[~left, c_right] += alpha
+    return log_softmax_rows(scores)
+
+
+def _boosting_data(seed, iris):
+    """Features, labels and class count of one oracle fit; the kind cycles
+    through iris's own labels, ``_tie_heavy`` data, rounded features with a
+    constant column, raw features with a column of signed zeros, and only
+    constant columns, with 2-5 classes of which the top one may be absent."""
+    rng = np.random.default_rng(3000 + seed)
+    kind = seed % 5
+    if kind == 1:
+        return _tie_heavy(seed, iris)
+    rows = rng.choice(iris.n_examples, size=int(rng.integers(20, iris.n_examples + 1)),
+                      replace=False)
+    X = iris.features[rows]
+    if kind == 0:
+        return X, iris.labels[rows], 3
+    num_classes = int(rng.integers(2, 6))
+    drawn = num_classes - int(rng.integers(2))  # the top class may be absent
+    y = rng.integers(0, drawn, rows.size)
+    if kind == 2:
+        X = np.round(X)
+        X = np.insert(X, int(rng.integers(X.shape[1] + 1)), float(rng.integers(-2, 3)), axis=1)
+    elif kind == 3:
+        X = X.copy()
+        X[:, int(rng.integers(X.shape[1]))] = rng.choice([-0.0, 0.0, 5e-324, 1.0], rows.size)
+    elif kind == 4:
+        X = np.broadcast_to(X[0], X.shape).copy()
+    return X, y, num_classes
+
+
+def _probes(X, stumps, rng):
+    """Off-training rows: jittered and rescaled training rows, every stump's
+    threshold and its neighbours planted in its feature, and NaN."""
+    n, d = X.shape
+    probes = [X[rng.integers(n, size=12)] + rng.normal(0.0, 0.5, (12, d)),
+              X[rng.integers(n, size=4)] * 1.5, np.full((1, d), np.nan)]
+    for f, threshold, *_ in stumps[:8]:
+        planted = X[rng.integers(n, size=3)].copy()
+        planted[:, f] = [threshold, np.nextafter(threshold, -np.inf),
+                         np.nextafter(threshold, np.inf)]
+        probes.append(planted)
+    return np.vstack(probes)
+
+
+@pytest.mark.parametrize("seed", range(70))
+def test_adaboost_matches_the_samme_reference(seed, iris):
+    # 210 fits at 1, 3 and 50 rounds: every stump and alpha equal, and the
+    # probabilities' bytes equal on training rows, off-training rows and no rows
+    X, y, num_classes = _boosting_data(seed, iris)
+    train = LabeledDataset(X, y, num_classes)
+    present = np.bincount(y, minlength=num_classes) > 0
+    for rounds in (1, 3, 50):
+        model = AdaBoostModel(train, rounds=rounds)
+        stumps = samme_reference(X, y, num_classes, rounds)
+        assert model._stumps == stumps
+        probes = _probes(X, stumps, np.random.default_rng(seed))
+        for rows in (X, probes, np.empty((0, X.shape[1]))):
+            found = model.predict_proba_batch(rows)
+            expected = samme_reference_proba(stumps, present, rows)
+            assert found.shape == expected.shape == (rows.shape[0], num_classes)
+            assert found.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -331,8 +455,9 @@ def test_adaboost_first_stump_matches_exhaustive_samme_search(seed, iris):
         lambda train: DecisionTreeModel(train, max_depth=3),
         lambda train: RandomForestModel(train, 5, 1, None, np.random.default_rng(2)),
         lambda train: RandomForestModel(train, 5, 2, 3, np.random.default_rng(2)),
+        lambda train: AdaBoostModel(train, rounds=50),
     ],
-    ids=["unpruned", "depth3", "forest", "forest-depth3"],
+    ids=["unpruned", "depth3", "forest", "forest-depth3", "adaboost"],
 )
 def test_batch_prediction_matches_row_by_row(build, iris):
     # rows reach leaves at different depths; walking them together must not
