@@ -58,6 +58,8 @@ from .errors import FitNumericalError, integer
 
 EULER_GAMMA = 0.5772156649015328606
 
+_BLOCK_BYTES = 1 << 20  # float working array per block of matrix rows
+
 # Coefficients c0, c1, .. of the asymptotic series in powers of 1/x^2.
 _DIGAMMA_SERIES = (-1 / 12, 1 / 120, -1 / 252, 1 / 240, -1 / 132, 691 / 32760, -1 / 12)
 _TRIGAMMA_SERIES = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
@@ -340,16 +342,21 @@ def fit_dirichlet(samples) -> FitReport:
             f"column {worst} sums to {sums[worst]!r}; columns must sum to 1 within 1e-6"
         )
 
-    log_p = np.log(p)
-    log_p_bar = log_p.mean(axis=1)
+    # log p is only reduced row by row, so it is taken one block of rows at a
+    # time and never as a whole copy; a row's mean over its own contiguous
+    # data is the same, bit for bit, in a block as in the whole matrix.
     # The likelihood has a maximum only where sum_j exp(mean log p_j) < 1.
     # Jensen's inequality guarantees that unless the columns are identical
     # (every row of log p constant); rounding can also push the sum to 1,
-    # when a row is 1 to the last bit.  Otherwise there is no optimum.  Columns
-    # are compared one by one; one boolean matrix would raise the fit's peak.
-    same = all(np.array_equal(log_p[:, 0], log_p[:, j]) for j in range(1, k))
+    # when a row is 1 to the last bit.  Otherwise there is no optimum.
+    log_p_bar = np.empty(m)
+    same = True
+    rows = max(1, _BLOCK_BYTES // (8 * k))
+    for top in range(0, m, rows):
+        log_block = np.log(p[top:top + rows])
+        log_p_bar[top:top + rows] = log_block.mean(axis=1)
+        same = same and bool((log_block == log_block[:, :1]).all())
     no_optimum = same or np.exp(log_p_bar).sum() >= 1.0
-    del log_p
     means = p.mean(axis=1)
     if no_optimum:
         # No alpha is best, and the moment-matched scale of identical columns

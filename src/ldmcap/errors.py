@@ -46,16 +46,16 @@ class CapacityLimitError(RuntimeError):
 
 
 class MemoryLimitError(RuntimeError):
-    """An LDM and the Dirichlet fit's working copy of it would not fit in memory."""
+    """An LDM, charged at twice its size, would not fit in physical memory."""
 
     def __init__(self, rows: int, columns: int, needed: int, available: int):
         self.needed = needed
         self.available = available
         super().__init__(
-            f"a {rows} x {columns} labeling-distribution matrix and the Dirichlet "
-            f"fit's log copy need {needed:,} bytes, more than the {available:,} bytes "
-            "of physical memory; reduce the holdout size (--holdout) or the number "
-            "of columns (--k)"
+            f"a {rows} x {columns} labeling-distribution matrix, charged at twice its "
+            f"size, needs {needed:,} bytes, more than the {available:,} bytes of "
+            "physical memory; reduce the holdout size (--holdout) or the number of "
+            "columns (--k)"
         )
 
 

@@ -17,9 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .dirichlet import _BLOCK_BYTES
 from .ldm import DEFAULT_EPSILON, LDMatrix
-
-_BLOCK_BYTES = 1 << 20  # float working array per block of rows
 
 
 def _pixels(block: np.ndarray, global_max: float, scale: str) -> np.ndarray:

@@ -181,8 +181,9 @@ def build_ldm(
     column; column ``i`` then trains on labels permuted by its own derived
     seed.  Each column fits :func:`ldm_spec` of ``spec``, so tree-based specs
     are capped at depth 5 unless the spec sets a depth explicitly.  Raises
-    ``MemoryLimitError`` before allocating when the float64 matrix and the
-    Dirichlet fit's log copy of it would together exceed physical memory.
+    ``MemoryLimitError`` before allocating when twice the float64 matrix
+    would exceed physical memory: the matrix, and a margin as large for the
+    blocks of rows the fit and the writers work on and for the interpreter.
     """
     k_columns = integer(k_columns, "k_columns", 1)
     size = _check_space(ds.num_classes, holdout_size)

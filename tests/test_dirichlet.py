@@ -530,6 +530,34 @@ def test_fit_of_an_ldm_takes_few_steps(ldm_fits, case):
     assert report.iterations <= 7
 
 
+def _fit_bytes(report):
+    return (report.alpha.tobytes(), report.iterations, report.status,
+            np.float64(report.final_delta).tobytes(), np.float64(report.gradient_norm).tobytes())
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, 4096])
+def test_fit_in_blocks_of_rows_is_the_fit_of_one_block(monkeypatch, ldm_fits, block_rows):
+    # the fit takes log p one block of rows at a time; every block size must
+    # give the fit of the whole matrix in one block, to the bit
+    whole, blocks = {}, {}
+    for case in _LDM_PANEL[::3]:
+        samples = ldm_fits[case][0]
+        monkeypatch.setattr(dirichlet, "_BLOCK_BYTES", samples.nbytes)
+        whole[case] = _fit_bytes(fit_dirichlet(samples))
+        monkeypatch.setattr(dirichlet, "_BLOCK_BYTES", 8 * samples.shape[1] * block_rows)
+        blocks[case] = _fit_bytes(fit_dirichlet(samples))
+    assert blocks == whole
+    # identical columns have no optimum, and a column off in the first or the
+    # last block of rows gives them one
+    monkeypatch.setattr(dirichlet, "_BLOCK_BYTES", 8 * 30 * block_rows)
+    samples = np.tile(np.array([0.1, 0.2, 0.3, 0.4])[:, None], 30)
+    _assert_no_optimum(fit_dirichlet(samples))
+    for rows in ([0, 1], [-2, -1]):
+        off = samples.copy()
+        off[rows, 5] += [0.01, -0.01]
+        assert fit_dirichlet(off).status == "optimum"
+
+
 @pytest.mark.parametrize(
     "k, holdout, entropy",
     [(100, 5, -4590.081780640868), (30, 8, -125692.9129023519)],

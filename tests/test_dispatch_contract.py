@@ -1,12 +1,12 @@
 """The cross-CPU output contract that README states, checked on one host.
 
 numpy picks its SIMD kernels by CPU at import time, and its AVX-512 kernels
-round ``exp`` and ``log`` differently from its baseline ones.  The test runs
-one small six-family ``ldm`` twice, once on numpy's default dispatch path and
-once with its AVX-512 kernels disabled through ``NPY_DISABLE_CPU_FEATURES``,
-which on a CPU with AVX-512 takes the path of a CPU without it.  On a CPU
-without AVX-512 both runs take the same path and the test checks only that
-reruns agree.
+round ``exp`` and ``log`` differently from its baseline ones.  The tests run
+one small six-family ``ldm`` and one small three-family ``compare`` twice
+each, once on numpy's default dispatch path and once with its AVX-512
+kernels disabled through ``NPY_DISABLE_CPU_FEATURES``, which on a CPU with
+AVX-512 takes the path of a CPU without it.  On a CPU without AVX-512 both
+runs take the same path and the tests check only that reruns agree.
 
 The contract:
 - stdout, every PGM image and the k-NN, tree and forest CSVs are identical;
@@ -15,12 +15,16 @@ The contract:
   ``global_max`` of their ``.pgm.json`` sidecars;
 - each ``<spec>.json`` keeps its keys, its statuses and its step counts, and
   its entropies and alphas agree within 1e-12 relative.  ``final_delta`` and
-  ``gradient_norm`` are rounding-level residuals and are not compared.
+  ``gradient_norm`` are rounding-level residuals and are not compared;
+- ``compare.csv`` keeps its header and its rows in the same order, with the
+  same spec, ``recorder_mean``, ``ci_low`` and ``ci_high`` text, and each
+  ``ldm_entropy_mean`` within 1e-12 relative.
 stderr is not compared.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import subprocess
@@ -37,15 +41,17 @@ _ULPS = 16
 _REL = 1e-12
 
 
-def _ldm(out: Path, disable: str | None) -> str:
-    """stdout of the ldm run, with numpy's ``disable`` features disabled."""
+def _run(command: str, specs: list[str], out: Path, disable: str | None) -> str:
+    """stdout of the run, with numpy's ``disable`` features disabled."""
     env = {**os.environ, "PYTHONPATH": str(Path(ldmcap.__file__).parents[1])}
     env.pop("NPY_DISABLE_CPU_FEATURES", None)
     if disable is not None:
         env["NPY_DISABLE_CPU_FEATURES"] = disable
-    args = [arg for spec in _SPECS for arg in ("--spec", spec)]
+    args = [arg for spec in specs for arg in ("--spec", spec)]
+    if command == "compare":
+        args += ["--trials", "10"]
     done = subprocess.run(
-        [sys.executable, "-m", "ldmcap.cli", "ldm", *args, "--holdout", "4", "--k", "10",
+        [sys.executable, "-m", "ldmcap.cli", command, *args, "--holdout", "4", "--k", "10",
          "--repeats", "2", "--seed", "3", "--out", str(out)],
         stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True, env=env, timeout=300,
         check=True,
@@ -76,7 +82,7 @@ def _assert_same_fit(name: str, a: dict, b: dict):
 
 def test_ldm_outputs_hold_the_contract_across_numpy_dispatch_paths(tmp_path):
     default, other = tmp_path / "default", tmp_path / "no_avx512"
-    assert _ldm(default, None) == _ldm(other, _NO_AVX512)
+    assert _run("ldm", _SPECS, default, None) == _run("ldm", _SPECS, other, _NO_AVX512)
     names = sorted(path.name for path in default.iterdir())
     assert names == sorted(path.name for path in other.iterdir())
     assert len(names) == 4 * len(_SPECS)
@@ -99,3 +105,20 @@ def test_ldm_outputs_hold_the_contract_across_numpy_dispatch_paths(tmp_path):
                 max_a, max_b = sidecar_a.pop("global_max"), sidecar_b.pop("global_max")
                 assert sidecar_a == sidecar_b, name
                 assert _ulps(np.array(max_a), np.array(max_b)) <= _ULPS, name
+
+
+def test_compare_csv_holds_the_contract_across_numpy_dispatch_paths(tmp_path):
+    default, other = tmp_path / "default", tmp_path / "no_avx512"
+    specs = ["gaussian_nb", "adaboost", "qda"]
+    assert _run("compare", specs, default, None) == _run("compare", specs, other, _NO_AVX512)
+    with open(default / "compare.csv", newline="") as fh:
+        rows_a = list(csv.reader(fh))
+    with open(other / "compare.csv", newline="") as fh:
+        rows_b = list(csv.reader(fh))
+    assert rows_a[0] == rows_b[0] == [
+        "spec", "ldm_entropy_mean", "recorder_mean", "ci_low", "ci_high"]
+    assert sorted(row[0] for row in rows_a[1:]) == sorted(specs)
+    assert len(rows_a) == len(rows_b)
+    for row_a, row_b in zip(rows_a[1:], rows_b[1:]):
+        assert [row_a[0], *row_a[2:]] == [row_b[0], *row_b[2:]]
+        assert _rel(float(row_a[1]), float(row_b[1])) <= _REL, row_a[0]
