@@ -117,8 +117,8 @@ class AdaBoostModel(TrainedModel):
         q, num_classes, kept = X.shape[0], self.num_classes, len(self._stumps)
         stumps = np.fromiter(chain.from_iterable(self._stumps), np.float64, 5 * kept)
         f, threshold, c_left, c_right, alpha = stumps.reshape(kept, 5).T
-        # (stumps, rows) flat (row, class) vote cells; bincount sums a cell's alphas in
-        # stump order from 0.0 as the masked adds did, and gives int zeros for no input
+        # (stumps, rows) flat (row, class) vote cells; bincount adds in input order, so a
+        # cell sums its alphas in stump order from 0.0 (and gives int zeros for no input)
         cells = np.where(X.T[f.astype(np.intp)] <= threshold[:, None], c_left[:, None],
                          c_right[:, None]).astype(np.intp)
         cells += np.arange(0, q * num_classes, num_classes)
