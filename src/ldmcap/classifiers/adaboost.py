@@ -47,7 +47,7 @@ class _StumpScan:
         orders = np.argsort(self.columns, axis=1, kind="stable")  # (features, rows)
         ordered = self.columns[np.arange(d)[:, None], orders]
         cut_feature, cut_at = np.nonzero(ordered[:, 1:] > ordered[:, :-1])
-        self._sorted, self._cut_at = ordered.tolist(), cut_at.tolist()  # Python floats, ints
+        self._sorted, self._cut_at = ordered.tolist(), cut_at.tolist()  # read a value a round
         self._feature_of_cut = cut_feature.tolist()
         per_feature = np.bincount(cut_feature, minlength=d).tolist()
         stops = accumulate(per_feature)
@@ -122,7 +122,7 @@ class AdaBoostModel(TrainedModel):
         cells = np.where(X.T[f.astype(np.intp)] <= threshold[:, None], c_left[:, None],
                          c_right[:, None]).astype(np.intp)
         cells += np.arange(0, q * num_classes, num_classes)
-        scores = np.bincount(cells.ravel(), np.repeat(alpha, q), q * num_classes)
+        scores = np.bincount(cells.ravel(), np.repeat(alpha, q), minlength=q * num_classes)
         scores = scores.astype(np.float64, copy=False).reshape(q, num_classes)
         # Classes absent from training get no mass; with no stump kept, the
         # classes present share an even vote.

@@ -58,7 +58,7 @@ from .errors import FitNumericalError, integer
 
 EULER_GAMMA = 0.5772156649015328606
 
-_BLOCK_BYTES = 1 << 18  # float working array per block of matrix rows
+_BLOCK_BYTES = 1 << 19  # float working array per block of matrix rows
 
 # Coefficients c0, c1, .. of the asymptotic series in powers of 1/x^2.
 _DIGAMMA_SERIES = (-1 / 12, 1 / 120, -1 / 252, 1 / 240, -1 / 132, 691 / 32760, -1 / 12)

@@ -48,7 +48,7 @@ def render_pgm(ldm: LDMatrix, path: str | Path, scale: str = "linear") -> None:
 
     ``scale`` is ``"linear"`` or ``"log"``.  Pixels are computed and written
     one block of rows at a time, so beside the matrix the render holds one
-    block: about 256 KiB of floats (at least one row) and its 8-bit pixels.
+    block: about 512 KiB of floats (at least one row) and its 8-bit pixels.
     """
     if scale not in ("linear", "log"):
         raise ValueError(f"scale must be 'linear' or 'log', got {scale!r}")

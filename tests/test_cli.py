@@ -244,8 +244,8 @@ def test_compare_peak_memory_is_one_matrix_and_a_block_of_rows(tmp_path):
         tracemalloc.stop()
     assert rc == 0
     # beside the matrix, the fit holds log p of one block of rows, about
-    # 256 KiB, and per-row vectors: no second matrix-sized array
-    assert (peak - start) / matrix_bytes <= 1.3
+    # 512 KiB, and per-row vectors: no second matrix-sized array
+    assert (peak - start) / matrix_bytes <= 1.4
 
 
 @pytest.mark.parametrize("scale", ["linear", "log"])
@@ -266,7 +266,7 @@ def test_ldm_peak_memory_is_one_matrix_and_a_block_of_rows(tmp_path, scale):
     finally:
         tracemalloc.stop()
     assert rc == 0
-    assert (peak - start) / matrix_bytes <= 1.3
+    assert (peak - start) / matrix_bytes <= 1.4
 
 
 def test_compare_csv_parses_with_commas_in_spec_names(tmp_path):
