@@ -34,7 +34,7 @@ grows its trees one after another onto the same table, so node ids are
 global and ``_roots`` lists where each tree starts.  A leaf is its own child
 on both sides, so prediction steps every (root, row) pair down one level per
 pass until the deepest leaf, and a forest costs the numpy calls of one tree.
-AdaBoost's stumps share the threshold rule (``_threshold_after``).
+AdaBoost's stumps share the threshold rule (``_threshold(lo, hi)``).
 """
 
 from __future__ import annotations
@@ -48,9 +48,8 @@ from ..errors import integer
 from .base import TrainedModel
 
 
-def _threshold_after(sv, i):
-    """Midpoint of sv[i] and sv[i + 1], or sv[i] if it rounds onto sv[i + 1]."""
-    lo, hi = float(sv[i]), float(sv[i + 1])
+def _threshold(lo, hi):
+    """Midpoint of the floats lo < hi, or lo if it rounds onto hi."""
     mid = 0.5 * (lo + hi)
     return mid if mid < hi else lo
 
@@ -92,7 +91,7 @@ def _split_scan(rows, feats, columns, labels, counts):
                         + nr * (1.0 - sq_right / (nr * nr))) / n
                 if cost < best_cost:
                     best_cost = cost
-                    best = f, order, nl, (lower, value), left.copy()
+                    best = f, order, nl, lower, value, left.copy()
             lower = value
             k = left[c]
             sq_left += k + k + 1  # (k + 1)^2 - k^2
@@ -101,9 +100,9 @@ def _split_scan(rows, feats, columns, labels, counts):
             nl += 1
     if best is None:
         return None
-    f, order, nl, bounds, left = best
+    f, order, nl, lower, value, left = best
     right = list(map(sub, counts, left))
-    return best_cost, f, _threshold_after(bounds, 0), [left, right], [order[:nl], order[nl:]]
+    return best_cost, f, _threshold(lower, value), [left, right], [order[:nl], order[nl:]]
 
 
 class DecisionTreeModel(TrainedModel):

@@ -19,6 +19,9 @@ optimum in some repeat (its columns are identical, or indistinguishable in
 floating point) or reached the step bound gets one warning line on stderr
 naming the cause.  With no optimum there is no entropy: the tables print
 ``no optimum``, ``compare.csv`` writes ``nan`` and JSON writes ``null``.
+``ldm``'s ``converged`` column is ``True`` only when every repeat's fit
+reached its optimum; ``<spec>.json``'s top-level ``converged`` is the first
+repeat's, beside every repeat's status under ``fits``.
 
 Exit codes: 0 on success, 1 for usage or data errors (a flag of another
 command included) or a Dirichlet fit that went non-finite, 2 when the
@@ -225,7 +228,7 @@ def cmd_ldm(args: argparse.Namespace, ds: LabeledDataset, specs: list[Classifier
         _write_json(out / f"{_artifact_stem(spec)}.json", payload)
         print(
             f"{spec.to_string():<40} {_entropy_cell(payload['entropy_mean'])} "
-            f"{str(first_report['converged']):>10}"
+            f"{str(all(fit['status'] == 'optimum' for fit in fits)):>10}"
         )
 
 

@@ -102,10 +102,12 @@ def _simplex(probs, num_classes: int, holdout_size: int) -> np.ndarray:
 class LDMatrix:
     """A read-only C**N' x K matrix of simplex columns, with one seed per column.
 
-    The matrix is validated and then kept as a read-only view, not copied.
+    The sizes must be enumerable (C >= 2, N' >= 1, C**N' <= ENUMERATION_LIMIT);
+    the matrix is validated and then kept as a read-only view, not copied.
     """
 
     def __init__(self, matrix, num_classes: int, holdout_size: int, column_seeds):
+        _check_space(num_classes, holdout_size)
         self.num_classes = integer(num_classes, "num_classes")
         self.holdout_size = integer(holdout_size, "holdout_size")
         matrix = _simplex(matrix, self.num_classes, self.holdout_size)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -376,6 +377,39 @@ def test_step_bound_is_named_on_stderr(tmp_path, capsys, monkeypatch):
     assert payload["converged"] is False and np.isfinite(payload["final_delta"])
     assert np.isfinite(payload["gradient_norm"])
     assert all(np.isfinite(payload["entropies"])) and np.isfinite(payload["entropy_mean"])
+
+
+@pytest.mark.parametrize(
+    "bounded, column, first",
+    [(None, "True", True), (1, "False", False), (2, "False", True)],
+    ids=["none", "first", "second"],
+)
+def test_ldm_converged_column_needs_every_repeat_at_its_optimum(
+    tmp_path, capsys, monkeypatch, bounded, column, first
+):
+    # the repeat numbered ``bounded`` (from 1) reports the step bound; the
+    # table's column reads every repeat, the JSON's ``converged`` the first
+    fit_dirichlet, statuses = cli.fit_dirichlet, []
+
+    def fit(samples):
+        report = fit_dirichlet(samples)
+        statuses.append(report.status)
+        if len(statuses) == bounded:
+            report = dataclasses.replace(report, status="max_iter")
+        return report
+
+    monkeypatch.setattr(cli, "fit_dirichlet", fit)
+    out = tmp_path / "o"
+    assert main(["ldm", "--spec", "gaussian_nb", "--holdout", "3", "--k", "5",
+                 "--repeats", "2", "--out", str(out)]) == 0
+    table, err = capsys.readouterr()
+    assert statuses == ["optimum", "optimum"]
+    assert table.splitlines()[1].split()[-1] == column
+    assert ("reached the step bound in 1 of 2 repeats" in err) == (bounded is not None)
+    payload = json.loads((out / "gaussian_nb.json").read_text())
+    assert payload["converged"] is first
+    assert [fit["status"] == "optimum" for fit in payload["fits"]] == [
+        r != bounded for r in (1, 2)]
 
 
 def test_readme_first_example_reaches_the_optimum(tmp_path, capsys):

@@ -356,6 +356,23 @@ def test_ldm_validation_rejects_mismatched_columns():
         LDMatrix(np.empty((4, 0)), num_classes=2, holdout_size=2, column_seeds=())
 
 
+@pytest.mark.parametrize(
+    "num_classes, holdout_size, error, message",
+    [
+        (1, 4, ValueError, r"num_classes must be at least 2, got 1"),
+        (-1, 2, ValueError, r"num_classes must be at least 2, got -1"),
+        (3, 0, ValueError, r"holdout_size must be at least 1, got 0"),
+        (3, 15, CapacityLimitError, r"holdout"),
+    ],
+)
+def test_ldmatrix_takes_only_the_sizes_build_ldm_takes(num_classes, holdout_size, error,
+                                                        message):
+    # the first three span one labeling, so a (1, 3) matrix of ones passes the
+    # column checks; 3**15 labelings are past the enumeration limit
+    with pytest.raises(error, match=message):
+        LDMatrix(np.ones((1, 3)), num_classes, holdout_size, [0, 1, 2])
+
+
 # ---------------------------------------------------------------------------
 # CSV export
 # ---------------------------------------------------------------------------

@@ -321,9 +321,9 @@ def test_adaboost_first_stump_matches_exhaustive_samme_search(seed, iris):
     model = AdaBoostModel(LabeledDataset(X, y, num_classes), rounds=1)
     err, *stump = samme_first_stump(X.tolist(), y.tolist(), num_classes)
     if err >= 1.0 - 1.0 / num_classes - 1e-10:
-        assert model._stumps == []  # no better than chance: nothing kept
+        assert model._stumps.tolist() == []  # no better than chance: nothing kept
     else:
-        assert list(model._stumps[0][:4]) == stump
+        assert list(model._stumps.tolist()[0][:4]) == stump
 
 
 def samme_reference(X, y, num_classes, rounds):
@@ -439,7 +439,7 @@ def test_adaboost_matches_the_samme_reference(seed, iris):
     for rounds in (1, 3, 50):
         model = AdaBoostModel(train, rounds=rounds)
         stumps = samme_reference(X, y, num_classes, rounds)
-        assert model._stumps == stumps
+        assert model._stumps.tolist() == stumps
         probes = _probes(X, stumps, np.random.default_rng(seed))
         for rows in (X, probes, np.empty((0, X.shape[1]))):
             found = model.predict_proba_batch(rows)
