@@ -14,6 +14,7 @@ caps tree depth at 5 unless the spec sets one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable, Mapping
 
 import numpy as np
@@ -66,7 +67,7 @@ FAMILIES: dict[str, Family] = {
 
 @dataclass(frozen=True)
 class ClassifierSpec:
-    """A classifier family plus its integer hyperparameters."""
+    """A classifier family plus its integer hyperparameters, read-only and hashable."""
 
     family: str
     params: Mapping[str, int] = field(default_factory=dict)
@@ -86,8 +87,14 @@ class ClassifierSpec:
                 )
             given[key] = integer(value, f"{self.family}:{key}", 1)
         # Stored in the table's order, so the text form ignores the user's order.
-        clean = {key: given[key] for key in allowed if key in given}
+        clean = MappingProxyType({key: given[key] for key in allowed if key in given})
         object.__setattr__(self, "params", clean)
+
+    def __hash__(self):
+        return hash((self.family, tuple(self.params.items())))
+
+    def __reduce__(self):  # a mappingproxy cannot be pickled
+        return ClassifierSpec, (self.family, dict(self.params))
 
     def to_string(self) -> str:
         if not self.params:

@@ -60,10 +60,12 @@ class GaussianNbModel(TrainedModel):
 class QdaModel(TrainedModel):
     """Full per-class Gaussians (quadratic decision boundaries).
 
-    Each class covariance gets a ridge of 1e-6 * trace/d added to its
-    diagonal; classes too small to have any scatter (trace 0) borrow the
-    whole-dataset trace instead, with an absolute floor, so the Cholesky
-    factorization always succeeds under randomized labels.
+    Each class covariance gets a ridge of 1e-6 * trace/d (the whole-dataset
+    trace for a class with none), floored at 1e-12.  That is far above the
+    covariance's rounding error, of order n * 2**-53 * trace, and Cholesky's
+    backward error, of order d * 2**-53 * trace (Higham 2002, section 10.1;
+    over 10**7 times both on iris), so one factorization per class suffices.
+    Should it fail anyway, its ``np.linalg.LinAlgError`` propagates.
     """
 
     def __init__(self, train: LabeledDataset):
@@ -84,22 +86,12 @@ class QdaModel(TrainedModel):
             cov = centered.T @ centered / rows.shape[0]
             trace = float(np.trace(cov))
             ridge = 1e-6 * (trace if trace > 0.0 else pooled_trace) / d
-            ridge = max(ridge, 1e-12)
-            cov = cov + ridge * np.eye(d)
-            for _ in range(40):  # widen the ridge until the factorization holds
-                try:
-                    chol = np.linalg.cholesky(cov)
-                    break
-                except np.linalg.LinAlgError:
-                    ridge *= 10.0
-                    cov = cov + ridge * np.eye(d)
-            self._chol[c] = chol
-            self._log_det[c] = 2.0 * float(np.log(np.diag(chol)).sum())
+            self._chol[c] = np.linalg.cholesky(cov + max(ridge, 1e-12) * np.eye(d))
+            self._log_det[c] = 2.0 * float(np.log(np.diag(self._chol[c])).sum())
 
     def predict_proba_batch(self, X) -> np.ndarray:
         X = self._check_rows(X)
-        n = X.shape[0]
-        loglik = np.full((n, self.num_classes), -np.inf)
+        loglik = np.full((X.shape[0], self.num_classes), -np.inf)
         for c in np.flatnonzero(self._present):
             diff = X - self._means[c]
             solved = np.linalg.solve(self._chol[c], diff.T)  # lower-triangular system

@@ -9,9 +9,9 @@ Three commands, each taking only the flags it reads (``ldmcap CMD --help``):
 * ``compare`` — both of the above for two or more specs, joined into one
                 table sorted by recorder capacity; writes only compare.csv.
 
-``main`` runs every command: it loads the dataset, checks the specs against
-the command's minimum (two for ``compare``) and makes ``--out`` before the
-command's own work, so a bad spec leaves no output directory behind.
+``main`` runs every command: it loads the dataset and checks the specs (two
+or more for ``compare``) and the matrix size (``ldm``, ``compare``) before it
+makes ``--out``, so a bad spec or an exit-2 refusal leaves no directory behind.
 
 Each repeat's matrix is freed before the next one is built; ``ldm`` first
 writes the first repeat's as CSV and PGM.  A spec whose Dirichlet fit has no
@@ -26,7 +26,7 @@ repeat's, beside every repeat's status under ``fits``.
 Exit codes: 0 on success, 1 for usage or data errors (a flag of another
 command included) or a Dirichlet fit that went non-finite, 2 when the
 labeling space C**N' is too large to enumerate or its matrix would not fit
-in physical memory.
+in physical memory, a refusal that writes nothing to stdout or ``--out``.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .dataset import LabeledDataset, builtin_iris, load_csv
 from .dirichlet import fit_dirichlet, fit_report_json
 from .errors import CapacityLimitError, FitNumericalError, MemoryLimitError
 from .heatmap import render_pgm
-from .ldm import build_ldm, write_ldm_csv
+from .ldm import build_ldm, check_ldm_size, write_ldm_csv
 from .recorder import CapacityEstimate, chance_baseline, estimate_capacity
 from .seeding import derive_seed
 
@@ -283,6 +283,8 @@ def main(argv=None) -> int:
         command, minimum = _COMMANDS[args.command]
         ds = _load_dataset(args.dataset)
         specs = _parse_specs(args, minimum)
+        if args.command != "record":  # ldm and compare build matrices
+            check_ldm_size(ds.num_classes, args.holdout, args.k)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         command(args, ds, specs, out)

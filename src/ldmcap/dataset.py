@@ -46,7 +46,7 @@ def _checked_labels(labels, n_examples: int, num_classes: int) -> np.ndarray:
     return _readonly(labs.astype(np.int64, copy=False))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: == and hash() go by identity
 class LabeledDataset:
     """An N x d matrix of finite features with integer class labels in [0, num_classes).
 
@@ -108,7 +108,7 @@ class LabeledDataset:
         return relabeled
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: == and hash() go by identity
 class HoldoutSplit:
     """A fixed holdout carved from a dataset; train rows keep their original order."""
 
@@ -117,9 +117,7 @@ class HoldoutSplit:
     holdout_indices: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "holdout_features", _readonly(np.asarray(self.holdout_features))
-        )
+        object.__setattr__(self, "holdout_features", _readonly(self.holdout_features))
 
 
 def _is_number(cell: str) -> bool:

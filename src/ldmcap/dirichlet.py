@@ -205,7 +205,7 @@ _TOLERANCE = 1e-10
 _MAX_ITER = 1000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds an array: == and hash() go by identity
 class FitReport:
     """Outcome of a Dirichlet maximum-likelihood fit.
 

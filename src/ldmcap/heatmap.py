@@ -3,11 +3,12 @@
 Row r of the image is labeling index r (index 0 at the top); column i is
 dataset column i.  Intensity maps probability relative to the global matrix
 maximum, either linearly or on a log axis spanning [log epsilon, log max].
-Every column ``build_ldm`` makes is smoothed by ``DEFAULT_EPSILON``, so the
-log axis's floor is that matrix's own: a labeling the classifier gives
-probability 0 ends up just under epsilon and renders black.
-No plotting stack involved — the writer emits binary P5 directly, plus a
-JSON sidecar recording the render parameters.
+Every column ``build_ldm`` makes is smoothed by ``DEFAULT_EPSILON``, so a
+labeling the classifier gives probability 0 renders black.  An ``LDMatrix``'s
+non-negative columns sum to 1 over at most 10**7 rows, so its maximum is at
+least about 1e-7, above epsilon, and no pixel needs a guard or a clip.  No
+plotting stack involved: the writer emits binary P5 directly, plus a JSON
+sidecar recording the render parameters.
 """
 
 from __future__ import annotations
@@ -22,25 +23,17 @@ from .ldm import DEFAULT_EPSILON, LDMatrix
 
 
 def _pixels(block: np.ndarray, global_max: float, scale: str) -> np.ndarray:
-    """The 8-bit intensities of a block of matrix rows."""
-    v = np.zeros(block.shape)
+    """The 8-bit intensities of a block of rows (``rint`` absorbs a log's last bit past [0, 1])."""
     if scale == "linear":
-        if global_max > 0.0:
-            np.divide(block, global_max, out=v)
+        v = block / global_max
     else:
         log_lo = np.log(DEFAULT_EPSILON)
-        log_hi = np.log(global_max) if global_max > 0.0 else log_lo
-        if log_hi <= log_lo:  # every entry at or below the smoothing floor
-            v.fill(1.0)
-        else:
-            np.maximum(block, DEFAULT_EPSILON, out=v)
-            np.log(v, out=v)
-            v -= log_lo
-            v /= log_hi - log_lo
-    np.clip(v, 0.0, 1.0, out=v)
+        v = np.maximum(block, DEFAULT_EPSILON)
+        np.log(v, out=v)
+        v -= log_lo
+        v /= np.log(global_max) - log_lo
     v *= 255.0
-    np.rint(v, out=v)
-    return v.astype(np.uint8)
+    return np.rint(v, out=v).astype(np.uint8)
 
 
 def render_pgm(ldm: LDMatrix, path: str | Path, scale: str = "linear") -> None:

@@ -45,6 +45,20 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+def check_ldm_size(num_classes: int, holdout_size: int, k_columns: int) -> int:
+    """C**N'; raises ``CapacityLimitError`` past ``ENUMERATION_LIMIT``, and
+    ``MemoryLimitError`` when twice the float64 C**N' x K matrix exceeds physical
+    memory: the matrix, and as much again for blocks of rows and the interpreter.
+    """
+    k_columns = integer(k_columns, "k_columns", 1)
+    size = _check_space(num_classes, holdout_size)
+    needed = 2 * size * k_columns * 8
+    available = _physical_memory()
+    if needed > available:
+        raise MemoryLimitError(size, k_columns, needed, available)
+    return size
+
+
 def labeling_to_index(labeling, num_classes: int) -> int:
     """Lexicographic index of a labeling (big-endian base-C digits)."""
     num_classes = integer(num_classes, "num_classes", 2)
@@ -182,21 +196,14 @@ def build_ldm(
     The holdout is drawn once from the master seed and shared by every
     column; column ``i`` then trains on labels permuted by its own derived
     seed.  Each column fits :func:`ldm_spec` of ``spec``, so tree-based specs
-    are capped at depth 5 unless the spec sets a depth explicitly.  Raises
-    ``MemoryLimitError`` before allocating when twice the float64 matrix
-    would exceed physical memory: the matrix, and a margin as large for the
-    blocks of rows the fit and the writers work on and for the interpreter.
+    are capped at depth 5 unless the spec sets a depth explicitly.  The sizes
+    pass :func:`check_ldm_size` before anything is allocated.
     """
-    k_columns = integer(k_columns, "k_columns", 1)
-    size = _check_space(ds.num_classes, holdout_size)
-    needed = 2 * size * k_columns * 8
-    available = _physical_memory()
-    if needed > available:
-        raise MemoryLimitError(size, k_columns, needed, available)
+    size = check_ldm_size(ds.num_classes, holdout_size, k_columns)
     split = split_train_holdout(ds, holdout_size, make_rng(master_seed, "holdout"))
     resolved = ldm_spec(spec)
     seeds = tuple(derive_seed(master_seed, "column", i) for i in range(k_columns))
-    matrix = np.empty((size, k_columns))
+    matrix = np.empty((size, len(seeds)))
     for i, seed in enumerate(seeds):
         matrix[:, i] = ldm_column(resolved, split.train, split.holdout_features, seed)
     return LDMatrix(matrix, ds.num_classes, holdout_size, seeds)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -487,6 +489,24 @@ def test_qda_single_member_class_does_not_crash():
     assert np.all(np.isfinite(probs))
 
 
+@pytest.mark.parametrize("factored", [0, 1], ids=["first-class-fails", "second-class-fails"])
+def test_qda_failed_factorization_raises_instead_of_reusing_a_factor(iris, monkeypatch, factored):
+    # Only the first `factored` factorizations hold.  A model must not be built
+    # with a class missing its factor or holding another class's.
+    real, calls = np.linalg.cholesky, []
+
+    def cholesky(a):
+        calls.append(a)
+        if len(calls) > factored:
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+    with pytest.raises(np.linalg.LinAlgError):
+        QdaModel(iris)
+    assert len(calls) == factored + 1  # each class covariance is factored once
+
+
 # ---------------------------------------------------------------------------
 # adaboost
 # ---------------------------------------------------------------------------
@@ -558,6 +578,23 @@ def test_parse_spec_multiple_params():
     # stored in the family table's order, whatever order the text used
     reordered = parse_spec("random_forest:max_depth=3,n=2")
     assert reordered.to_string() == "random_forest:n=2,max_depth=3"
+
+
+def test_spec_is_read_only_hashable_and_pickles():
+    spec = parse_spec("knn:k=3")
+    with pytest.raises(TypeError):
+        spec.params["bogus"] = 1
+    with pytest.raises(TypeError):
+        spec.params["k"] = 4
+    assert spec.to_string() == "knn:k=3"
+    assert hash(spec) == hash(parse_spec("knn:k=3"))
+    texts = ("random_forest:n=2,max_depth=3", "random_forest:max_depth=3,n=2")
+    specs = {parse_spec(text) for text in texts}
+    assert len(specs) == 1
+    forest = specs.pop()
+    copy = pickle.loads(pickle.dumps(forest))
+    assert copy == forest and hash(copy) == hash(forest)
+    assert copy.params == {"n": 2, "max_depth": 3}
 
 
 def test_parse_spec_rejects_unknown_family_and_params():

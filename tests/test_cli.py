@@ -499,7 +499,49 @@ def test_matrix_larger_than_memory_exits_2_before_building(
     for named in ("2,592 bytes", "2,591 bytes", "--holdout", "--k"):
         assert named in captured.err
     assert "Traceback" not in captured.err
-    assert not list((tmp_path / "o").iterdir())
+    assert captured.out == ""
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["ldm", "compare"])
+@pytest.mark.parametrize("cause", ["labelings", "memory"])
+def test_refused_run_writes_nothing(tmp_path, monkeypatch, capsys, command, cause):
+    # 3**15 labelings exceed the enumeration limit; 3**3 x 6 exceeds the memory patched in
+    if cause == "memory":
+        monkeypatch.setattr(ldmcap.ldm, "_physical_memory", lambda: 2 * 27 * 6 * 8 - 1)
+    holdout = {"labelings": "15", "memory": "3"}[cause]
+    rc = main(
+        [
+            command, "--spec", "qda", "--spec", "knn:k=1", "--k", "6", "--holdout", holdout,
+            "--repeats", "1", *_TRIALS[command], "--out", str(tmp_path / "o"),
+        ]
+    )
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ldmcap: ")
+    assert not (tmp_path / "o").exists()
+
+
+def test_failed_qda_factorization_exits_1_without_traceback(tmp_path):
+    # the factorization holds on any real input, so make every one fail
+    script = (
+        "import sys, numpy as np\n"
+        "def cholesky(a):\n"
+        "    raise np.linalg.LinAlgError('Matrix is not positive definite')\n"
+        "np.linalg.cholesky = cholesky\n"
+        "from ldmcap.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(ldmcap.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", script, "ldm", "--spec", "qda", "--holdout", "2", "--k", "2",
+         "--repeats", "1", "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 1
+    assert done.stderr.startswith("ldmcap: error: Matrix is not positive definite")
+    assert "Traceback" not in done.stderr
 
 
 @pytest.mark.parametrize(

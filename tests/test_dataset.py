@@ -5,6 +5,7 @@ import pytest
 
 from ldmcap import (
     CsvParseError,
+    FitReport,
     InvalidDatasetError,
     LabeledDataset,
     load_csv,
@@ -12,6 +13,7 @@ from ldmcap import (
     random_labels,
     split_train_holdout,
 )
+from ldmcap.dataset import HoldoutSplit
 
 
 def _write(tmp_path, text, name="data.csv"):
@@ -197,6 +199,24 @@ def test_dataset_arrays_are_immutable(iris):
     assert relabeled.labels[0] == iris.labels[0]
     with pytest.raises(ValueError):
         relabeled.labels[0] = 2
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: LabeledDataset(np.eye(2), np.array([0, 1]), 2),
+        lambda: HoldoutSplit(LabeledDataset(np.eye(2), np.array([0, 1]), 2), np.eye(2), (0,)),
+        lambda: FitReport(np.ones(2), 0, "optimum", 0.0, 0.0),
+    ],
+    ids=["dataset", "holdout-split", "fit-report"],
+)
+def test_records_holding_arrays_compare_and_hash_by_identity(make):
+    # comparing their arrays field by field would raise (ambiguous truth value)
+    first, second = make(), make()
+    assert first == first
+    assert first != second
+    assert hash(first) == hash(first)
+    assert len({first, second, first}) == 2
 
 
 def test_split_preserves_train_order_and_disjointness(iris, rng):
