@@ -29,7 +29,7 @@ from .knn import KnnModel
 from .tree import DecisionTreeModel
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds mappings: == and hash() go by identity
 class Family:
     """How to train one classifier family and which hyperparameters it takes.
 
@@ -37,15 +37,19 @@ class Family:
     :class:`~ldmcap.dataset.LabeledDataset` ``train`` from fully resolved
     ``params``.  ``params`` maps every accepted hyperparameter
     to its everyday default, ``None`` meaning unset; ``ldm`` holds the values
-    matrix-building runs overlay on those defaults.
+    matrix-building runs overlay on those defaults.  Both are read-only copies.
     """
 
     build: Callable[..., TrainedModel]
     params: Mapping[str, int | None] = field(default_factory=dict)
     ldm: Mapping[str, int] = field(default_factory=dict)
 
+    def __post_init__(self):
+        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
+        object.__setattr__(self, "ldm", MappingProxyType(dict(self.ldm)))
 
-FAMILIES: dict[str, Family] = {
+
+FAMILIES: Mapping[str, Family] = MappingProxyType({
     "knn": Family(lambda train, p, rng: KnnModel(train, p["k"]), {"k": 5}),
     "gaussian_nb": Family(lambda train, p, rng: GaussianNbModel(train)),
     "decision_tree": Family(
@@ -62,7 +66,7 @@ FAMILIES: dict[str, Family] = {
     ),
     "qda": Family(lambda train, p, rng: QdaModel(train)),
     "adaboost": Family(lambda train, p, rng: AdaBoostModel(train, p["rounds"]), {"rounds": 50}),
-}
+})
 
 
 @dataclass(frozen=True)

@@ -52,9 +52,11 @@ class TrainedModel:
 
 
 def log_softmax_rows(loglik: np.ndarray) -> np.ndarray:
-    """Rows of exp(loglik) normalized to 1, computed stably; -inf maps to 0."""
+    """Rows of exp(loglik) normalized to 1, computed stably; -inf maps to 0.  A row
+    that is all -inf or holds NaN or +inf raises ``ValueError`` naming it."""
     peak = np.max(loglik, axis=1, keepdims=True)
-    peak = np.where(np.isfinite(peak), peak, 0.0)
+    finite = np.isfinite(peak[:, 0])
+    if not finite.all():
+        raise ValueError(f"row {finite.argmin()} has no finite log-likelihood")
     unnorm = np.exp(loglik - peak)
-    unnorm[~np.isfinite(loglik)] = 0.0
     return unnorm / unnorm.sum(axis=1, keepdims=True)

@@ -58,7 +58,14 @@ from .errors import FitNumericalError, integer
 
 EULER_GAMMA = 0.5772156649015328606
 
-_BLOCK_BYTES = 1 << 19  # float working array per block of matrix rows
+_BLOCK_BYTES = 1 << 19  # working array per block of matrix rows
+
+
+def row_blocks(matrix: np.ndarray, value_bytes: int = 8):
+    """Slices of ``matrix``'s rows: about _BLOCK_BYTES at ``value_bytes`` a value, >= 1 row."""
+    rows = max(1, _BLOCK_BYTES // (value_bytes * matrix.shape[1]))
+    return (slice(top, top + rows) for top in range(0, len(matrix), rows))
+
 
 # Coefficients c0, c1, .. of the asymptotic series in powers of 1/x^2.
 _DIGAMMA_SERIES = (-1 / 12, 1 / 120, -1 / 252, 1 / 240, -1 / 132, 691 / 32760, -1 / 12)
@@ -300,8 +307,6 @@ def _initial_alpha(p, means, log_p_bar):
     # The moment estimate degenerates on spiky data (near-Bernoulli first
     # component).  A start far from the optimum costs one capped step per
     # factor of e; clamping only changes the starting point.
-    if not np.isfinite(a0):
-        a0 = 1.0
     a0 = min(max(a0, 1.0), 1e6)
     return _inverse_digamma_guess(_psi_raw(np.array([a0]))[0][0] + log_p_bar)
 
@@ -351,10 +356,9 @@ def fit_dirichlet(samples) -> FitReport:
     # when a row is 1 to the last bit.  Otherwise there is no optimum.
     log_p_bar = np.empty(m)
     same = True
-    rows = max(1, _BLOCK_BYTES // (8 * k))
-    for top in range(0, m, rows):
-        log_block = np.log(p[top:top + rows])
-        log_p_bar[top:top + rows] = log_block.mean(axis=1)
+    for block in row_blocks(p):
+        log_block = np.log(p[block])
+        log_p_bar[block] = log_block.mean(axis=1)
         same = same and bool((log_block == log_block[:, :1]).all())
     no_optimum = same or np.exp(log_p_bar).sum() >= 1.0
     means = p.mean(axis=1)

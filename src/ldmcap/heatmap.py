@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dirichlet import _BLOCK_BYTES
+from .dirichlet import row_blocks
 from .ldm import DEFAULT_EPSILON, LDMatrix
 
 
@@ -48,12 +48,9 @@ def render_pgm(ldm: LDMatrix, path: str | Path, scale: str = "linear") -> None:
     path = Path(path)
     matrix = ldm.matrix
     global_max = float(matrix.max())
-    height, width = matrix.shape
-    rows = max(1, _BLOCK_BYTES // (8 * width))
     with open(path, "wb") as fh:
-        fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
-        for top in range(0, height, rows):
-            fh.write(_pixels(matrix[top:top + rows], global_max, scale))
+        fh.write(b"P5\n%d %d\n255\n" % matrix.shape[::-1])  # width, then height
+        fh.writelines(_pixels(matrix[b], global_max, scale) for b in row_blocks(matrix))
 
     sidecar = {
         "num_classes": ldm.num_classes,

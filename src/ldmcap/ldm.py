@@ -20,6 +20,7 @@ import numpy as np
 
 from .classifiers import ClassifierSpec, TrainedModel, fit, ldm_spec
 from .dataset import LabeledDataset, permute_labels, split_train_holdout
+from .dirichlet import row_blocks
 from .errors import CapacityLimitError, MemoryLimitError, integer
 from .seeding import derive_seed, make_rng
 
@@ -31,13 +32,13 @@ ENUMERATION_LIMIT = 10_000_000
 DEFAULT_EPSILON = 1e-10
 
 
-def _check_space(num_classes: int, holdout_size: int) -> int:
+def _check_space(num_classes: int, holdout_size: int) -> tuple[int, int, int]:
     num_classes = integer(num_classes, "num_classes", 2)
     holdout_size = integer(holdout_size, "holdout_size", 1)
     size = num_classes**holdout_size  # exact int arithmetic; cannot overflow
     if size > ENUMERATION_LIMIT:
         raise CapacityLimitError(num_classes, holdout_size, ENUMERATION_LIMIT)
-    return size
+    return num_classes, holdout_size, size
 
 
 def _physical_memory() -> int:
@@ -51,7 +52,7 @@ def check_ldm_size(num_classes: int, holdout_size: int, k_columns: int) -> int:
     memory: the matrix, and as much again for blocks of rows and the interpreter.
     """
     k_columns = integer(k_columns, "k_columns", 1)
-    size = _check_space(num_classes, holdout_size)
+    size = _check_space(num_classes, holdout_size)[2]
     needed = 2 * size * k_columns * 8
     available = _physical_memory()
     if needed > available:
@@ -121,9 +122,7 @@ class LDMatrix:
     """
 
     def __init__(self, matrix, num_classes: int, holdout_size: int, column_seeds):
-        _check_space(num_classes, holdout_size)
-        self.num_classes = integer(num_classes, "num_classes")
-        self.holdout_size = integer(holdout_size, "holdout_size")
+        self.num_classes, self.holdout_size, _ = _check_space(num_classes, holdout_size)
         matrix = _simplex(matrix, self.num_classes, self.holdout_size)
         seeds = tuple(integer(s, "column seed") for s in column_seeds)
         if matrix.ndim != 2 or len(seeds) != matrix.shape[1]:
@@ -207,13 +206,6 @@ def build_ldm(
     for i, seed in enumerate(seeds):
         matrix[:, i] = ldm_column(resolved, split.train, split.holdout_features, seed)
     return LDMatrix(matrix, ds.num_classes, holdout_size, seeds)
-
-
-#: Values :func:`write_ldm_csv` formats per block: as many whole rows as fit,
-#: at least one.  :func:`_csv_lines` holds about 125 bytes per value of a
-#: block, so 4,096 values peak near 0.5 MB, and numpy's per-call costs stay
-#: near a tenth of the block's time (half of it at 512 values).
-_CSV_BLOCK_VALUES = 4096
 
 
 def _least_double_at_least(e: int) -> float:
@@ -329,12 +321,11 @@ def write_ldm_csv(ldm: LDMatrix, path: str | Path) -> None:
 
     Values carry 17 significant digits, enough to reproduce every float64
     exactly; the bytes are ``np.savetxt``'s with ``fmt="%.17g"``.  Rows go
-    out in blocks of about ``_CSV_BLOCK_VALUES`` values, formatted by
+    out in blocks of at most 4,096 values (at least one row), formatted by
     :func:`_csv_lines` (without ``%`` for an epsilon-smoothed LDM).
     """
     matrix = ldm.matrix
-    rows = max(1, _CSV_BLOCK_VALUES // ldm.k_columns)
     with open(path, "wb") as fh:
         fh.write(",".join(f"col_{i}" for i in range(ldm.k_columns)).encode() + b"\n")
-        for top in range(0, matrix.shape[0], rows):
-            fh.write(_csv_lines(matrix[top:top + rows]))
+        # _csv_lines holds about 125 bytes per value of a block
+        fh.writelines(_csv_lines(matrix[b]) for b in row_blocks(matrix, value_bytes=128))

@@ -66,8 +66,9 @@ def estimate_capacity(
 
     Each trial draws from its own seed derived from ``master_seed``, so the
     estimate does not depend on execution order.  The 95% interval is the
-    normal approximation mean +- 1.96 * std / sqrt(trials), clamped into
-    [0, N]; the per-trial counts ride along for export.
+    large-sample normal one, mean +- 1.96 * std / sqrt(trials), clamped into
+    [0, N]; at 10 trials it is about 13% narrower than Student's t (2.262)
+    gives.  The per-trial counts ride along for export.
     """
     trials = integer(trials, "trials", 1)
     counts = np.array(

@@ -10,6 +10,7 @@ from ldmcap.classifiers import (
     FAMILIES,
     AdaBoostModel,
     DecisionTreeModel,
+    Family,
     GaussianNbModel,
     KnnModel,
     QdaModel,
@@ -194,6 +195,18 @@ def test_gaussian_nb_extreme_outlier_does_not_underflow_to_nan():
     probs = model.predict_proba(np.array([1e6]))
     assert np.all(np.isfinite(probs))
     assert abs(probs.sum() - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("family", ["gaussian_nb", "qda"])
+@pytest.mark.parametrize("first", [np.nan, np.inf, 1e300], ids=["nan", "inf", "1e300"])
+def test_gaussian_query_with_no_finite_likelihood_is_named(family, first, iris):
+    # every class gives such a query a NaN or -inf log-likelihood (the square
+    # of 1e300 overflows), so it has no probabilities to answer
+    model = fit(ClassifierSpec(family), iris)
+    queries = np.array([iris.features[0], [first, 3.5, 1.4, 0.2]])
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="row 1 has no finite log-likelihood"):
+            model.predict_proba_batch(queries)
 
 
 # ---------------------------------------------------------------------------
@@ -595,6 +608,20 @@ def test_spec_is_read_only_hashable_and_pickles():
     copy = pickle.loads(pickle.dumps(forest))
     assert copy == forest and hash(copy) == hash(forest)
     assert copy.params == {"n": 2, "max_depth": 3}
+
+
+def test_family_table_is_read_only_and_hashable():
+    with pytest.raises(TypeError):
+        FAMILIES["knn"].params["k"] = 1
+    with pytest.raises(TypeError):
+        FAMILIES["decision_tree"].ldm["max_depth"] = 2
+    with pytest.raises(TypeError):
+        FAMILIES["qda"] = FAMILIES["knn"]
+    defaults = {"k": 5}
+    family = Family(FAMILIES["knn"].build, defaults)
+    defaults["k"] = 1
+    assert family.params == {"k": 5}
+    assert len({family, FAMILIES["knn"], FAMILIES["knn"]}) == 2
 
 
 def test_parse_spec_rejects_unknown_family_and_params():

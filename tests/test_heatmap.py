@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ldmcap import LDMatrix, heatmap, render_pgm
+from ldmcap import LDMatrix, dirichlet, render_pgm
 
 
 def _ldm_from_matrix(matrix):
@@ -133,7 +133,7 @@ def test_block_size_does_not_change_the_image(tmp_path, monkeypatch, scale, bloc
     matrix /= matrix.sum(axis=0, keepdims=True)
     ldm = LDMatrix(matrix, num_classes=3, holdout_size=4, column_seeds=range(5))
     render_pgm(ldm, tmp_path / "whole.pgm", scale=scale)
-    monkeypatch.setattr(heatmap, "_BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(dirichlet, "_BLOCK_BYTES", block_bytes)
     render_pgm(ldm, tmp_path / "blocks.pgm", scale=scale)
     assert (tmp_path / "blocks.pgm").read_bytes() == (tmp_path / "whole.pgm").read_bytes()
 

@@ -23,6 +23,7 @@ from ldmcap import (
     simplex_vector,
     write_ldm_csv,
 )
+from ldmcap import dirichlet
 from ldmcap import ldm as ldm_module
 from ldmcap.classifiers import AdaBoostModel, DecisionTreeModel, KnnModel, RandomForestModel
 from ldmcap.classifiers.base import TrainedModel
@@ -431,8 +432,8 @@ def _repeating(rows, k_columns, levels, seed):
 
 def _blocks_of(monkeypatch, rows, k_columns):
     """Make write_ldm_csv format ``rows`` rows of ``k_columns`` values per block."""
-    monkeypatch.setattr(ldm_module, "_CSV_BLOCK_VALUES", rows * k_columns)
-    return ldm_module._CSV_BLOCK_VALUES // k_columns
+    monkeypatch.setattr(dirichlet, "_BLOCK_BYTES", 128 * rows * k_columns)
+    return dirichlet._BLOCK_BYTES // (128 * k_columns)
 
 
 # blocks of 128 rows of 2 columns and 8 rows of 30 columns
@@ -472,7 +473,7 @@ def test_write_ldm_csv_memo_blocks_are_savetxt_byte_for_byte(k_columns, num_clas
 
 def test_write_ldm_csv_repeats_within_and_across_blocks(tmp_path):
     matrix = _repeating(3**5, 30, 4, seed=1)
-    block = matrix[:ldm_module._CSV_BLOCK_VALUES // 30]  # the first block
+    block = matrix[:dirichlet._BLOCK_BYTES // (128 * 30)]  # the first block
     assert np.unique(block).size < block.size / 4
     assert np.isin(matrix[-block.shape[0]:], block).mean() > 0.5
     _assert_savetxt_bytes(matrix, 3, 5, tmp_path)
@@ -507,14 +508,14 @@ def test_write_ldm_csv_with_more_distinct_values_than_memo_slots(tmp_path):
     counts = (np.arange(rows)[:, None] // 4) % 4500 + 1 + 7919 * np.arange(4)
     matrix = counts / counts.sum(axis=0)
     assert np.unique(matrix).size > 2**14
-    block = matrix[:ldm_module._CSV_BLOCK_VALUES // 4]
+    block = matrix[:dirichlet._BLOCK_BYTES // (128 * 4)]
     assert np.unique(block).size == block.size / 4
     _assert_savetxt_bytes(matrix, 3, 9, tmp_path)
 
 
 @pytest.mark.parametrize("base", ["repeating", "distinct"])
 def test_write_ldm_csv_wider_than_a_block_writes_one_row_per_block(base, tmp_path):
-    k_columns = ldm_module._CSV_BLOCK_VALUES + 7
+    k_columns = dirichlet._BLOCK_BYTES // 128 + 7
     if base == "repeating":
         matrix = _repeating(2**3, k_columns, 5, seed=5)
     else:
