@@ -24,6 +24,15 @@ class TrainedModel:
         self.num_classes = train.num_classes
         self.n_features = train.n_features
 
+    @classmethod
+    def _fitted(cls, train: LabeledDataset, state: dict) -> TrainedModel:
+        """A model on ``train``'s rows whose fitted attributes are ``state``, as a
+        batch builder makes it; the class's own ``__init__`` does not run."""
+        model = cls.__new__(cls)
+        TrainedModel.__init__(model, train)
+        vars(model).update(state)
+        return model
+
     def _check_rows(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.n_features:

@@ -1,13 +1,15 @@
 """Random forest: bagged decision trees with per-split feature subsampling.
 
 A :class:`RandomForestModel` is a :class:`~.tree.DecisionTreeModel` whose
-node table holds one root per tree.  The one grower of :mod:`.tree` grows
-the trees one after another onto the same node lists, so node ids are
+node table holds one root per tree.  The depth-first grower of :mod:`.tree`
+grows the trees one after another onto the same node lists, so node ids are
 global, and the forest predicts as a tree does: one level-by-level walk over
 every (tree, row) pair, then the trees' leaf frequencies summed in tree
 order and divided by the tree count.  With the default ``max_features=1``
 each node draws its one feature with a single bounded integer draw and the
-split scan sorts only that feature's values.
+split scan sorts only that feature's values.  Forests have no batch builder:
+their bootstraps and feature draws come from one generator in preorder, tree
+after tree, and no level-wise or lockstep order makes those same draws.
 """
 
 from __future__ import annotations

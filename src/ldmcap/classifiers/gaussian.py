@@ -48,10 +48,13 @@ class GaussianNbModel(TrainedModel):
 
     def predict_proba_batch(self, X) -> np.ndarray:
         X = self._check_rows(X)
-        diff = X[:, None, :] - self._means[None, :, :]  # (n, C, d)
-        loglik = -0.5 * (
-            np.log(self._vars)[None, :, :] + _LOG_TWO_PI + diff**2 / self._vars[None, :, :]
-        ).sum(axis=2)
+        # a query too large to square gets an infinite distance, and then
+        # log_softmax_rows names its row
+        with np.errstate(over="ignore"):
+            diff = X[:, None, :] - self._means[None, :, :]  # (n, C, d)
+            loglik = -0.5 * (
+                np.log(self._vars)[None, :, :] + _LOG_TWO_PI + diff**2 / self._vars[None, :, :]
+            ).sum(axis=2)
         loglik = loglik + self._log_prior[None, :]
         loglik[:, ~self._present] = -np.inf
         return log_softmax_rows(loglik)

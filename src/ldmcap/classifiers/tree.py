@@ -6,17 +6,22 @@ lower feature index, then the lower threshold, so trees are fully
 deterministic.  Leaves store training class frequencies and arise on purity,
 on hitting the depth cap, or when no candidate split improves the impurity.
 
-A tree is grown in plain Python: its features are taken as one list per
-column and its labels as one list, once per tree, and every node holds its
-row ids and class counts as lists.  A node's split is the first least-cost
-cut in (feature, cut) order of one scan (``_split_scan``), which sorts the
-node's rows by each candidate feature, walks the cuts between distinct
-values keeping exact integer class sums, and hands the children the two
-slices of the winning order (SPRINT's list split), so a split gathers and
-re-partitions nothing.  The scan also owns the gate a split must pass, a
-gain over the node's impurity of more than 1e-12, and decides it from those
-sums, so no numpy reduction takes part in a split.  NaN cannot be sorted;
-the :class:`~ldmcap.dataset.LabeledDataset` a tree trains on, and a forest's
+Two growers make the same node table.  A single tree, a forest's or a
+subsampled one included, grows depth first in plain Python (``_grow``): each
+node's split is the first least-cost cut in (feature, cut) order of one scan
+(``_split_scan``), which sorts the node's rows by each candidate feature,
+walks the cuts between distinct values keeping exact integer class sums, and
+hands the children the two slices of the winning order.  Many labelings of
+the same rows, every feature scanned at every node, grow level by level
+together (``_grow_levels``): per feature, the items of the nodes still to be
+scanned are kept in (node, value) order and re-partitioned each level
+(SPRINT's presorted attribute lists, Shafer, Agrawal and Mehta, VLDB 1996),
+and every cut's cost comes from exact integer class sums within its node.
+Both compute a cut's cost with the same float expression on those sums and
+pass it through the same gate, a gain over the node's impurity of more than
+1e-12, so no floating-point sum takes part in a split and the two give
+bit-identical tables.  NaN cannot be sorted; the
+:class:`~ldmcap.dataset.LabeledDataset` a tree trains on, and a forest's
 bootstraps of it, hold finite features only.
 
 With feature subsampling a node draws its features from ``rng`` as it is
@@ -26,15 +31,15 @@ Floyd's sampler, which makes that same single bounded draw and no shuffle,
 so the feature and the generator state after it are the ones ``choice``
 gives, at a quarter of the cost.
 
-One stack loop grows every tree, depth first and left before right, onto
-one node table: arrays indexed by node id holding the split feature and
-threshold, the left and right child, and the node's training class
-frequencies.  A tree is the table with one root; a forest (:mod:`.forest`)
-grows its trees one after another onto the same table, so node ids are
-global and ``_roots`` lists where each tree starts.  A leaf is its own child
-on both sides, so prediction steps every (root, row) pair down one level per
-pass until the deepest leaf, and a forest costs the numpy calls of one tree.
-AdaBoost's stumps share the threshold rule (``_threshold(lo, hi)``).
+The node table is arrays indexed by node id in preorder (depth first, left
+before right) holding the split feature and threshold, the left and right
+child, and the node's training class frequencies.  A tree is the table with
+one root; a forest (:mod:`.forest`) grows its trees one after another onto
+the same table, so node ids are global and ``_roots`` lists where each tree
+starts.  A leaf is its own child on both sides, so prediction steps every
+(root, row) pair down one level per pass until the deepest leaf, and a
+forest costs the numpy calls of one tree.  AdaBoost's stumps share the
+threshold rule (``_threshold(lo, hi)``, elementwise ``_thresholds``).
 """
 
 from __future__ import annotations
@@ -52,6 +57,12 @@ def _threshold(lo, hi):
     """Midpoint of the floats lo < hi, or lo if it rounds onto hi."""
     mid = 0.5 * (lo + hi)
     return mid if mid < hi else lo
+
+
+def _thresholds(lo, hi):
+    """``_threshold`` of each pair of the arrays lo < hi."""
+    mid = 0.5 * (lo + hi)
+    return np.where(mid < hi, mid, lo)
 
 
 def _split_scan(rows, feats, columns, labels, counts):
@@ -105,6 +116,119 @@ def _split_scan(rows, feats, columns, labels, counts):
     return best_cost, f, _threshold(lower, value), [left, right], [order[:nl], order[nl:]]
 
 
+def _grow_levels(train, labels, max_depth):
+    """The fitted state of one tree on ``train``'s rows per row of the (B, n)
+    ``labels``, every feature scanned at every node, grown level by level.
+
+    Per feature, the items (node, row) of the nodes still to be scanned are
+    kept in (node, value) order, each node a segment, and re-partitioned by a
+    stable argsort each level.  Class prefix sums within each segment give a
+    node's exact integer class counts at every cut, and each cut's cost is
+    ``_split_scan``'s float expression on them, under the same gate; the first
+    least cut in (feature, cut) order wins.  The nodes are then renumbered to
+    preorder, so each table is bit for bit the one ``_grow`` makes.
+    """
+    if max_depth is not None:
+        max_depth = integer(max_depth, "max_depth", 1)
+    (num_trees, n), num_classes = labels.shape, train.num_classes
+    columns = np.ascontiguousarray(train.features.T)
+    classes = np.arange(num_classes)
+    # one depth's nodes, tree by tree: tree, class counts, and the split they get
+    tree = np.arange(num_trees)
+    counts = np.bincount((tree[:, None] * num_classes + labels).ravel(),
+                         minlength=num_trees * num_classes).reshape(num_trees, num_classes)
+    rows = np.tile(np.argsort(columns, axis=1, kind="stable"), num_trees)  # (features, items)
+    item_node = np.repeat(tree, n)  # the same for every feature
+    levels = []
+    while True:
+        size, sq_total = counts.sum(axis=1), np.einsum("nc,nc->n", counts, counts)
+        scan = (counts.max(axis=1) < size) & (max_depth is None or len(levels) < max_depth)
+        keep = scan[item_node]
+        rows, item_node = rows[:, keep], item_node[keep]
+        feature, threshold = np.zeros(len(tree), np.intp), np.zeros(len(tree))
+        child = np.full(len(tree), -1)  # a split node's left child in the next depth
+        levels.append((tree, counts, feature, threshold, child))
+        if not item_node.size:
+            break
+        nodes = np.flatnonzero(scan)
+        seg = size[nodes]
+        starts, m = np.cumsum(seg) - seg, rows.shape[1]
+        rank = np.repeat(np.arange(nodes.size), seg)  # each item's scanned node
+        values = np.take_along_axis(columns, rows, axis=1)
+        # the class counts up to each item in its segment: one-hot labels, each
+        # segment's first item less the counts of the segment before, summed
+        left = (labels[tree[item_node], rows][:, :, None] == classes).astype(np.int64)
+        left[:, starts[1:]] -= counts[nodes[:-1]]
+        np.cumsum(left, axis=1, out=left)
+        nl = np.arange(1, m + 1) - np.repeat(starts, seg)
+        nr = size[item_node] - nl
+        sq_left = np.einsum("fic,fic->fi", left, left)
+        # sum of (count - left)^2, as _split_scan takes it
+        sq_right = sq_total[item_node] - 2 * np.einsum("fic,ic->fi", left, counts[item_node])
+        sq_right += sq_left
+        with np.errstate(divide="ignore", invalid="ignore"):  # nr is 0 at a segment's end
+            cost = (nl * (1.0 - sq_left / (nl * nl))
+                    + nr * (1.0 - sq_right / (nr * nr))) / size[item_node]
+        cut = np.zeros(cost.shape, bool)  # after the item, between distinct values
+        cut[:, :-1] = values[:, 1:] > values[:, :-1]
+        cut[:, starts - 1] = False  # after a segment's last item
+        cost[~cut] = np.inf
+        per_feature = np.minimum.reduceat(cost, starts, axis=1)  # (features, nodes)
+        f = per_feature.argmin(axis=0)  # the first feature holding the least cost
+        best = per_feature[f, np.arange(nodes.size)]
+        split = best < 1.0 - sq_total[nodes] / (seg * seg) - 1e-12
+        if not split.any():
+            break
+        chosen = cost[f[rank], np.arange(m)]  # the first least cut in that feature
+        at = np.minimum.reduceat(np.where(chosen == best[rank], np.arange(m), m), starts)
+        fs, ats = f[split], at[split]
+        cut_value = np.zeros(nodes.size)
+        cut_value[split] = _thresholds(values[fs, ats], values[fs, ats + 1])
+        first_child = 2 * np.cumsum(split) - 2
+        split_nodes = nodes[split]
+        feature[split_nodes], threshold[split_nodes] = fs, cut_value[split]
+        child[split_nodes] = first_child[split]
+        left_counts = left[fs, ats]
+        tree = np.repeat(tree[split_nodes], 2)
+        counts = np.stack((left_counts, counts[split_nodes] - left_counts), axis=1)
+        counts = counts.reshape(-1, num_classes)
+        moving = split[rank]
+        rows, r = rows[:, moving], rank[moving]
+        goes = first_child[r] + (columns[f[r], rows] > cut_value[r])  # its child
+        rows = np.take_along_axis(rows, np.argsort(goes, axis=1, kind="stable"), axis=1)
+        item_node = np.repeat(np.arange(len(tree)), counts.sum(axis=1))
+    # preorder: subtree sizes from the deepest level up, then positions from the roots down
+    sizes = [np.ones(len(levels[-1][0]), np.intp)]
+    for *_, child in reversed(levels[:-1]):
+        below, sub = sizes[0], np.ones(len(child), np.intp)
+        has = child >= 0
+        sub[has] += below[child[has]] + below[child[has] + 1]
+        sizes.insert(0, sub)
+    offset = np.cumsum(sizes[0]) - sizes[0]
+    total = int(sizes[0].sum())
+    feature_at, threshold_at = np.empty(total, np.intp), np.empty(total)
+    left_at, right_at = np.empty(total, np.intp), np.empty(total, np.intp)
+    counts_at, depth_of = np.empty((total, num_classes), np.int64), np.zeros(num_trees, int)
+    pos = np.zeros(num_trees, np.intp)  # each node's preorder position in its tree
+    for depth, (tree, counts, feature, threshold, child) in enumerate(levels):
+        at = offset[tree] + pos
+        feature_at[at], threshold_at[at], counts_at[at] = feature, threshold, counts
+        depth_of[tree] = depth
+        left, right, has = pos.copy(), pos.copy(), child >= 0  # a leaf is its own child
+        if has.any():
+            left[has] = pos[has] + 1
+            right[has] = left[has] + sizes[depth + 1][0::2]
+            pos = np.stack((left[has], right[has]), axis=1).ravel()
+        left_at[at], right_at[at] = left, right
+    probs_at = counts_at / counts_at.sum(axis=1, keepdims=True)
+    return [
+        {"_feature": feature_at[s], "_threshold": threshold_at[s], "_left": left_at[s],
+         "_right": right_at[s], "_probs": probs_at[s], "_roots": np.zeros(1, np.intp),
+         "_depth": int(depth_of[b])}
+        for b, s in enumerate(map(slice, offset, offset + sizes[0]))
+    ]
+
+
 class DecisionTreeModel(TrainedModel):
     def __init__(
         self,
@@ -114,6 +238,14 @@ class DecisionTreeModel(TrainedModel):
         rng: np.random.Generator | None = None,
     ):
         self._grow(train, [(train.features, train.labels)], max_depth, max_features, rng)
+
+    @classmethod
+    def _batch(cls, train: LabeledDataset, labels: np.ndarray,
+               max_depth: int | None) -> list[DecisionTreeModel]:
+        """One tree per row of the (B, n) ``labels`` on ``train``'s rows, each
+        the tree ``cls(train.with_labels(row), max_depth)`` would be; the rows
+        are not checked."""
+        return [cls._fitted(train, state) for state in _grow_levels(train, labels, max_depth)]
 
     def _grow(self, train, samples, max_depth, max_features, rng):
         """Grow one tree on each (features, labels) sample of ``samples`` in

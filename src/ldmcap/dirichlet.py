@@ -61,9 +61,14 @@ EULER_GAMMA = 0.5772156649015328606
 _BLOCK_BYTES = 1 << 19  # working array per block of matrix rows
 
 
+def block_rows(row_bytes: int) -> int:
+    """How many rows of ``row_bytes`` each make a block of about _BLOCK_BYTES, >= 1."""
+    return max(1, _BLOCK_BYTES // row_bytes)
+
+
 def row_blocks(matrix: np.ndarray, value_bytes: int = 8):
     """Slices of ``matrix``'s rows: about _BLOCK_BYTES at ``value_bytes`` a value, >= 1 row."""
-    rows = max(1, _BLOCK_BYTES // (value_bytes * matrix.shape[1]))
+    rows = block_rows(value_bytes * matrix.shape[1])
     return (slice(top, top + rows) for top in range(0, len(matrix), rows))
 
 

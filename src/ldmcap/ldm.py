@@ -9,6 +9,11 @@ labeling-distribution matrix analyzed by the Dirichlet machinery.
 
 Labelings are indexed lexicographically, big-endian in base C: labeling
 ``(l_0, .., l_{N'-1})`` sits at row ``sum_j l_j * C**(N'-1-j)``.
+
+Every column fits the same training rows; only the permuted labels change.
+So a family with a batch builder (decision trees and AdaBoost) fits a
+build's columns in blocks, one block's labels drawn at a time, and each
+column is still bit for bit the one :func:`ldm_column` makes from its seed.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifiers import ClassifierSpec, TrainedModel, fit, ldm_spec
+from .classifiers import ClassifierSpec, TrainedModel, batch_size, fit, fit_batch, ldm_spec
 from .dataset import LabeledDataset, permute_labels, split_train_holdout
 from .dirichlet import row_blocks
 from .errors import CapacityLimitError, MemoryLimitError, integer
@@ -196,15 +201,25 @@ def build_ldm(
     column; column ``i`` then trains on labels permuted by its own derived
     seed.  Each column fits :func:`ldm_spec` of ``spec``, so tree-based specs
     are capped at depth 5 unless the spec sets a depth explicitly.  The sizes
-    pass :func:`check_ldm_size` before anything is allocated.
+    pass :func:`check_ldm_size` before anything is allocated.  The columns are
+    fitted :func:`batch_size` at a time: a block of one is :func:`ldm_column`,
+    and a larger block draws each column's labels as :func:`ldm_column` does
+    and fits them through :func:`fit_batch`, giving the same columns.
     """
     size = check_ldm_size(ds.num_classes, holdout_size, k_columns)
     split = split_train_holdout(ds, holdout_size, make_rng(master_seed, "holdout"))
     resolved = ldm_spec(spec)
     seeds = tuple(derive_seed(master_seed, "column", i) for i in range(k_columns))
     matrix = np.empty((size, len(seeds)))
-    for i, seed in enumerate(seeds):
-        matrix[:, i] = ldm_column(resolved, split.train, split.holdout_features, seed)
+    chunk = batch_size(resolved, split.train)
+    for top in range(0, len(seeds), chunk):
+        block = seeds[top:top + chunk]
+        if len(block) == 1:
+            matrix[:, top] = ldm_column(resolved, split.train, split.holdout_features, block[0])
+            continue
+        labeled = [permute_labels(split.train, np.random.default_rng(seed)) for seed in block]
+        for i, model in enumerate(fit_batch(resolved, labeled), top):
+            matrix[:, i] = simplex_vector(model, split.holdout_features)
     return LDMatrix(matrix, ds.num_classes, holdout_size, seeds)
 
 

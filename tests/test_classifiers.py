@@ -5,7 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
-from ldmcap import ClassifierSpec, fit, ldm_spec, parse_spec
+from ldmcap import ClassifierSpec, dirichlet, fit, ldm_spec, parse_spec
 from ldmcap.classifiers import (
     FAMILIES,
     AdaBoostModel,
@@ -15,6 +15,8 @@ from ldmcap.classifiers import (
     KnnModel,
     QdaModel,
     RandomForestModel,
+    batch_size,
+    fit_batch,
 )
 from ldmcap.dataset import LabeledDataset
 from ldmcap.errors import InvalidDatasetError
@@ -72,6 +74,34 @@ def test_absent_class_gets_no_mass(family):
     probs = model.predict_proba_batch(ds.features)
     assert probs.shape == (4, 3)
     assert np.all(probs[:, 2] < 1e-9)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_fit_batch_gives_each_labeling_its_own_fit(family, iris):
+    rng = np.random.default_rng(3)
+    labeled = [iris.with_labels(rng.integers(0, 3, iris.n_examples)) for _ in range(5)]
+    spec = ldm_spec(ClassifierSpec(family))
+    for ds, model in zip(labeled, fit_batch(spec, labeled)):
+        assert np.array_equal(model.predict_proba_batch(iris.features),
+                              fit(spec, ds).predict_proba_batch(iris.features))
+
+
+def test_fit_batch_rejects_datasets_that_differ_in_more_than_labels(iris):
+    shifted = LabeledDataset(iris.features + 1.0, iris.labels, iris.num_classes)
+    more_classes = LabeledDataset(iris.features, iris.labels, 4)
+    for other in (shifted, more_classes):
+        with pytest.raises(ValueError, match="differ only in their labels"):
+            fit_batch(ClassifierSpec("decision_tree"), [iris, other])
+
+
+def test_batch_size_is_one_unless_a_family_batches_enough_labelings(iris):
+    per_labeling = 8 * iris.n_examples * iris.n_features * iris.num_classes
+    assert batch_size(ClassifierSpec("adaboost"), iris) == dirichlet._BLOCK_BYTES // per_labeling
+    assert batch_size(ClassifierSpec("knn"), iris) == 1
+    # 2,000 rows of 10 features and 2 classes: one labeling's array is 320,000
+    # bytes, so a block holds 1 labeling, fewer than batching pays for
+    wide = LabeledDataset(np.zeros((2000, 10)), np.zeros(2000, int), 2)
+    assert batch_size(ClassifierSpec("decision_tree"), wide) == 1
 
 
 def test_predict_breaks_argmax_ties_toward_lower_class():
@@ -207,6 +237,15 @@ def test_gaussian_query_with_no_finite_likelihood_is_named(family, first, iris):
     with np.errstate(over="ignore"):
         with pytest.raises(ValueError, match="row 1 has no finite log-likelihood"):
             model.predict_proba_batch(queries)
+
+
+@pytest.mark.parametrize("family", ["gaussian_nb", "qda"])
+def test_gaussian_query_too_large_to_square_raises_only_the_named_error(family, iris):
+    # no errstate here: squaring 1e300 must not also warn (pytest makes a
+    # RuntimeWarning an error), so the ValueError naming the row is all a caller sees
+    model = fit(ClassifierSpec(family), iris)
+    with pytest.raises(ValueError, match="row 0 has no finite log-likelihood"):
+        model.predict_proba_batch(np.array([[1e300, 3.5, 1.4, 0.2]]))
 
 
 # ---------------------------------------------------------------------------

@@ -336,15 +336,48 @@ def test_build_ldm_columns_vary_across_permutations(iris):
 
 def test_columns_are_order_invariant(iris):
     # each column is fully determined by its seed, so recomputing them in
-    # reverse order must give bitwise-identical vectors
-    spec = ClassifierSpec("knn", {"k": 1})
-    ldm = build_ldm(spec, iris, k_columns=5, holdout_size=3, master_seed=42)
-
+    # reverse order, one fit each, must give bitwise-identical vectors, also
+    # where build_ldm fits every column in one batch (trees and AdaBoost)
+    specs = [
+        ClassifierSpec("knn", {"k": 1}),
+        ClassifierSpec("decision_tree"),
+        ClassifierSpec("decision_tree", {"max_depth": 3}),
+        ClassifierSpec("adaboost"),
+        ClassifierSpec("adaboost", {"rounds": 3}),
+    ]
     split = split_train_holdout(iris, 3, make_rng(42, "holdout"))
-    resolved = ldm_spec(spec)
-    for seed, column in zip(reversed(ldm.column_seeds), ldm.matrix.T[::-1]):
-        redone = ldm_column(resolved, split.train, split.holdout_features, seed)
-        assert np.array_equal(redone, column)
+    for spec in specs:
+        ldm = build_ldm(spec, iris, k_columns=5, holdout_size=3, master_seed=42)
+        resolved = ldm_spec(spec)
+        for seed, column in zip(reversed(ldm.column_seeds), ldm.matrix.T[::-1]):
+            redone = ldm_column(resolved, split.train, split.holdout_features, seed)
+            assert np.array_equal(redone, column), spec.to_string()
+
+
+@pytest.mark.parametrize("cls, spec", [
+    (DecisionTreeModel, ClassifierSpec("decision_tree")),
+    (AdaBoostModel, ClassifierSpec("adaboost", {"rounds": 3})),
+], ids=["decision_tree", "adaboost"])
+def test_batched_build_is_the_same_in_blocks_of_any_size(cls, spec, iris, monkeypatch):
+    # build_ldm fits as many columns at once as make one int64 (labelings,
+    # rows, features, classes) array of about dirichlet._BLOCK_BYTES, one at a
+    # time when that is fewer than four; the block size must not show in the
+    # matrix
+    sizes, batch = [], cls._batch.__func__
+
+    def counted(owner, train, labels, param):
+        sizes.append(len(labels))
+        return batch(owner, train, labels, param)
+
+    monkeypatch.setattr(cls, "_batch", classmethod(counted))
+    per_labeling = 8 * iris.n_features * iris.num_classes * (iris.n_examples - 3)
+    matrices = []
+    for labelings, batches in ((1, []), (3, []), (4, [4, 4]), (6, [6, 3]), (1 << 30, [9])):
+        monkeypatch.setattr(dirichlet, "_BLOCK_BYTES", labelings * per_labeling)
+        sizes.clear()
+        matrices.append(build_ldm(spec, iris, k_columns=9, holdout_size=3, master_seed=5).matrix)
+        assert sizes == batches
+    assert all(np.array_equal(matrix, matrices[0]) for matrix in matrices[1:])
 
 
 def test_ldm_validation_rejects_mismatched_columns():

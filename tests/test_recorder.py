@@ -73,11 +73,19 @@ def test_estimate_is_deterministic_in_master_seed(iris):
 def test_trials_use_per_trial_derived_seeds(iris):
     # trial t of the estimate must equal a standalone trial with the same
     # derived generator -- that is what makes trials order-independent and
-    # label sequences shared across specs under one master seed
-    spec = ClassifierSpec("knn", {"k": 3})
-    est = estimate_capacity(spec, iris, trials=6, master_seed=4)
-    for t in (0, 3, 5):
-        assert est.counts[t] == record_trial(spec, iris, make_rng(4, "trial", t))
+    # label sequences shared across specs under one master seed; the batched
+    # families fit every trial at once, and each must still be that trial
+    specs = [
+        ClassifierSpec("knn", {"k": 3}),
+        ClassifierSpec("decision_tree"),
+        ClassifierSpec("decision_tree", {"max_depth": 3}),
+        ClassifierSpec("adaboost"),
+        ClassifierSpec("adaboost", {"rounds": 3}),
+    ]
+    for spec in specs:
+        est = estimate_capacity(spec, iris, trials=6, master_seed=4)
+        for t in (0, 3, 5):
+            assert est.counts[t] == record_trial(spec, iris, make_rng(4, "trial", t)), spec
 
 
 def test_single_trial_has_zero_spread(iris):

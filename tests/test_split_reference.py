@@ -8,8 +8,9 @@ strictly better, so the first of equally good candidates wins.  The data are
 tie-heavy: iris columns rounded to integers, with random labels, so many
 cuts share a cost.  The tree's split scan, with its impurity gate, is also
 checked against the gated reference node by node, whole trees and forests
-against pinned digests of their node tables, and the forest's one-feature
-draw against the ``Generator.choice`` it stands for.
+against pinned digests of their node tables, every tree of a level-wise
+batch against a single fit, and the forest's one-feature draw
+against the ``Generator.choice`` it stands for.
 """
 
 from __future__ import annotations
@@ -277,6 +278,25 @@ def test_forest_matches_its_pinned_digest(max_depth, num_classes, iris):
     assert digest == _FOREST_DIGESTS[max_depth, num_classes]
 
 
+@pytest.mark.parametrize("max_depth", [None, 5, 2, 1])
+@pytest.mark.parametrize(
+    "features",
+    [lambda iris: iris.features, lambda iris: np.round(iris.features),
+     lambda iris: _signed_zeros(iris)],
+    ids=["iris", "rounded", "signed-zeros"],
+)
+def test_batched_trees_match_the_depth_first_grower(features, max_depth, iris):
+    # the level-wise grower fits many labelings at once; each of its trees
+    # must be bit for bit the tree a single fit grows depth first from the
+    # same labels
+    X = features(iris)
+    for num_classes in (2, 3, 5):
+        labels = np.random.default_rng(num_classes).integers(0, num_classes, (8, X.shape[0]))
+        train = LabeledDataset(X, labels[0], num_classes)
+        for y, tree in zip(labels, DecisionTreeModel._batch(train, labels, max_depth)):
+            assert _digest(tree) == _digest(DecisionTreeModel(train.with_labels(y), max_depth))
+
+
 def _signed_zeros(iris):
     rng = np.random.default_rng(11)
     return rng.choice([-0.0, 0.0, -5e-324, 5e-324, 1e-310], size=(iris.n_examples, 1))
@@ -446,6 +466,21 @@ def test_adaboost_matches_the_samme_reference(seed, iris):
             expected = samme_reference_proba(stumps, present, rows)
             assert found.shape == expected.shape == (rows.shape[0], num_classes)
             assert found.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_adaboost_batch_matches_the_samme_reference_fit_by_fit(seed, iris):
+    # the fits of one batch run their rounds in lockstep and leave it one by
+    # one; each must still be the reference's fit on its own labels
+    X, _, num_classes = _boosting_data(seed, iris)
+    labels = np.random.default_rng(seed).integers(0, num_classes, (6, X.shape[0]))
+    labels[1] = 0  # one class only: a perfect first stump ends the fit
+    labels[2] %= 2  # classes absent
+    train = LabeledDataset(X, labels[0], num_classes)
+    for rounds in (3, 50):
+        for y, model in zip(labels, AdaBoostModel._batch(train, labels, rounds)):
+            assert model._stumps.tolist() == samme_reference(X, y, num_classes, rounds)
+            assert np.array_equal(model._present, np.bincount(y, minlength=num_classes) > 0)
 
 
 @pytest.mark.parametrize(
