@@ -38,8 +38,8 @@ one root; a forest (:mod:`.forest`) grows its trees one after another onto
 the same table, so node ids are global and ``_roots`` lists where each tree
 starts.  A leaf is its own child on both sides, so prediction steps every
 (root, row) pair down one level per pass until the deepest leaf, and a
-forest costs the numpy calls of one tree.  AdaBoost's stumps share the
-threshold rule (``_threshold(lo, hi)``, elementwise ``_thresholds``).
+forest costs the numpy calls of one tree.  AdaBoost's stumps take their
+thresholds from ``_thresholds``, the elementwise ``_threshold(lo, hi)``.
 """
 
 from __future__ import annotations

@@ -99,7 +99,7 @@ def test_batch_size_is_one_unless_a_family_batches_enough_labelings(iris):
     assert batch_size(ClassifierSpec("adaboost"), iris) == dirichlet._BLOCK_BYTES // per_labeling
     assert batch_size(ClassifierSpec("knn"), iris) == 1
     # 2,000 rows of 10 features and 2 classes: one labeling's array is 320,000
-    # bytes, so a block holds 1 labeling, fewer than batching pays for
+    # bytes, so one labeling fills a block
     wide = LabeledDataset(np.zeros((2000, 10)), np.zeros(2000, int), 2)
     assert batch_size(ClassifierSpec("decision_tree"), wide) == 1
 

@@ -360,9 +360,8 @@ def test_columns_are_order_invariant(iris):
 ], ids=["decision_tree", "adaboost"])
 def test_batched_build_is_the_same_in_blocks_of_any_size(cls, spec, iris, monkeypatch):
     # build_ldm fits as many columns at once as make one int64 (labelings,
-    # rows, features, classes) array of about dirichlet._BLOCK_BYTES, one at a
-    # time when that is fewer than four; the block size must not show in the
-    # matrix
+    # rows, features, classes) array of about dirichlet._BLOCK_BYTES; the
+    # block size must not show in the matrix
     sizes, batch = [], cls._batch.__func__
 
     def counted(owner, train, labels, param):
@@ -372,7 +371,7 @@ def test_batched_build_is_the_same_in_blocks_of_any_size(cls, spec, iris, monkey
     monkeypatch.setattr(cls, "_batch", classmethod(counted))
     per_labeling = 8 * iris.n_features * iris.num_classes * (iris.n_examples - 3)
     matrices = []
-    for labelings, batches in ((1, []), (3, []), (4, [4, 4]), (6, [6, 3]), (1 << 30, [9])):
+    for labelings, batches in ((1, []), (3, [3, 3, 3]), (4, [4, 4]), (6, [6, 3]), (1 << 30, [9])):
         monkeypatch.setattr(dirichlet, "_BLOCK_BYTES", labelings * per_labeling)
         sizes.clear()
         matrices.append(build_ldm(spec, iris, k_columns=9, holdout_size=3, master_seed=5).matrix)

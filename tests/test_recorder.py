@@ -10,6 +10,8 @@ from ldmcap import (
     estimate_capacity,
     record_trial,
 )
+from ldmcap import dirichlet
+from ldmcap.classifiers import AdaBoostModel, DecisionTreeModel
 from ldmcap.dataset import LabeledDataset
 from ldmcap.seeding import make_rng
 
@@ -86,6 +88,31 @@ def test_trials_use_per_trial_derived_seeds(iris):
         est = estimate_capacity(spec, iris, trials=6, master_seed=4)
         for t in (0, 3, 5):
             assert est.counts[t] == record_trial(spec, iris, make_rng(4, "trial", t)), spec
+
+
+@pytest.mark.parametrize("cls, spec", [
+    (DecisionTreeModel, ClassifierSpec("decision_tree")),
+    (AdaBoostModel, ClassifierSpec("adaboost", {"rounds": 3})),
+], ids=["decision_tree", "adaboost"])
+def test_batched_estimate_is_the_same_in_blocks_of_any_size(cls, spec, iris, monkeypatch):
+    # estimate_capacity fits as many trials at once as make one int64
+    # (labelings, rows, features, classes) array of about
+    # dirichlet._BLOCK_BYTES; the block size must not show in the counts
+    sizes, batch = [], cls._batch.__func__
+
+    def counted(owner, train, labels, param):
+        sizes.append(len(labels))
+        return batch(owner, train, labels, param)
+
+    monkeypatch.setattr(cls, "_batch", classmethod(counted))
+    per_labeling = 8 * iris.n_examples * iris.n_features * iris.num_classes
+    counts = []
+    for labelings, batches in ((1, []), (2, [2, 2, 2]), (3, [3, 3]), (1 << 30, [7])):
+        monkeypatch.setattr(dirichlet, "_BLOCK_BYTES", labelings * per_labeling)
+        sizes.clear()
+        counts.append(estimate_capacity(spec, iris, trials=7, master_seed=2).counts)
+        assert sizes == batches
+    assert all(other == counts[0] for other in counts[1:])
 
 
 def test_single_trial_has_zero_spread(iris):
