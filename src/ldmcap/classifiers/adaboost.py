@@ -21,11 +21,14 @@ least 1 - max over the features pick the same stump.  A feature with no cut
 never wins.
 
 ``_boost`` fits many labelings of the same rows in lockstep, round by round:
-the fits share the sort and the cuts, each has its own gather table padded
-to the batch's largest class count + 1, each fit's class totals are a
-bincount over its rows in row order, and a fit leaves the batch when its own
-stopping rule fires.  So a fit's stump table does not depend on the batch it
-is in, and a single model is the batch of its one labeling.
+the fits share the sort and the cuts, each has its own row of weights and
+its own gather table padded to the batch's largest class count + 1, and
+each fit's class totals are a bincount over its rows in row order.  A fit
+whose stopping rule has fired keeps its row but keeps no more stumps and no
+longer reweights its missed rows; the rounds end when every fit has
+stopped.  No step mixes two fits' rows, so a fit's stump table does not
+depend on the batch it is in, and a single model is the batch of its one
+labeling.
 """
 
 from __future__ import annotations
@@ -43,19 +46,19 @@ _STUMP = np.dtype([("feature", np.intp), ("threshold", np.float64), ("c_left", n
 
 
 def _tables(labels, orders, cut_feature, cut_at, num_classes, width):
-    """Each fit's gather table, (features * classes, width) row ids with n for
-    the zero slots, and the (classes, cuts) indices in it of the class sums at
-    each cut."""
+    """The (fits, features * classes, width) gather table of ids into all
+    fits' weights laid end to end, its zero slots reading id fits * n, a 0
+    after them; and each fit's (classes, cuts) ids in the flat table of the
+    class sums at each cut."""
     (num_fits, n), d = labels.shape, len(orders)
-    classes = np.arange(num_classes)
+    fits, classes = np.arange(num_fits)[:, None, None], np.arange(num_classes)
     ranked = labels[:, orders]  # (fits, features, rows)
-    # per fit, class, feature and sorted position: the table index of the prefix sum there
+    # per fit, class, feature and sorted position: the table id of the prefix sum there
     prefix_at = np.cumsum(ranked[:, None] == classes[:, None, None], axis=3)
-    prefix_at += ((np.arange(d) * num_classes + classes[:, None]) * width)[:, :, None]
+    prefix_at += (((fits * d + np.arange(d)) * num_classes + classes[:, None]) * width)[..., None]
     own = np.take_along_axis(prefix_at, ranked[:, None], axis=1)[:, 0]
-    gather = np.full((num_fits, d * num_classes, width), n)
-    gather.reshape(num_fits, -1).put(own + (np.arange(num_fits) * gather[0].size)[:, None, None],
-                                     orders)
+    gather = np.full((num_fits, d * num_classes, width), num_fits * n)
+    gather.put(own, orders + fits * n)
     return gather, prefix_at[:, :, cut_feature, cut_at]
 
 
@@ -65,40 +68,28 @@ def _boost(train: LabeledDataset, labels: np.ndarray, rounds: int) -> list[dict]
     rounds = integer(rounds, "rounds", 1)
     (num_fits, n), num_classes = labels.shape, train.num_classes
     fits = np.arange(num_fits)
-    class_counts = np.bincount((fits[:, None] * num_classes + labels).ravel(),
-                               minlength=num_fits * num_classes).reshape(num_fits, num_classes)
+    bins = (fits[:, None] * num_classes + labels).ravel()  # each fit's class of each row
+    size = num_fits * num_classes
+    class_counts = np.bincount(bins, minlength=size).reshape(num_fits, num_classes)
     columns = np.ascontiguousarray(train.features.T)
     orders = np.argsort(columns, axis=1, kind="stable")  # (features, rows)
     ordered = np.take_along_axis(columns, orders, axis=1)
     cut_feature, cut_at = np.nonzero(ordered[:, 1:] > ordered[:, :-1])
     cut_threshold = _thresholds(ordered[cut_feature, cut_at], ordered[cut_feature, cut_at + 1])
-    fit_gather, fit_at_cut = _tables(labels, orders, cut_feature, cut_at, num_classes,
-                                     int(class_counts.max()) + 1)
-    table = fit_gather[0].size
-    padded = np.concatenate((labels, np.zeros((num_fits, 1), labels.dtype)), axis=1)
-
-    def indices(active):
-        """The active fits' gathers, cut sums and class bins, offset to their rows."""
-        here = np.arange(active.size)[:, None]
-        gather = fit_gather[active] + (here * (n + 1))[:, :, None]
-        at_cut = fit_at_cut[active] + (here * table)[:, :, None]
-        # each fit's padding slot adds its 0.0 to its class 0 last, changing no total
-        return gather, at_cut, (here * num_classes + padded[active]).ravel(), labels[active]
-
-    active = fits
-    gather, at_cut, bins, active_labels = indices(active)
-    buffer = np.zeros((num_fits, n + 1))  # each fit's weights, then the padding's 0
-    buffer[:, :n] = 1.0 / n
+    gather, at_cut = _tables(labels, orders, cut_feature, cut_at, num_classes,
+                             int(class_counts.max()) + 1)
+    buffer = np.zeros(num_fits * n + 1)  # every fit's weights, then one zero slot
+    weights = buffer[:-1].reshape(num_fits, n)
+    weights[...] = 1.0 / n
     chance, log_classes = 1.0 - 1.0 / num_classes, np.log(num_classes - 1)
-    kept = []  # per round: the fits that keep a stump, and its fields
+    live = np.ones(num_fits, bool)
+    kept = []  # per round: which fits keep their stump, and every fit's stump fields
     for _ in range(rounds):
-        k = active.size
-        here = np.arange(k)
-        total = np.bincount(bins, buffer.ravel(), minlength=k * num_classes).reshape(k, -1)
+        total = np.bincount(bins, weights.ravel(), minlength=size).reshape(num_fits, num_classes)
         if not cut_feature.size:
             c = total.argmax(axis=1)
-            err = 1.0 - total[here, c]
-            f, threshold, c_left, c_right = np.zeros(k, np.intp), np.zeros(k), c, c
+            err = 1.0 - total[fits, c]
+            f, threshold, c_left, c_right = np.zeros(num_fits, np.intp), np.zeros(num_fits), c, c
         else:
             prefix = buffer.take(gather)
             np.add.accumulate(prefix, axis=2, out=prefix)
@@ -108,32 +99,24 @@ def _boost(train: LabeledDataset, labels: np.ndarray, rounds: int) -> list[dict]
             errors = 1.0 - correct  # rounds monotonically: its first least is in the best f
             f = cut_feature[errors.argmin(axis=1)]
             m = np.where(cut_feature == f[:, None], correct, -np.inf).argmax(axis=1)  # lowest cut
-            err, threshold = errors[here, m], cut_threshold[m]
-            c_left, c_right = below[here, :, m].argmax(axis=1), above[here, :, m].argmax(axis=1)
+            err, threshold = errors[fits, m], cut_threshold[m]
+            c_left, c_right = below[fits, :, m].argmax(axis=1), above[fits, :, m].argmax(axis=1)
         good = err < chance - _ERR_FLOOR  # else no better than guessing: SAMME weight <= 0
         clipped = np.maximum(err, _ERR_FLOOR)
         alpha = np.log((1.0 - clipped) / clipped) + log_classes
-        kept.append((active[good], f[good], threshold[good], c_left[good], c_right[good],
-                     alpha[good]))
-        go = good & (err > _ERR_FLOOR)  # a perfect stump ends its fit too
-        if not go.all():
-            if not go.any():
-                break
-            active, buffer = active[go], buffer[go]
-            gather, at_cut, bins, active_labels = indices(active)
-            f, threshold, c_left, c_right, alpha = (
-                a[go] for a in (f, threshold, c_left, c_right, alpha))
-        # only the missed rows change, as w * 1.0 == w
+        kept.append((live & good, f, threshold, c_left, c_right, alpha))
+        live &= good & (err > _ERR_FLOOR)  # a perfect stump ends its fit too
+        if not live.any():
+            break
+        # only a live fit's missed rows change, as w * 1.0 == w
         vote = np.where(columns[f] <= threshold[:, None], c_left[:, None], c_right[:, None])
-        weights = buffer[:, :n]
-        weights *= np.where(vote != active_labels, np.exp(alpha)[:, None], 1.0)
+        weights *= np.where((vote != labels) & live[:, None], np.exp(alpha)[:, None], 1.0)
         weights /= np.add.reduce(weights, axis=1, keepdims=True)
-    owner, *fields = map(np.concatenate, zip(*kept))
-    order = np.argsort(owner, kind="stable")  # by fit, each fit's in round order
-    stumps = np.empty(order.size, _STUMP)
+    keep, *fields = (np.array(field).T for field in zip(*kept))  # (fits, rounds run)
+    stumps = np.empty(int(keep.sum()), _STUMP)  # by fit, each fit's in round order
     for name, field in zip(_STUMP.names, fields):
-        stumps[name] = field[order]
-    ends = np.searchsorted(owner[order], fits[:-1], side="right")
+        stumps[name] = field[keep]
+    ends = np.cumsum(keep.sum(axis=1))[:-1]
     return [{"_present": present, "_stumps": fit_stumps}
             for present, fit_stumps in zip(class_counts > 0, np.split(stumps, ends))]
 
@@ -150,13 +133,6 @@ class AdaBoostModel(TrainedModel):
     def __init__(self, train: LabeledDataset, rounds: int):
         super().__init__(train)
         vars(self).update(_boost(train, train.labels[None, :], rounds)[0])
-
-    @classmethod
-    def _batch(cls, train: LabeledDataset, labels: np.ndarray, rounds: int) -> list[AdaBoostModel]:
-        """One model per row of the (B, n) ``labels`` on ``train``'s rows, each
-        the model ``cls(train.with_labels(row), rounds)`` would be; the rows are
-        not checked."""
-        return [cls._fitted(train, state) for state in _boost(train, labels, rounds)]
 
     def predict_proba_batch(self, X) -> np.ndarray:
         X = self._check_rows(X)

@@ -239,14 +239,6 @@ class DecisionTreeModel(TrainedModel):
     ):
         self._grow(train, [(train.features, train.labels)], max_depth, max_features, rng)
 
-    @classmethod
-    def _batch(cls, train: LabeledDataset, labels: np.ndarray,
-               max_depth: int | None) -> list[DecisionTreeModel]:
-        """One tree per row of the (B, n) ``labels`` on ``train``'s rows, each
-        the tree ``cls(train.with_labels(row), max_depth)`` would be; the rows
-        are not checked."""
-        return [cls._fitted(train, state) for state in _grow_levels(train, labels, max_depth)]
-
     def _grow(self, train, samples, max_depth, max_features, rng):
         """Grow one tree on each (features, labels) sample of ``samples`` in
         turn, all onto the same node lists; every sample's rows are rows of

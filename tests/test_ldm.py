@@ -354,21 +354,20 @@ def test_columns_are_order_invariant(iris):
             assert np.array_equal(redone, column), spec.to_string()
 
 
-@pytest.mark.parametrize("cls, spec", [
-    (DecisionTreeModel, ClassifierSpec("decision_tree")),
-    (AdaBoostModel, ClassifierSpec("adaboost", {"rounds": 3})),
+@pytest.mark.parametrize("spec", [
+    ClassifierSpec("decision_tree"), ClassifierSpec("adaboost", {"rounds": 3}),
 ], ids=["decision_tree", "adaboost"])
-def test_batched_build_is_the_same_in_blocks_of_any_size(cls, spec, iris, monkeypatch):
+def test_batched_build_is_the_same_in_blocks_of_any_size(spec, iris, monkeypatch):
     # build_ldm fits as many columns at once as make one int64 (labelings,
     # rows, features, classes) array of about dirichlet._BLOCK_BYTES; the
     # block size must not show in the matrix
-    sizes, batch = [], cls._batch.__func__
+    sizes, batch = [], ldm_module.fit_batch
 
-    def counted(owner, train, labels, param):
-        sizes.append(len(labels))
-        return batch(owner, train, labels, param)
+    def counted(resolved, labeled):
+        sizes.append(len(labeled))
+        return batch(resolved, labeled)
 
-    monkeypatch.setattr(cls, "_batch", classmethod(counted))
+    monkeypatch.setattr(ldm_module, "fit_batch", counted)
     per_labeling = 8 * iris.n_features * iris.num_classes * (iris.n_examples - 3)
     matrices = []
     for labelings, batches in ((1, []), (3, [3, 3, 3]), (4, [4, 4]), (6, [6, 3]), (1 << 30, [9])):

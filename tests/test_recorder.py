@@ -11,7 +11,7 @@ from ldmcap import (
     record_trial,
 )
 from ldmcap import dirichlet
-from ldmcap.classifiers import AdaBoostModel, DecisionTreeModel
+from ldmcap import recorder as recorder_module
 from ldmcap.dataset import LabeledDataset
 from ldmcap.seeding import make_rng
 
@@ -90,21 +90,20 @@ def test_trials_use_per_trial_derived_seeds(iris):
             assert est.counts[t] == record_trial(spec, iris, make_rng(4, "trial", t)), spec
 
 
-@pytest.mark.parametrize("cls, spec", [
-    (DecisionTreeModel, ClassifierSpec("decision_tree")),
-    (AdaBoostModel, ClassifierSpec("adaboost", {"rounds": 3})),
+@pytest.mark.parametrize("spec", [
+    ClassifierSpec("decision_tree"), ClassifierSpec("adaboost", {"rounds": 3}),
 ], ids=["decision_tree", "adaboost"])
-def test_batched_estimate_is_the_same_in_blocks_of_any_size(cls, spec, iris, monkeypatch):
+def test_batched_estimate_is_the_same_in_blocks_of_any_size(spec, iris, monkeypatch):
     # estimate_capacity fits as many trials at once as make one int64
     # (labelings, rows, features, classes) array of about
     # dirichlet._BLOCK_BYTES; the block size must not show in the counts
-    sizes, batch = [], cls._batch.__func__
+    sizes, batch = [], recorder_module.fit_batch
 
-    def counted(owner, train, labels, param):
-        sizes.append(len(labels))
-        return batch(owner, train, labels, param)
+    def counted(resolved, labeled):
+        sizes.append(len(labeled))
+        return batch(resolved, labeled)
 
-    monkeypatch.setattr(cls, "_batch", classmethod(counted))
+    monkeypatch.setattr(recorder_module, "fit_batch", counted)
     per_labeling = 8 * iris.n_examples * iris.n_features * iris.num_classes
     counts = []
     for labelings, batches in ((1, []), (2, [2, 2, 2]), (3, [3, 3]), (1 << 30, [7])):

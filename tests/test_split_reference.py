@@ -20,7 +20,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from ldmcap.classifiers import AdaBoostModel, DecisionTreeModel, RandomForestModel, tree
+from ldmcap.classifiers import FAMILIES, AdaBoostModel, DecisionTreeModel, RandomForestModel, tree
 from ldmcap.classifiers.base import log_softmax_rows
 from ldmcap.dataset import LabeledDataset
 
@@ -293,7 +293,8 @@ def test_batched_trees_match_the_depth_first_grower(features, max_depth, iris):
     for num_classes in (2, 3, 5):
         labels = np.random.default_rng(num_classes).integers(0, num_classes, (8, X.shape[0]))
         train = LabeledDataset(X, labels[0], num_classes)
-        for y, tree in zip(labels, DecisionTreeModel._batch(train, labels, max_depth)):
+        batch = FAMILIES["decision_tree"].batch(train, labels, {"max_depth": max_depth})
+        for y, tree in zip(labels, batch):
             assert _digest(tree) == _digest(DecisionTreeModel(train.with_labels(y), max_depth))
 
 
@@ -478,9 +479,26 @@ def test_adaboost_batch_matches_the_samme_reference_fit_by_fit(seed, iris):
     labels[2] %= 2  # classes absent
     train = LabeledDataset(X, labels[0], num_classes)
     for rounds in (3, 50):
-        for y, model in zip(labels, AdaBoostModel._batch(train, labels, rounds)):
+        for y, model in zip(labels, FAMILIES["adaboost"].batch(train, labels, {"rounds": rounds})):
             assert model._stumps.tolist() == samme_reference(X, y, num_classes, rounds)
             assert np.array_equal(model._present, np.bincount(y, minlength=num_classes) > 0)
+
+
+def test_adaboost_batch_fits_that_stop_at_different_rounds_match_lone_fits():
+    # on 40 rows of 3 binary features the fits of one batch stop at many
+    # different rounds; each must still be its lone fit and the reference's,
+    # whichever row of the batch it is
+    train = LabeledDataset(np.random.default_rng(0).integers(0, 2, (40, 3)), np.zeros(40, int), 2)
+    labels, rounds = np.random.default_rng(1).integers(0, 2, (36, 40)), 50
+    for batch in (labels, labels[::-1]):
+        models = FAMILIES["adaboost"].batch(train, batch, {"rounds": rounds})
+        counts = {len(model._stumps) for model in models}
+        assert len(counts) > 2 and any(1 < count < rounds for count in counts)
+        for y, model in zip(batch, models):
+            lone = AdaBoostModel(train.with_labels(y), rounds)
+            assert model._stumps.tobytes() == lone._stumps.tobytes()
+            assert np.array_equal(model._present, lone._present)
+            assert model._stumps.tolist() == samme_reference(train.features, y, 2, rounds)
 
 
 @pytest.mark.parametrize(
