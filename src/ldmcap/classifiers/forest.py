@@ -1,15 +1,16 @@
 """Random forest: bagged decision trees with per-split feature subsampling.
 
 A :class:`RandomForestModel` is a :class:`~.tree.DecisionTreeModel` whose
-node table holds one root per tree.  The depth-first grower of :mod:`.tree`
-grows the trees one after another onto the same node lists, so node ids are
-global, and the forest predicts as a tree does: one level-by-level walk over
-every (tree, row) pair, then the trees' leaf frequencies summed in tree
-order and divided by the tree count.  With the default ``max_features=1``
-each node draws its one feature with a single bounded integer draw and the
-split scan sorts only that feature's values.  Forests have no batch builder:
-their bootstraps and feature draws come from one generator in preorder, tree
-after tree, and no level-wise or lockstep order makes those same draws.
+node table holds one root per tree.  Only forests grow depth first: the
+grower ``tree._grow`` grows the trees one after another onto the same node
+lists, so node ids are global, and the forest predicts as a tree does: one
+level-by-level walk over every (tree, row) pair, then the trees' leaf
+frequencies summed in tree order and divided by the tree count.  With the
+default ``max_features=1`` each node draws its one feature with a single
+bounded integer draw and the split scan sorts only that feature's values.
+Forests have no batch builder: their bootstraps and feature draws come from
+one generator in preorder, tree after tree, and no level-wise or lockstep
+order makes those same draws.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import numpy as np
 
 from ..dataset import LabeledDataset
 from ..errors import integer
-from .tree import DecisionTreeModel
+from .base import TrainedModel
+from .tree import DecisionTreeModel, _grow
 
 
 class RandomForestModel(DecisionTreeModel):
@@ -48,7 +50,8 @@ class RandomForestModel(DecisionTreeModel):
                 boot = rng.integers(0, train.n_examples, size=train.n_examples)
                 yield train.features[boot], train.labels[boot]
 
-        self._grow(train, bootstraps(), max_depth, max_features, rng)
+        TrainedModel.__init__(self, train)
+        vars(self).update(_grow(train, bootstraps(), max_depth, max_features, rng))
 
     # Its own entry, not an inherited one: the benchmark's tracer wraps each
     # model class's own predict_proba_batch, so a forest's predictions are

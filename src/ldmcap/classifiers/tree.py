@@ -6,23 +6,22 @@ lower feature index, then the lower threshold, so trees are fully
 deterministic.  Leaves store training class frequencies and arise on purity,
 on hitting the depth cap, or when no candidate split improves the impurity.
 
-Two growers make the same node table.  A single tree, a forest's or a
-subsampled one included, grows depth first in plain Python (``_grow``): each
-node's split is the first least-cost cut in (feature, cut) order of one scan
+Two growers make the same node table.  Decision trees grow level by level,
+a lone tree as the fit of its one labeling (``_grow_levels``): per feature,
+the items of the nodes still to be scanned are kept in (node, value) order
+and re-partitioned each level (SPRINT's presorted attribute lists, Shafer,
+Agrawal and Mehta, VLDB 1996), and every cut's cost comes from exact integer
+class sums within its node.  A forest's trees grow depth first in plain
+Python (``_grow``), as their feature draws follow preorder: each node's
+split is the first least-cost cut in (feature, cut) order of one scan
 (``_split_scan``), which sorts the node's rows by each candidate feature,
 walks the cuts between distinct values keeping exact integer class sums, and
-hands the children the two slices of the winning order.  Many labelings of
-the same rows, every feature scanned at every node, grow level by level
-together (``_grow_levels``): per feature, the items of the nodes still to be
-scanned are kept in (node, value) order and re-partitioned each level
-(SPRINT's presorted attribute lists, Shafer, Agrawal and Mehta, VLDB 1996),
-and every cut's cost comes from exact integer class sums within its node.
-Both compute a cut's cost with the same float expression on those sums and
-pass it through the same gate, a gain over the node's impurity of more than
-1e-12, so no floating-point sum takes part in a split and the two give
-bit-identical tables.  NaN cannot be sorted; the
-:class:`~ldmcap.dataset.LabeledDataset` a tree trains on, and a forest's
-bootstraps of it, hold finite features only.
+hands the children the two slices of the winning order.  Both compute a
+cut's cost with the same float expression on those sums and pass it through
+the same gate, a gain over the node's impurity of more than 1e-12, so no
+floating-point sum takes part in a split and the two give bit-identical
+tables.  NaN cannot be sorted; the :class:`~ldmcap.dataset.LabeledDataset` a
+tree trains on, and a forest's bootstraps of it, hold finite features only.
 
 With feature subsampling a node draws its features from ``rng`` as it is
 reached.  One feature of several, a forest's default, is drawn as
@@ -126,7 +125,8 @@ def _grow_levels(train, labels, max_depth):
     node's exact integer class counts at every cut, and each cut's cost is
     ``_split_scan``'s float expression on them, under the same gate; the first
     least cut in (feature, cut) order wins.  The nodes are then renumbered to
-    preorder, so each table is bit for bit the one ``_grow`` makes.
+    preorder, so each table is bit for bit the one ``_grow`` makes.  A fit
+    holds a few (labelings, rows, features, classes) int64 arrays at once.
     """
     if max_depth is not None:
         max_depth = integer(max_depth, "max_depth", 1)
@@ -229,78 +229,69 @@ def _grow_levels(train, labels, max_depth):
     ]
 
 
-class DecisionTreeModel(TrainedModel):
-    def __init__(
-        self,
-        train: LabeledDataset,
-        max_depth: int | None = None,
-        max_features: int | None = None,
-        rng: np.random.Generator | None = None,
-    ):
-        self._grow(train, [(train.features, train.labels)], max_depth, max_features, rng)
+def _grow(train, samples, max_depth, max_features, rng):
+    """The fitted state of one tree on each (features, labels) sample of
+    ``samples`` in turn, grown depth first onto the same node lists; every
+    sample's rows are rows of ``train``.  With feature subsampling, each node
+    that looks for a split draws its features from ``rng`` as it is reached;
+    ``samples`` may draw from it too, between trees."""
+    if max_depth is not None:
+        max_depth = integer(max_depth, "max_depth", 1)
+    if max_features is not None:
+        max_features = integer(max_features, "max_features", 1)
+    d, num_classes = train.n_features, train.num_classes
+    n_sub = d if max_features is None else min(max_features, d)
+    all_features = range(d)
+    feature, threshold, left, right, class_counts, roots = [], [], [], [], [], []
+    depth_reached = 0
+    for X, y in samples:
+        roots.append(len(feature))
+        columns, labels = X.T.tolist(), y.tolist()
+        counts = np.bincount(y, minlength=num_classes).tolist()
+        # Depth first, left before right, so node ids come out in preorder and
+        # the feature draws happen in that order.  Each entry is (rows, class
+        # counts, depth, the child list to record the node in, its parent).
+        stack = [(range(len(labels)), counts, 0, None, 0)]
+        while stack:
+            rows, counts, depth, children, parent = stack.pop()
+            n = len(rows)
+            node = len(feature)
+            if children is not None:
+                children[parent] = node
+            # a leaf is its own child; a split sets feature, threshold and children below
+            feature.append(0)
+            threshold.append(0.0)
+            left.append(node)
+            right.append(node)
+            class_counts.append(counts)
+            depth_reached = max(depth_reached, depth)
+            if max(counts) == n or (max_depth is not None and depth >= max_depth):
+                continue
+            if n_sub == d:
+                feats = all_features
+            elif n_sub == 1:  # the draw choice(d, size=1, replace=False) makes
+                feats = [int(rng.integers(d))]
+            else:
+                feats = sorted(rng.choice(d, size=n_sub, replace=False).tolist())
+            best = _split_scan(rows, feats, columns, labels, counts)
+            if best is None:
+                continue
+            (_, feature[node], threshold[node], (left_counts, right_counts),
+             (left_rows, right_rows)) = best
+            stack.append((right_rows, right_counts, depth + 1, right, node))
+            stack.append((left_rows, left_counts, depth + 1, left, node))
+    class_counts = np.array(class_counts)
+    return {"_feature": np.array(feature, dtype=np.intp), "_threshold": np.array(threshold),
+            "_left": np.array(left, dtype=np.intp), "_right": np.array(right, dtype=np.intp),
+            "_probs": class_counts / class_counts.sum(axis=1, keepdims=True),
+            "_roots": np.array(roots, dtype=np.intp),
+            "_depth": depth_reached}  # the deepest leaf's depth below its root
 
-    def _grow(self, train, samples, max_depth, max_features, rng):
-        """Grow one tree on each (features, labels) sample of ``samples`` in
-        turn, all onto the same node lists; every sample's rows are rows of
-        ``train``.  With feature subsampling, each node that looks for a
-        split draws its features from ``rng`` as it is reached; ``samples``
-        may draw from it too, between trees."""
+
+class DecisionTreeModel(TrainedModel):
+    def __init__(self, train: LabeledDataset, max_depth: int | None = None):
         super().__init__(train)
-        if max_depth is not None:
-            max_depth = integer(max_depth, "max_depth", 1)
-        if max_features is not None:
-            max_features = integer(max_features, "max_features", 1)
-        d, num_classes = self.n_features, self.num_classes
-        if max_features is not None and max_features < d and rng is None:
-            raise ValueError("feature subsampling requires an rng")
-        n_sub = d if max_features is None else min(max_features, d)
-        all_features = range(d)
-        feature, threshold, left, right, class_counts, roots = [], [], [], [], [], []
-        depth_reached = 0
-        for X, y in samples:
-            roots.append(len(feature))
-            columns, labels = X.T.tolist(), y.tolist()
-            counts = np.bincount(y, minlength=num_classes).tolist()
-            # Depth first, left before right, so node ids come out in preorder and
-            # the feature draws happen in that order.  Each entry is (rows, class
-            # counts, depth, the child list to record the node in, its parent).
-            stack = [(range(len(labels)), counts, 0, None, 0)]
-            while stack:
-                rows, counts, depth, children, parent = stack.pop()
-                n = len(rows)
-                node = len(feature)
-                if children is not None:
-                    children[parent] = node
-                # a leaf is its own child; a split sets feature, threshold and children below
-                feature.append(0)
-                threshold.append(0.0)
-                left.append(node)
-                right.append(node)
-                class_counts.append(counts)
-                depth_reached = max(depth_reached, depth)
-                if max(counts) == n or (max_depth is not None and depth >= max_depth):
-                    continue
-                if n_sub == d:
-                    feats = all_features
-                elif n_sub == 1:  # the draw choice(d, size=1, replace=False) makes
-                    feats = [int(rng.integers(d))]
-                else:
-                    feats = sorted(rng.choice(d, size=n_sub, replace=False).tolist())
-                best = _split_scan(rows, feats, columns, labels, counts)
-                if best is None:
-                    continue
-                (_, feature[node], threshold[node], (left_counts, right_counts),
-                 (left_rows, right_rows)) = best
-                stack.append((right_rows, right_counts, depth + 1, right, node))
-                stack.append((left_rows, left_counts, depth + 1, left, node))
-        class_counts = np.array(class_counts)
-        self._feature = np.array(feature, dtype=np.intp)
-        self._threshold = np.array(threshold)
-        self._left = np.array(left, dtype=np.intp)
-        self._right = np.array(right, dtype=np.intp)
-        self._probs = class_counts / class_counts.sum(axis=1, keepdims=True)
-        self._roots = np.array(roots, dtype=np.intp)
-        self._depth = depth_reached  # the deepest leaf's depth below its root
+        vars(self).update(_grow_levels(train, train.labels[None, :], max_depth)[0])
 
     def predict_proba_batch(self, X) -> np.ndarray:
         """The leaf frequencies each row reaches, summed over the roots in

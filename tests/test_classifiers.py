@@ -18,6 +18,7 @@ from ldmcap.classifiers import (
     batch_size,
     fit_batch,
 )
+from ldmcap.classifiers.tree import _grow
 from ldmcap.dataset import LabeledDataset
 from ldmcap.errors import InvalidDatasetError
 
@@ -315,9 +316,9 @@ def test_tree_rejects_nonpositive_depth(iris):
         DecisionTreeModel(iris, max_depth=0)
 
 
-def test_tree_rejects_nonpositive_max_features(iris):
+def test_forest_rejects_nonpositive_max_features(iris):
     with pytest.raises(ValueError, match="max_features"):
-        DecisionTreeModel(iris, max_features=0, rng=np.random.default_rng(0))
+        RandomForestModel(iris, 2, 0, None, np.random.default_rng(0))
 
 
 _HUGE = [[1e200, 0.0], [-1e200, 1.0], [1e200, 2.0], [3.0, 4.0], [5.0, 1.0], [2.0, 2.0]]
@@ -332,8 +333,6 @@ _HUGE = [[1e200, 0.0], [-1e200, 1.0], [1e200, 2.0], [3.0, 4.0], [5.0, 1.0], [2.0
          "rows with 2 features"),
         (lambda: KnnModel(BLOBS, k=1).predict_proba(np.zeros(3)), ValueError,
          "vector of length 2"),
-        (lambda: DecisionTreeModel(_ds(np.eye(3), [0, 1, 0]), max_features=2), ValueError,
-         "requires an rng"),
         (lambda: KnnModel(_FOUR_ROWS, k=1), TypeError, "models train on a LabeledDataset"),
         # Models train only on a LabeledDataset, so its checks are the ones
         # every model's training data gets.  sorted() cannot order NaN:
@@ -402,14 +401,14 @@ _HUGE = [[1e200, 0.0], [-1e200, 1.0], [1e200, 2.0], [3.0, 4.0], [5.0, 1.0], [2.0
         (lambda: KnnModel(BLOBS, 2.5), ValueError, r"k must be an integer, got 2\.5"),
         (lambda: DecisionTreeModel(BLOBS, 2.5), ValueError,
          r"max_depth must be an integer, got 2\.5"),
-        (lambda: DecisionTreeModel(BLOBS, max_features=1.5, rng=np.random.default_rng(0)),
+        (lambda: RandomForestModel(BLOBS, 2, 1.5, None, np.random.default_rng(0)),
          ValueError, r"max_features must be an integer, got 1\.5"),
         (lambda: RandomForestModel(BLOBS, 2.5, 1, None, np.random.default_rng(0)), ValueError,
          r"n_estimators must be an integer, got 2\.5"),
         (lambda: AdaBoostModel(BLOBS, 2.5), ValueError, r"rounds must be an integer, got 2\.5"),
     ],
     ids=["spec-without-value", "spec-repeated-param", "batch-width", "row-width",
-         "subsampling-without-rng", "array-not-dataset", "tree-nan-feature",
+         "array-not-dataset", "tree-nan-feature",
          "forest-nan-feature", "knn-label-range", "tree-label-range",
          "forest-negative-label", "adaboost-label-range", "gaussian-nb-label-range",
          "qda-negative-label", "gaussian-nb-label-count", "knn-float-labels",
@@ -418,7 +417,7 @@ _HUGE = [[1e200, 0.0], [-1e200, 1.0], [1e200, 2.0], [3.0, 4.0], [5.0, 1.0], [2.0
          "qda-inf-feature", "adaboost-nan-feature", "gaussian-nb-overflow-feature",
          "qda-overflow-feature", "knn-overflow-feature", "ragged-list-features",
          "1d-features", "spec-float-k", "spec-string-k", "spec-k-0", "spec-none-depth",
-         "knn-float-k", "tree-float-depth", "tree-float-max-features", "forest-float-n",
+         "knn-float-k", "tree-float-depth", "forest-float-max-features", "forest-float-n",
          "adaboost-float-rounds"],
 )
 def test_public_guards_name_the_bad_argument(call, error, named):
@@ -443,8 +442,8 @@ def test_forest_probabilities_average_member_trees():
     for _ in range(10):
         boot = rng.integers(0, ds.n_examples, size=ds.n_examples)
         sample = LabeledDataset(ds.features[boot], ds.labels[boot], 3)
-        tree = DecisionTreeModel(sample, max_depth=2, max_features=3, rng=rng)
-        total += tree.predict_proba_batch(ds.features)
+        state = _grow(sample, [(sample.features, sample.labels)], 2, 3, rng)
+        total += DecisionTreeModel._fitted(sample, state).predict_proba_batch(ds.features)
     assert np.array_equal(model.predict_proba_batch(ds.features), total / 10)
 
 

@@ -165,7 +165,7 @@ def test_numpy_integers_count_as_the_python_ints_they_equal(iris):
             == estimate_capacity(spec, iris, trials=3, master_seed=7).counts)
     for build in (
         lambda n: KnnModel(iris, n(3)),
-        lambda n: DecisionTreeModel(iris, n(2), n(2), np.random.default_rng(0)),
+        lambda n: DecisionTreeModel(iris, n(2)),
         lambda n: RandomForestModel(iris, n(2), n(1), n(3), np.random.default_rng(0)),
         lambda n: AdaBoostModel(iris, n(2)),
     ):

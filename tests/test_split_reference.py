@@ -9,8 +9,8 @@ tie-heavy: iris columns rounded to integers, with random labels, so many
 cuts share a cost.  The tree's split scan, with its impurity gate, is also
 checked against the gated reference node by node, whole trees and forests
 against pinned digests of their node tables, every tree of a level-wise
-batch against a single fit, and the forest's one-feature draw
-against the ``Generator.choice`` it stands for.
+batch and every lone tree against the depth-first grower forests use, and
+the forest's one-feature draw against the ``Generator.choice`` it stands for.
 """
 
 from __future__ import annotations
@@ -124,13 +124,20 @@ def _tie_heavy(seed, iris):
     return X, rng.integers(0, num_classes, rows.size), num_classes
 
 
+def _depth_first(train, max_depth=None, max_features=None, rng=None):
+    """The tree the depth-first grower, a forest's, grows on ``train`` alone."""
+    state = tree._grow(train, [(train.features, train.labels)], max_depth, max_features, rng)
+    return DecisionTreeModel._fitted(train, state)
+
+
 def _assert_root_matches_exhaustive_gini_search(X, y, num_classes):
-    model = DecisionTreeModel(LabeledDataset(X, y, num_classes), max_depth=1)
     expected = gini_root_split(X.tolist(), y.tolist(), num_classes)
-    if expected is None:
-        assert model._left[0] == 0  # the root is a leaf
-    else:
-        assert (int(model._feature[0]), float(model._threshold[0])) == expected
+    for grow in (DecisionTreeModel, _depth_first):
+        model = grow(LabeledDataset(X, y, num_classes), max_depth=1)
+        if expected is None:
+            assert model._left[0] == 0  # the root is a leaf
+        else:
+            assert (int(model._feature[0]), float(model._threshold[0])) == expected
 
 
 @pytest.mark.parametrize("seed", range(50))
@@ -208,11 +215,12 @@ def test_gate_passes_the_least_gain_and_no_zero_gain(moved_to):
     y = np.tile([0, 1, 1, 2, 2, 2], 500)
     if moved_to is not None:
         y[1500] = moved_to
-    model = DecisionTreeModel(LabeledDataset(X, y, 3), max_depth=1)
-    if moved_to is None:
-        assert model._left[0] == 0  # the root is a leaf
-    else:
-        assert (int(model._feature[0]), float(model._threshold[0])) == (0, 249.5)
+    for grow in (DecisionTreeModel, _depth_first):
+        model = grow(LabeledDataset(X, y, 3), max_depth=1)
+        if moved_to is None:
+            assert model._left[0] == 0  # the root is a leaf
+        else:
+            assert (int(model._feature[0]), float(model._threshold[0])) == (0, 249.5)
 
 
 _TREE_ARRAYS = ("_feature", "_threshold", "_left", "_right", "_probs", "_depth", "_roots")
@@ -232,7 +240,8 @@ def _digest(model, *arrays):
 # numpy pass and smaller ones in plain Python, and that gated each split on
 # a Gini impurity numpy summed in blocks for eight or more classes; the one
 # scan with its own integer gate must give the same tables on every CPU.
-# Keyed by (max_features, max_depth, num_classes).
+# Keyed by (max_features, max_depth, num_classes); a lone tree, which scans
+# every feature, must match the max_features=None ones too.
 _TREE_DIGESTS = {
     (None, None, 3): "2654e61295dcb4856d484297d9ab4daf801455b773510ce1e3f7d385f985dd52",
     (None, 5, 3): "32dfb1a28593d9fc14aa6fd8d97392b3c0f43e28263651dc22b3dc53db3fc6a9",
@@ -262,10 +271,11 @@ _FOREST_DIGESTS = {
 def test_tree_matches_its_pinned_digest(max_features, iris):
     for max_depth, num_classes in [(None, 3), (5, 3), (None, 9), (5, 9)]:
         y = np.random.default_rng(3).integers(0, num_classes, iris.n_examples)
-        model = DecisionTreeModel(LabeledDataset(iris.features, y, num_classes),
-                                  max_depth=max_depth, max_features=max_features,
-                                  rng=np.random.default_rng(8))
+        train = LabeledDataset(iris.features, y, num_classes)
+        model = _depth_first(train, max_depth, max_features, np.random.default_rng(8))
         assert _digest(model) == _TREE_DIGESTS[max_features, max_depth, num_classes]
+        if max_features is None:
+            assert _digest(DecisionTreeModel(train, max_depth)) == _digest(model)
 
 
 @pytest.mark.parametrize("num_classes", [3, 9])
@@ -280,22 +290,30 @@ def test_forest_matches_its_pinned_digest(max_depth, num_classes, iris):
 
 @pytest.mark.parametrize("max_depth", [None, 5, 2, 1])
 @pytest.mark.parametrize(
-    "features",
-    [lambda iris: iris.features, lambda iris: np.round(iris.features),
-     lambda iris: _signed_zeros(iris)],
-    ids=["iris", "rounded", "signed-zeros"],
+    "data",
+    [lambda iris: (iris.features, (2, 3, 5)), lambda iris: (np.round(iris.features), (2, 3, 5)),
+     lambda iris: (_signed_zeros(iris), (2, 3, 5)),
+     lambda iris: (_random_rows(400, 8), (4,)), lambda iris: (_random_rows(300, 30), (10,))],
+    ids=["iris", "rounded", "signed-zeros", "random-400x8x4", "random-300x30x10"],
 )
-def test_batched_trees_match_the_depth_first_grower(features, max_depth, iris):
-    # the level-wise grower fits many labelings at once; each of its trees
-    # must be bit for bit the tree a single fit grows depth first from the
-    # same labels
-    X = features(iris)
-    for num_classes in (2, 3, 5):
+def test_batched_trees_match_the_depth_first_grower(data, max_depth, iris):
+    # the level-wise grower fits many labelings at once, and a lone tree is
+    # its fit of one; each of those trees must be bit for bit the tree the
+    # depth-first grower makes from the same labels
+    X, class_counts = data(iris)
+    for num_classes in class_counts:
         labels = np.random.default_rng(num_classes).integers(0, num_classes, (8, X.shape[0]))
         train = LabeledDataset(X, labels[0], num_classes)
         batch = FAMILIES["decision_tree"].batch(train, labels, {"max_depth": max_depth})
-        for y, tree in zip(labels, batch):
-            assert _digest(tree) == _digest(DecisionTreeModel(train.with_labels(y), max_depth))
+        for y, model in zip(labels, batch):
+            reference = _digest(_depth_first(train.with_labels(y), max_depth))
+            assert _digest(model) == reference
+            assert _digest(DecisionTreeModel(train.with_labels(y), max_depth)) == reference
+
+
+def _random_rows(n, d):
+    """n rows of d uniform features rounded to 2 decimals, so that values tie."""
+    return np.round(np.random.default_rng(n * d).random((n, d)), 2)
 
 
 def _signed_zeros(iris):
@@ -315,10 +333,11 @@ def test_tree_ignores_the_order_of_its_rows(features, max_depth, iris):
     X = features(iris)
     y = np.random.default_rng(5).integers(0, 3, X.shape[0])
     shuffled = np.random.default_rng(7).permutation(X.shape[0])
-    model = DecisionTreeModel(LabeledDataset(X, y, 3), max_depth=max_depth)
-    permuted = DecisionTreeModel(LabeledDataset(X[shuffled], y[shuffled], 3), max_depth=max_depth)
-    assert model._left.size > 1
-    assert _digest(permuted) == _digest(model)
+    for grow in (DecisionTreeModel, _depth_first):
+        model = grow(LabeledDataset(X, y, 3), max_depth=max_depth)
+        permuted = grow(LabeledDataset(X[shuffled], y[shuffled], 3), max_depth=max_depth)
+        assert model._left.size > 1
+        assert _digest(permuted) == _digest(model)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 13, 1000])
@@ -534,8 +553,8 @@ def test_adaboost_never_cuts_a_constant_column(iris):
 
 def test_subsampled_tree_on_constant_columns_is_one_leaf():
     y = np.array([0, 1, 1, 2, 2, 2, 1, 0])
-    model = DecisionTreeModel(LabeledDataset(np.ones((y.size, 3)), y, 3), max_features=1,
-                              rng=np.random.default_rng(0))
+    model = _depth_first(LabeledDataset(np.ones((y.size, 3)), y, 3), max_features=1,
+                         rng=np.random.default_rng(0))
     assert model._left.size == 1
     probe = np.array([[1.0, 1.0, 1.0], [0.0, 5.0, -3.0]])
     assert np.array_equal(model.predict_proba_batch(probe), [[0.25, 0.375, 0.375]] * 2)
